@@ -11,6 +11,10 @@ cargo test -q --workspace --offline
 # --all-targets keeps the harness-less bench targets compiling too
 cargo clippy --all-targets --offline -- -D warnings
 
+# the benchmark package (its own workspace) must build against the changed
+# crates, and its determinism self-test must pass
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # frodo-obs must stay dependency-free: its cargo tree is exactly one line
 test "$(cargo tree -p frodo-obs --offline --edges normal | wc -l)" -eq 1
 

@@ -33,6 +33,7 @@ use frodo_model::{BlockId, BlockKind, InPort, Model, ModelError, OutPort};
 use frodo_obs::Trace;
 use frodo_ranges::IndexSet;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 /// 128-bit FNV-1a, used for every region digest. Wide enough that a
 /// silent collision (which would replay wrong ranges) is not a practical
@@ -73,6 +74,15 @@ impl Fnv128 {
 
     fn finish(self) -> u128 {
         self.0
+    }
+}
+
+/// Hashes formatted text as it is written (`write!(h, "{x:?}")`), the
+/// same bytes `format!` would build. Never fails.
+impl std::fmt::Write for Fnv128 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -165,15 +175,15 @@ fn block_digest(dfg: &Dfg, id: BlockId) -> u128 {
     let mut h = Fnv128::new();
     h.write_usize(id.index());
     h.write(block.name.as_bytes());
-    h.write(format!("{:?}", block.kind).as_bytes());
+    let _ = write!(h, "{:?}", block.kind);
     for p in 0..block.kind.num_inputs() {
         let src = dfg.source_of(InPort::new(id, p));
         h.write_usize(src.block.index());
         h.write_usize(src.port);
-        h.write(format!("{:?}", dfg.shapes().input(id, p)).as_bytes());
+        let _ = write!(h, "{:?}", dfg.shapes().input(id, p));
     }
     for o in 0..block.kind.num_outputs() {
-        h.write(format!("{:?}", dfg.shapes().output(id, o)).as_bytes());
+        let _ = write!(h, "{:?}", dfg.shapes().output(id, o));
     }
     h.finish()
 }
@@ -223,7 +233,7 @@ fn demand_digest(
                         h.write_usize(c.port);
                         for o2 in 0..k.num_outputs() {
                             let p2 = OutPort::new(c.block, o2);
-                            h.write(format!("{:?}", maps.map(c.block, o2, c.port)).as_bytes());
+                            let _ = write!(h, "{:?}", maps.map(c.block, o2, c.port));
                             match ranges.get(&p2) {
                                 Some(r) => h.write_ranges(r),
                                 // mirrors the conservative full-range
@@ -418,6 +428,17 @@ mod tests {
         m.connect(c, 0, s, 0).unwrap();
         m.connect(s, 0, o, 0).unwrap();
         m
+    }
+
+    #[test]
+    fn formatted_writes_hash_like_the_formatted_string() {
+        // region digests must not depend on how Debug chunks its output
+        let kind = figure1().block(BlockId::from_index(1)).kind.clone();
+        let mut built = Fnv128::new();
+        built.write(format!("{kind:?}").as_bytes());
+        let mut streamed = Fnv128::new();
+        write!(streamed, "{kind:?}").unwrap();
+        assert_eq!(built.finish(), streamed.finish());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Keys are [`ContentDigest`](frodo_slx::fnv::ContentDigest)s of the
 //! flattened model plus every option that affects the generated C (style,
-//! range engine, dead-end elimination, coalescing gap, emission options).
+//! dead-end elimination, coalescing gap, emission options). The range
+//! engine is not keyed: every engine gives the same C.
 //! Two layers:
 //!
 //! - an **in-memory** map, always on, which also retains the lowered

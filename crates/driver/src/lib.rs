@@ -11,7 +11,10 @@
 //!   the batch completes.
 //! - **Content-addressed caching** — every artifact is keyed by a digest
 //!   ([`frodo_slx::fnv`]) of the *flattened* model plus every option that
-//!   affects the generated C. Resubmitting an unchanged model skips
+//!   affects the generated C. The model's derived `Debug` form is
+//!   streamed straight into the digest, so no text is built to hash it;
+//!   the range engine is not keyed, since every engine gives the same C.
+//!   Resubmitting an unchanged model skips
 //!   analysis and emission entirely; an optional on-disk layer persists
 //!   artifacts across processes. Hit/miss counters are exposed via
 //!   [`CompileService::cache_stats`].
@@ -75,17 +78,20 @@ use frodo_core::{Analysis, RangeOptions};
 use frodo_model::Model;
 use frodo_obs::Trace;
 use frodo_slx::fnv::{ContentDigest, DigestWriter};
-use frodo_slx::{read_mdl, read_slx, write_mdl};
+use frodo_slx::{read_mdl, read_slx};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// The options that determine the generated C — exactly the set the
-/// artifact cache key (and the incremental session's per-region keys)
-/// must cover. Two compiles whose model and `KeyedOptions` agree produce
-/// byte-identical code.
+/// The options that determine the generated C, which the artifact cache
+/// key (and the incremental session's per-region keys) must cover. Two
+/// compiles whose model and `KeyedOptions` agree produce byte-identical
+/// code. One field is carried here but not keyed: the range engine inside
+/// [`RangeOptions`], since every engine gives identical ranges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeyedOptions {
-    /// Range-determination options (engine, dead-end elimination).
+    /// Range-determination options. Only dead-end elimination is keyed;
+    /// the engine is not.
     pub range: RangeOptions,
     /// Lowering options (run coalescing).
     pub lower: LowerOptions,
@@ -169,7 +175,7 @@ pub struct CompileOptionsBuilder {
 }
 
 impl CompileOptionsBuilder {
-    /// Range-determination engine (keyed).
+    /// Range-determination engine (carried in [`KeyedOptions`], not keyed).
     pub fn engine(mut self, engine: frodo_core::RangeEngine) -> Self {
         self.options.keyed.range.engine = engine;
         self
@@ -785,30 +791,36 @@ fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
     }
 }
 
-/// The cache key: a content digest over the flattened model's canonical
-/// `.mdl` serialization, the generator style, and every keyed option.
-/// Taking [`KeyedOptions`] (not [`CompileOptions`]) makes it impossible
-/// for an execution-only knob to split the cache.
+/// The cache key: a content digest over the flattened model's derived
+/// `Debug` form, the generator style, and every keyed option but the
+/// range engine. Taking [`KeyedOptions`] (not [`CompileOptions`]) makes
+/// it impossible for an execution-only knob to split the cache.
+///
+/// The `Debug` form is streamed into the digest, never built as text.
+/// It identifies the model: `Model`, `Block`, `BlockKind`, `Tensor`,
+/// `Shape` and `Connection` derive `Debug`, so it prints every field
+/// their `PartialEq` compares; strings print quoted and escaped, and
+/// `f64` prints in its shortest round-trip form (`-0.0` and `0.0` stay
+/// apart). A toolchain that formats `Debug` differently can only turn
+/// on-disk cache hits into misses, never into wrong hits.
 pub(crate) fn cache_key(
     flat: &Model,
     style: GeneratorStyle,
     options: &KeyedOptions,
 ) -> ContentDigest {
     let mut digest = DigestWriter::new();
-    digest.update(write_mdl(flat).as_bytes());
+    // writing into a DigestWriter never fails
+    let _ = write!(digest, "{flat:?}");
     digest.update(style.label().as_bytes());
-    digest.update(
-        format!(
-            ";engine={:?};dead_ends={};coalesce={};shared_conv={};vectorize={:?};window_reuse={};profile={}",
-            options.range.engine,
-            options.range.eliminate_dead_ends,
-            options.lower.coalesce_gap,
-            options.emit.shared_conv_helper,
-            options.emit.vectorize,
-            options.lower.window_reuse,
-            options.emit.profile
-        )
-        .as_bytes(),
+    let _ = write!(
+        digest,
+        ";dead_ends={};coalesce={};shared_conv={};vectorize={:?};window_reuse={};profile={}",
+        options.range.eliminate_dead_ends,
+        options.lower.coalesce_gap,
+        options.emit.shared_conv_helper,
+        options.emit.vectorize,
+        options.lower.window_reuse,
+        options.emit.profile
     );
     digest.finish()
 }
@@ -998,6 +1010,18 @@ mod tests {
             cache_key(&base, GeneratorStyle::Frodo, &plain.keyed),
             cache_key(&base, GeneratorStyle::Frodo, &exec_heavy.keyed)
         );
+        // the range engines give identical ranges and C: one key
+        for engine in [
+            frodo_core::RangeEngine::Recursive,
+            frodo_core::RangeEngine::Iterative,
+            frodo_core::RangeEngine::Parallel,
+        ] {
+            let opts = CompileOptions::builder().engine(engine).build();
+            assert_eq!(
+                cache_key(&base, GeneratorStyle::Frodo, &plain.keyed),
+                cache_key(&base, GeneratorStyle::Frodo, &opts.keyed)
+            );
+        }
         // every ExecOptions field, one at a time
         for exec in [
             ExecOptions {

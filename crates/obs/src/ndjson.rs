@@ -447,12 +447,17 @@ impl Parser<'_> {
                     ));
                 }
                 Some(_) => {
-                    // consume one UTF-8 code point
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
+                    // copy the run up to the next quote, escape or control
+                    // byte; all are ASCII, so the run ends on a char
+                    // boundary of the `&str` the bytes came from
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
                         .map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -579,6 +584,16 @@ mod tests {
         assert!(parse_line("{\"a\":\"x\u{0}y\"}").is_err());
         let fields = parse_line(r#"{"a":"x\u0001\n\u0000y"}"#).unwrap();
         assert_eq!(fields[0].1, Value::Str("x\u{1}\n\u{0}y".into()));
+    }
+
+    #[test]
+    fn long_strings_with_escapes_and_multibyte_chars_roundtrip() {
+        // a daemon reply carries a whole C file as one string value
+        let chunk = "y[i] = 0.5 * x[i]; /* naïve ∑ “q” */ \"s\" \\ \t\n";
+        let text = chunk.repeat(400 * 1024 / chunk.len() + 1);
+        let line = format!("{{\"code\":\"{}\"}}", json_escape(&text));
+        let fields = parse_line(&line).unwrap();
+        assert_eq!(get_str(&fields, "code"), Some(text.as_str()));
     }
 
     #[test]

@@ -134,6 +134,15 @@ impl Default for DigestWriter {
     }
 }
 
+/// Digests formatted text as it is written, so `write!(digest, "{x:?}")`
+/// hashes a value's `Debug` form without building the string. Never fails.
+impl std::fmt::Write for DigestWriter {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,6 +166,11 @@ mod tests {
         d.update(b"split ");
         d.update(b"input");
         assert_eq!(d.finish(), ContentDigest::of(b"split input"));
+
+        use std::fmt::Write as _;
+        let mut w = DigestWriter::new();
+        write!(w, "split {}", "input").unwrap();
+        assert_eq!(w.finish(), ContentDigest::of(b"split input"));
     }
 
     #[test]

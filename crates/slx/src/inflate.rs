@@ -3,8 +3,13 @@
 //!
 //! The decompressor supports all three block types — stored, fixed-Huffman,
 //! and dynamic-Huffman — which covers every `.slx` ZIP entry a real tool
-//! produces. The compressor emits literal-only fixed-Huffman blocks: always
-//! valid DEFLATE, adequate for writing test archives, and an independent
+//! produces. It reads through a 64-bit bit buffer and decodes each Huffman
+//! code with one lookup in a [`TABLE_BITS`]-bit table; longer codes, bad
+//! codes and codes cut by the end of the input take the canonical
+//! bit-by-bit walk, which keeps every error of that walk.
+//!
+//! The compressor emits literal-only fixed-Huffman blocks: always valid
+//! DEFLATE, adequate for writing test archives, and an independent
 //! roundtrip oracle for the decompressor.
 
 use crate::FormatError;
@@ -13,10 +18,20 @@ use crate::FormatError;
 // bit I/O
 // ---------------------------------------------------------------------------
 
+/// LSB-first bit reader over a 64-bit buffer. Bits above `bits` are
+/// always zero, so a peek past the end of the input reads zeros and the
+/// caller decides from `bits` whether the bits it used were real.
 struct BitReader<'a> {
     data: &'a [u8],
+    /// Next byte of `data` to load into `buf`.
     pos: usize,
-    bit: u32,
+    buf: u64,
+    /// Valid bits in `buf`.
+    bits: u32,
+}
+
+fn end_of_stream() -> FormatError {
+    FormatError::Deflate("unexpected end of stream".into())
 }
 
 impl<'a> BitReader<'a> {
@@ -24,38 +39,62 @@ impl<'a> BitReader<'a> {
         BitReader {
             data,
             pos: 0,
-            bit: 0,
+            buf: 0,
+            bits: 0,
         }
     }
 
-    fn read_bit(&mut self) -> Result<u32, FormatError> {
-        let byte = *self
+    /// Tops the buffer up to at least 56 bits, or to the end of the input.
+    fn refill(&mut self) {
+        let word = self
             .data
-            .get(self.pos)
-            .ok_or_else(|| FormatError::Deflate("unexpected end of stream".into()))?;
-        let v = (byte >> self.bit) & 1;
-        self.bit += 1;
-        if self.bit == 8 {
-            self.bit = 0;
-            self.pos += 1;
+            .get(self.pos..self.pos + 8)
+            .and_then(|w| <[u8; 8]>::try_from(w).ok());
+        if let Some(word) = word {
+            // whole bytes that fit above the valid bits; at most 7, so the
+            // mask shift stays below 64
+            let take = (63 - self.bits) / 8;
+            let fresh = u64::from_le_bytes(word) & ((1u64 << (take * 8)) - 1);
+            self.buf |= fresh << self.bits;
+            self.pos += take as usize;
+            self.bits += take * 8;
+        } else {
+            while self.bits <= 56 {
+                let Some(&b) = self.data.get(self.pos) else {
+                    break;
+                };
+                self.buf |= u64::from(b) << self.bits;
+                self.pos += 1;
+                self.bits += 8;
+            }
         }
-        Ok(v as u32)
     }
 
-    /// Reads `n` bits LSB-first (header fields, extra bits).
+    fn consume(&mut self, n: u32) {
+        self.buf >>= n;
+        self.bits -= n;
+    }
+
+    /// Reads `n <= 16` bits LSB-first (header fields, extra bits).
     fn read_bits(&mut self, n: u32) -> Result<u32, FormatError> {
-        let mut v = 0;
-        for i in 0..n {
-            v |= self.read_bit()? << i;
+        if self.bits < n {
+            self.refill();
+            if self.bits < n {
+                return Err(end_of_stream());
+            }
         }
+        let v = (self.buf & ((1u64 << n) - 1)) as u32;
+        self.consume(n);
         Ok(v)
     }
 
+    /// Skips to the next byte boundary and hands every whole buffered
+    /// byte back to `data`, so stored blocks read bytes directly.
     fn align_byte(&mut self) {
-        if self.bit != 0 {
-            self.bit = 0;
-            self.pos += 1;
-        }
+        self.consume(self.bits % 8);
+        self.pos -= (self.bits / 8) as usize;
+        self.buf = 0;
+        self.bits = 0;
     }
 
     fn read_u16(&mut self) -> Result<u16, FormatError> {
@@ -122,8 +161,16 @@ impl BitWriter {
 // Huffman tables
 // ---------------------------------------------------------------------------
 
+/// Bits resolved by one lookup in [`Huffman::table`]; longer codes take
+/// the canonical slow path.
+const TABLE_BITS: u32 = 10;
+
 /// Canonical Huffman decoder built from code lengths (RFC 1951 §3.2.2).
 struct Huffman {
+    /// Indexed by the next [`TABLE_BITS`] input bits: `symbol << 4 | length`
+    /// for a code of at most `TABLE_BITS` bits, `0` when the code is longer
+    /// or the bits start no code.
+    table: [u16; 1 << TABLE_BITS],
     /// `counts[len]` = number of codes of that length.
     counts: [u16; 16],
     /// Symbols sorted by (length, symbol order).
@@ -150,27 +197,67 @@ impl Huffman {
             }
         }
         let mut offsets = [0u16; 16];
+        let mut next_code = [0u32; 16];
         for len in 1..15 {
             offsets[len + 1] = offsets[len] + counts[len];
+            next_code[len + 1] = (next_code[len] + counts[len] as u32) << 1;
         }
         let mut symbols = vec![0u16; lengths.iter().filter(|&&l| l > 0).count()];
+        let mut table = [0u16; 1 << TABLE_BITS];
         for (sym, &l) in lengths.iter().enumerate() {
-            if l > 0 {
-                symbols[offsets[l as usize] as usize] = sym as u16;
-                offsets[l as usize] += 1;
+            if l == 0 {
+                continue;
+            }
+            let len = l as usize;
+            symbols[offsets[len] as usize] = sym as u16;
+            offsets[len] += 1;
+            let code = next_code[len];
+            next_code[len] += 1;
+            if l as u32 <= TABLE_BITS {
+                // the stream sends codes MSB first, the reader peeks LSB
+                // first: index by the reversed code, every suffix filled
+                let rev = (code.reverse_bits() >> (32 - l as u32)) as usize;
+                let entry = (sym as u16) << 4 | l as u16;
+                for slot in table.iter_mut().skip(rev).step_by(1 << len) {
+                    *slot = entry;
+                }
             }
         }
-        Ok(Huffman { counts, symbols })
+        Ok(Huffman {
+            table,
+            counts,
+            symbols,
+        })
     }
 
     fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, FormatError> {
+        if r.bits < 15 {
+            r.refill();
+        }
+        let entry = self.table[(r.buf & ((1 << TABLE_BITS) - 1)) as usize];
+        let len = u32::from(entry & 0xF);
+        if len != 0 && len <= r.bits {
+            r.consume(len);
+            return Ok(entry >> 4);
+        }
+        self.decode_slow(r)
+    }
+
+    /// The canonical decode one bit at a time, over the buffered bits:
+    /// codes longer than [`TABLE_BITS`], invalid codes, and codes cut by
+    /// the end of the input.
+    fn decode_slow(&self, r: &mut BitReader<'_>) -> Result<u16, FormatError> {
         let mut code = 0i32;
         let mut first = 0i32;
         let mut index = 0i32;
         for len in 1..16 {
-            code |= r.read_bit()? as i32;
-            let count = self.counts[len] as i32;
+            if len > r.bits {
+                return Err(end_of_stream());
+            }
+            code |= ((r.buf >> (len - 1)) & 1) as i32;
+            let count = self.counts[len as usize] as i32;
             if code - first < count {
+                r.consume(len);
                 return Ok(self.symbols[(index + (code - first)) as usize]);
             }
             index += count;
@@ -220,7 +307,9 @@ fn fixed_literal_lengths() -> Vec<u8> {
 /// invalid codes, out-of-window distances).
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, FormatError> {
     let mut r = BitReader::new(data);
-    let mut out = Vec::new();
+    // sized from the input alone, never from a header's claim; the
+    // literal-only streams `deflate_fixed` writes inflate to about this
+    let mut out = Vec::with_capacity(data.len());
     loop {
         let bfinal = r.read_bits(1)?;
         let btype = r.read_bits(2)?;
@@ -520,6 +609,16 @@ mod tests {
         w.write_code(2, 2); // 'b'
         w.write_code(3, 2); // EOB
         assert_eq!(inflate(&w.finish()).unwrap(), b"aab");
+    }
+
+    #[test]
+    fn zlib_fixture_has_codes_past_the_lookup_table() {
+        // the integration fixtures must reach `decode_slow` with valid codes
+        let stream = include_bytes!("../tests/fixtures/corpus-l9.deflate");
+        let mut r = BitReader::new(stream);
+        assert_eq!(r.read_bits(3).unwrap(), 0b101, "final dynamic block");
+        let (lit, _) = read_dynamic_tables(&mut r).unwrap();
+        assert!(lit.counts[TABLE_BITS as usize + 1..].iter().any(|&c| c > 0));
     }
 
     /// Property tests (gated: the `proptest` crate is not vendored, so the

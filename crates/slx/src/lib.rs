@@ -10,7 +10,9 @@
 //! - [`fnv`] — FNV-1a 64 and the combined content digest the compilation
 //!   driver uses for content-addressed artifact caching;
 //! - [`inflate`] — a raw-DEFLATE (RFC 1951) decompressor (stored, fixed-
-//!   and dynamic-Huffman blocks) plus a fixed-Huffman compressor;
+//!   and dynamic-Huffman blocks) plus a fixed-Huffman compressor. It is
+//!   table-driven: a 64-bit bit buffer and one 10-bit lookup per Huffman
+//!   code, with a canonical slow path for longer ones;
 //! - [`zip`] — ZIP archive reader/writer (methods *stored* and *deflate*);
 //! - [`xml`] — a minimal XML tree parser and writer;
 //! - [`slx`] — the Simulink-model ⇄ XML-in-ZIP mapping

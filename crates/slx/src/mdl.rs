@@ -25,8 +25,10 @@
 //! ```
 
 use crate::params::{decode, encode};
+use crate::slx::{insert_sid, sid_lookup};
 use crate::FormatError;
-use frodo_model::{Block, BlockId, Model};
+use frodo_model::{Block, Model};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
@@ -286,7 +288,7 @@ pub fn read_mdl_traced(text: &str, trace: &frodo_obs::Trace) -> Result<Model, Fo
 
 fn system_to_model(name: &str, system: &Section) -> Result<Model, FormatError> {
     let mut model = Model::new(name);
-    let mut sid_of = Vec::new();
+    let mut id_of_sid = HashMap::new();
     for b in system.subs_named("Block") {
         let type_name = b
             .prop("BlockType")
@@ -307,16 +309,10 @@ fn system_to_model(name: &str, system: &Section) -> Result<Model, FormatError> {
             }
             None => None,
         };
-        model.add(Block::new(block_name, decode(type_name, &get, subsystem)?));
-        sid_of.push(sid);
+        let id = model.add(Block::new(block_name, decode(type_name, &get, subsystem)?));
+        insert_sid(&mut id_of_sid, sid, id)?;
     }
-    let lookup = |sid: usize| -> Result<BlockId, FormatError> {
-        sid_of
-            .iter()
-            .position(|&s| s == sid)
-            .map(BlockId::from_index)
-            .ok_or_else(|| FormatError::Schema(format!("line references unknown SID {sid}")))
-    };
+    let lookup = |sid: usize| sid_lookup(&id_of_sid, sid);
     for line in system.subs_named("Line") {
         let endpoint = |key: &str| -> Result<(usize, usize), FormatError> {
             let raw = line
@@ -470,6 +466,13 @@ mod tests {
         let text = "Model {\n  Name \"m\"\n  System {\n    Block {\n      BlockType constant\n      Name \"c\"\n      SID 0\n      Shape scalar\n      Value [1.0]\n    }\n    Block {\n      BlockType terminator\n      Name \"t\"\n      SID 1\n    }\n    Line {\n      Src \"0#out:0\"\n      Dst \"1#in:0\"\n    }\n    Line {\n      Src \"0#out:0\"\n      Dst \"1#in:0\"\n    }\n  }\n}\n";
         let err = read_mdl(text, &frodo_obs::Trace::noop()).unwrap_err();
         assert!(err.to_string().contains("more than one"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_sid_is_rejected() {
+        let text = "Model {\n  Name \"m\"\n  System {\n    Block {\n      BlockType terminator\n      Name \"a\"\n      SID 7\n    }\n    Block {\n      BlockType terminator\n      Name \"b\"\n      SID 7\n    }\n  }\n}\n";
+        let err = read_mdl(text, &frodo_obs::Trace::noop()).unwrap_err();
+        assert_eq!(err, FormatError::Schema("duplicate SID 7".into()));
     }
 
     #[test]

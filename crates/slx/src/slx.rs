@@ -12,6 +12,7 @@ use crate::xml::{parse as parse_xml, write as write_xml, Element};
 use crate::zip::{Archive, Method};
 use crate::FormatError;
 use frodo_model::{Block, BlockId, Model};
+use std::collections::HashMap;
 
 /// Archive path of the block diagram.
 pub const BLOCKDIAGRAM_PATH: &str = "simulink/blockdiagram.xml";
@@ -54,21 +55,19 @@ pub fn write_slx(model: &Model) -> Result<Vec<u8>, FormatError> {
 /// Propagates container ([`FormatError::Zip`]), decompression, XML, and
 /// schema errors.
 pub fn read_slx(bytes: &[u8], trace: &frodo_obs::Trace) -> Result<Model, FormatError> {
-    let text = {
-        let span = trace.span("unzip");
-        let ar = Archive::from_bytes(bytes)?;
-        let diagram = ar
-            .get(BLOCKDIAGRAM_PATH)
-            .ok_or_else(|| FormatError::Schema(format!("archive has no {BLOCKDIAGRAM_PATH}")))?;
-        span.count("slx_bytes", bytes.len() as u64);
-        span.count("inflated_bytes", diagram.len() as u64);
-        std::str::from_utf8(diagram)
-            .map_err(|_| FormatError::Schema("block diagram is not UTF-8".into()))?
-            .to_string()
-    };
+    let span = trace.span("unzip");
+    let ar = Archive::from_bytes(bytes)?;
+    let diagram = ar
+        .get(BLOCKDIAGRAM_PATH)
+        .ok_or_else(|| FormatError::Schema(format!("archive has no {BLOCKDIAGRAM_PATH}")))?;
+    span.count("slx_bytes", bytes.len() as u64);
+    span.count("inflated_bytes", diagram.len() as u64);
+    let text = std::str::from_utf8(diagram)
+        .map_err(|_| FormatError::Schema("block diagram is not UTF-8".into()))?;
+    span.end();
     let parsed = {
         let _x = trace.span("xml_parse");
-        parse_xml(&text)?
+        parse_xml(text)?
     };
     let _b = trace.span("build_model");
     model_from_xml(&parsed)
@@ -172,7 +171,7 @@ pub fn model_from_xml(root: &Element) -> Result<Model, FormatError> {
 
 fn system_from_xml(name: &str, system: &Element) -> Result<Model, FormatError> {
     let mut model = Model::new(name);
-    let mut sid_of = Vec::new(); // declared SID per insertion order
+    let mut id_of_sid = HashMap::new();
     for e in system.children_named("Block") {
         let type_name = e
             .attr("BlockType")
@@ -198,17 +197,9 @@ fn system_from_xml(name: &str, system: &Element) -> Result<Model, FormatError> {
             None => None,
         };
         let kind = decode(type_name, &get, subsystem)?;
-        model.add(Block::new(block_name, kind));
-        sid_of.push(sid);
+        insert_sid(&mut id_of_sid, sid, model.add(Block::new(block_name, kind)))?;
     }
-    // SIDs must identify blocks uniquely; map SID → insertion index
-    let lookup = |sid: usize| -> Result<BlockId, FormatError> {
-        sid_of
-            .iter()
-            .position(|&s| s == sid)
-            .map(BlockId::from_index)
-            .ok_or_else(|| FormatError::Schema(format!("line references unknown SID {sid}")))
-    };
+    let lookup = |sid: usize| sid_lookup(&id_of_sid, sid);
     for line in system.children_named("Line") {
         let get = |key: &str| -> Result<String, FormatError> {
             line.children_named("P")
@@ -223,6 +214,30 @@ fn system_from_xml(name: &str, system: &Element) -> Result<Model, FormatError> {
             .map_err(|e| FormatError::Model(e.to_string()))?;
     }
     Ok(model)
+}
+
+/// Records a block's SID. SIDs identify blocks uniquely: a second block
+/// with the same SID would leave every line addressed to it ambiguous.
+pub(crate) fn insert_sid(
+    id_of_sid: &mut HashMap<usize, BlockId>,
+    sid: usize,
+    id: BlockId,
+) -> Result<(), FormatError> {
+    match id_of_sid.insert(sid, id) {
+        Some(_) => Err(FormatError::Schema(format!("duplicate SID {sid}"))),
+        None => Ok(()),
+    }
+}
+
+/// The block a line endpoint's SID names.
+pub(crate) fn sid_lookup(
+    id_of_sid: &HashMap<usize, BlockId>,
+    sid: usize,
+) -> Result<BlockId, FormatError> {
+    id_of_sid
+        .get(&sid)
+        .copied()
+        .ok_or_else(|| FormatError::Schema(format!("line references unknown SID {sid}")))
 }
 
 fn parse_endpoint(text: &str, dir: &str) -> Result<(usize, usize), FormatError> {
@@ -392,6 +407,16 @@ mod tests {
         let ar = Archive::new();
         let err = read_slx(&ar.to_bytes(), &frodo_obs::Trace::noop()).unwrap_err();
         assert!(err.to_string().contains("blockdiagram"));
+    }
+
+    #[test]
+    fn duplicate_sid_is_rejected() {
+        let text = r#"<Model Name="m"><System>
+            <Block BlockType="terminator" Name="a" SID="7"/>
+            <Block BlockType="terminator" Name="b" SID="7"/>
+        </System></Model>"#;
+        let err = model_from_xml(&parse_xml(text).unwrap()).unwrap_err();
+        assert_eq!(err, FormatError::Schema("duplicate SID 7".into()));
     }
 
     #[test]

@@ -188,6 +188,7 @@ fn write_element(e: &Element, depth: usize, out: &mut String) {
 /// garbage after the root element.
 pub fn parse(input: &str) -> Result<Element, FormatError> {
     let mut p = Parser {
+        s: input,
         b: input.as_bytes(),
         pos: 0,
     };
@@ -200,7 +201,10 @@ pub fn parse(input: &str) -> Result<Element, FormatError> {
     Ok(root)
 }
 
+/// Every slice of `s` the parser takes starts and ends at an ASCII
+/// delimiter, so it always falls on `char` boundaries.
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -251,7 +255,7 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| self.err(format!("unterminated '{needle}' construct")))
     }
 
-    fn parse_name(&mut self) -> Result<String, FormatError> {
+    fn parse_name(&mut self) -> Result<&'a str, FormatError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') {
@@ -263,7 +267,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.b[start..self.pos]).into_owned())
+        Ok(&self.s[start..self.pos])
     }
 
     fn expect(&mut self, c: u8) -> Result<(), FormatError> {
@@ -292,7 +296,7 @@ impl<'a> Parser<'a> {
                     break;
                 }
                 Some(_) => {
-                    let key = self.parse_name()?;
+                    let key = self.parse_name()?.to_string();
                     self.skip_ws();
                     self.expect(b'=')?;
                     self.skip_ws();
@@ -302,15 +306,13 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                     let start = self.pos;
-                    while self.peek() != Some(quote) {
-                        if self.peek().is_none() {
-                            return Err(self.err("unterminated attribute value"));
-                        }
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.b[start..self.pos]).into_owned();
-                    self.pos += 1;
-                    element.attrs.push((key, self.decode_entities(&raw)?));
+                    let Some(len) = self.b[start..].iter().position(|&c| c == quote) else {
+                        self.pos = self.b.len();
+                        return Err(self.err("unterminated attribute value"));
+                    };
+                    self.pos = start + len + 1;
+                    let value = self.decode_entities(&self.s[start..start + len])?;
+                    element.attrs.push((key, value));
                 }
                 None => return Err(self.err("truncated start tag")),
             }
@@ -323,10 +325,9 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<![CDATA[") {
                 self.pos += 9;
                 let end = self.find("]]>")?;
-                let raw = String::from_utf8_lossy(&self.b[self.pos..end]).into_owned();
                 // CDATA is literal: no entity decoding
-                if !raw.is_empty() {
-                    element.push_text(raw);
+                if end > self.pos {
+                    element.push_text(&self.s[self.pos..end]);
                 }
                 self.pos = end + 3;
             } else if self.starts_with("</") {
@@ -348,11 +349,16 @@ impl<'a> Parser<'a> {
                 return Err(self.err(format!("unclosed element <{}>", element.name)));
             } else {
                 let start = self.pos;
-                while !matches!(self.peek(), Some(b'<') | None) {
-                    self.pos += 1;
+                self.pos += self.b[start..]
+                    .iter()
+                    .position(|&c| c == b'<')
+                    .unwrap_or(self.b.len() - start);
+                let raw = &self.s[start..self.pos];
+                // indentation between elements: dropped before any copy
+                if raw.bytes().all(|c| c.is_ascii_whitespace()) {
+                    continue;
                 }
-                let raw = String::from_utf8_lossy(&self.b[start..self.pos]).into_owned();
-                let text = self.decode_entities(&raw)?;
+                let text = self.decode_entities(raw)?;
                 if !text.trim().is_empty() {
                     element.push_text(text);
                 }
