@@ -309,3 +309,28 @@ calib_ledger="$(mktemp)"
 grep -q '"label":"calibrate"' "$calib_ledger"
 grep -q 'calib_fir_ratio_p50_x1000' "$calib_ledger"
 rm -f "$calib_ledger"
+
+# .slx CLI gate: every Table-1 model written as a real .slx and compiled
+# from the file in one batch must give the same C as compiling the
+# bundled model, and a pathologically deep model file must fail cleanly
+# (exit 1 with the nesting error) instead of overflowing the stack
+slx_dir="$(mktemp -d)"
+for model in AudioProcess Decryption HighPass HT Kalman Back \
+    Maintenance Maunfacture RunningDiff Simpson; do
+    ./target/release/frodo demo "$model" "$slx_dir/$model.slx" >/dev/null
+    ./target/release/frodo compile --no-cache --threads 1 "$model" \
+        -o "$slx_dir/$model.c" 2>/dev/null
+done
+./target/release/frodo batch "$slx_dir"/*.slx --no-cache -o "$slx_dir/out" 2>/dev/null >/dev/null
+for model in AudioProcess Decryption HighPass HT Kalman Back \
+    Maintenance Maunfacture RunningDiff Simpson; do
+    cmp "$slx_dir/out/${model}_frodo.c" "$slx_dir/$model.c"
+done
+awk 'BEGIN { for (i = 0; i < 1000000; i++) print "Model {"
+             for (i = 0; i < 1000000; i++) print "}" }' > "$slx_dir/deep.mdl"
+deep_status=0
+./target/release/frodo compile --no-cache "$slx_dir/deep.mdl" \
+    2>"$slx_dir/deep.err" >/dev/null || deep_status=$?
+test "$deep_status" -eq 1
+grep -q 'sections nested deeper than 256' "$slx_dir/deep.err"
+rm -rf "$slx_dir"

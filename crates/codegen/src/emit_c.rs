@@ -388,24 +388,16 @@ impl<'a> Emitter<'a> {
                     let _ = writeln!(head, "static {align}double g_{}[{}];", b.name, b.len);
                 }
                 BufferRole::Const(data) => {
-                    let vals: Vec<String> = data.iter().map(|v| format!("{v:?}")).collect();
-                    let _ = writeln!(
+                    let _ = write!(
                         head,
-                        "static {align}const double g_{}[{}] = {{{}}};",
-                        b.name,
-                        b.len,
-                        vals.join(", ")
+                        "static {align}const double g_{}[{}] = {{",
+                        b.name, b.len
                     );
+                    write_initializer(&mut head, data);
                 }
                 BufferRole::State(init) => {
-                    let vals: Vec<String> = init.iter().map(|v| format!("{v:?}")).collect();
-                    let _ = writeln!(
-                        head,
-                        "static {align}double g_{}[{}] = {{{}}};",
-                        b.name,
-                        b.len,
-                        vals.join(", ")
-                    );
+                    let _ = write!(head, "static {align}double g_{}[{}] = {{", b.name, b.len);
+                    write_initializer(&mut head, init);
                 }
             }
         }
@@ -1026,6 +1018,18 @@ impl<'a> Emitter<'a> {
             }
         }
     }
+}
+
+/// Writes the values of a buffer's `{…}` initializer as shortest
+/// round-trip literals separated by `, `, then closes it with `};`.
+fn write_initializer(head: &mut String, values: &[f64]) {
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            head.push_str(", ");
+        }
+        let _ = write!(head, "{v:?}");
+    }
+    head.push_str("};\n");
 }
 
 fn unop_expr(op: UnOp, x: &str) -> String {

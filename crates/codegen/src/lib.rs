@@ -62,7 +62,5 @@ pub use emit_c::{
     emit_c_with, CEmitOptions, VectorMode,
 };
 pub use fragment::{generate_from_fragments, FragmentCache, FragmentStats};
-#[allow(deprecated)]
-pub use lower::generate_traced;
 pub use lower::{generate, generate_with, LowerOptions};
 pub use style::GeneratorStyle;

@@ -70,17 +70,26 @@ impl CodeTemplate {
 ///
 /// Returns [`RenderError`] if a placeholder remains unsubstituted.
 pub fn render_text(text: &str, subs: &[(&str, String)]) -> Result<String, RenderError> {
-    let mut out = text.to_string();
-    for (key, value) in subs {
-        out = out.replace(&format!("${key}$"), value);
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(start) = rest.find('$') {
+        out.push_str(&rest[..start]);
+        let tail = &rest[start + 1..];
+        let end = tail.find('$');
+        let key = &tail[..end.unwrap_or(tail.len())];
+        match (end, subs.iter().find(|(k, _)| *k == key)) {
+            (Some(end), Some((_, value))) => {
+                out.push_str(value);
+                rest = &tail[end + 1..];
+            }
+            _ => {
+                return Err(RenderError {
+                    placeholder: key.to_string(),
+                })
+            }
+        }
     }
-    if let Some(start) = out.find('$') {
-        let rest = &out[start + 1..];
-        let end = rest.find('$').unwrap_or(rest.len());
-        return Err(RenderError {
-            placeholder: rest[..end].to_string(),
-        });
-    }
+    out.push_str(rest);
     Ok(out)
 }
 
@@ -328,6 +337,14 @@ mod tests {
         let err = CONV_RUN.render(&[("k0", "0".into())]).unwrap_err();
         assert_eq!(err.placeholder, "k1");
         assert!(err.to_string().contains("$k1$"));
+        let err = render_text("x = $open;", &[("open", "1".into())]).unwrap_err();
+        assert_eq!(err.placeholder, "open;");
+    }
+
+    #[test]
+    fn render_writes_each_value_once() {
+        let subs = [("a", "$b$".to_string()), ("b", "x".to_string())];
+        assert_eq!(render_text("$a$ + $b$", &subs).unwrap(), "$b$ + x");
     }
 
     #[test]

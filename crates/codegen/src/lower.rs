@@ -75,21 +75,6 @@ pub fn generate_with(
     program
 }
 
-/// Deprecated alias of [`generate_with`], kept one release for callers of
-/// the old split traced/untraced entry points.
-#[deprecated(
-    since = "0.7.0",
-    note = "use `generate_with(analysis, style, opts, trace)` instead"
-)]
-pub fn generate_traced(
-    analysis: &Analysis,
-    style: GeneratorStyle,
-    opts: LowerOptions,
-    trace: &frodo_obs::Trace,
-) -> Program {
-    generate_with(analysis, style, opts, trace)
-}
-
 pub(crate) struct Lowerer<'a> {
     analysis: &'a Analysis,
     style: GeneratorStyle,
@@ -875,16 +860,6 @@ mod tests {
         m.connect(c, 0, s, 0).unwrap();
         m.connect(s, 0, o, 0).unwrap();
         Analysis::run(m).unwrap()
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_traced_shim_still_works() {
-        let a = figure1();
-        let noop = frodo_obs::Trace::noop();
-        let via_shim = generate_traced(&a, GeneratorStyle::Frodo, LowerOptions::default(), &noop);
-        let direct = generate(&a, GeneratorStyle::Frodo, &noop);
-        assert_eq!(via_shim, direct);
     }
 
     #[test]

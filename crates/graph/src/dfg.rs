@@ -83,18 +83,6 @@ impl Dfg {
         })
     }
 
-    /// Deprecated alias of [`Dfg::new`], kept one release for callers of
-    /// the old split traced/untraced entry points.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`ModelError`] from flattening, validation, or shape
-    /// inference.
-    #[deprecated(since = "0.7.0", note = "use `Dfg::new(model, trace)` instead")]
-    pub fn new_traced(model: Model, trace: &frodo_obs::Trace) -> Result<Self, ModelError> {
-        Dfg::new(model, trace)
-    }
-
     /// The flattened model.
     pub fn model(&self) -> &Model {
         &self.model
@@ -252,15 +240,6 @@ mod tests {
         m.connect(g2, 0, add, 1).unwrap();
         m.connect(add, 0, o, 0).unwrap();
         (m, [i, g1, g2, add, o])
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_traced_shim_still_works() {
-        let (m, _) = diamond();
-        let via_shim = Dfg::new_traced(m.clone(), &frodo_obs::Trace::noop()).unwrap();
-        let direct = Dfg::new(m, &frodo_obs::Trace::noop()).unwrap();
-        assert_eq!(via_shim.model(), direct.model());
     }
 
     #[test]

@@ -244,17 +244,6 @@ impl Model {
         Ok(flat)
     }
 
-    /// Deprecated alias of [`Model::flattened`], kept one release for
-    /// callers of the old split traced/untraced entry points.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a subsystem's port blocks are inconsistent.
-    #[deprecated(since = "0.7.0", note = "use `flattened(trace)` instead")]
-    pub fn flattened_traced(&self, trace: &frodo_obs::Trace) -> Result<Model, ModelError> {
-        self.flattened(trace)
-    }
-
     #[allow(dead_code)]
     pub(crate) fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
@@ -353,18 +342,6 @@ mod tests {
         ));
         let b = m.add(Block::new("out", BlockKind::Outport { index: 0 }));
         (m, a, b)
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_traced_shim_still_works() {
-        let (mut m, a, b) = two_block_model();
-        m.connect(a, 0, b, 0).unwrap();
-        let noop = frodo_obs::Trace::noop();
-        assert_eq!(
-            m.flattened_traced(&noop).unwrap(),
-            m.flattened(&noop).unwrap()
-        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! parse the dataflow information" (§3.1). This crate implements that whole
 //! stack from scratch — no external compression or XML crates:
 //!
-//! - [`crc32`] — CRC-32 (IEEE 802.3), as ZIP requires;
+//! - [`crc32`] — CRC-32 (IEEE 802.3), as ZIP requires, eight bytes per
+//!   step (slicing-by-8);
 //! - [`fnv`] — FNV-1a 64 and the combined content digest the compilation
 //!   driver uses for content-addressed artifact caching;
 //! - [`inflate`] — a raw-DEFLATE (RFC 1951) decompressor (stored, fixed-
@@ -14,12 +15,16 @@
 //!   table-driven: a 64-bit bit buffer and one 10-bit lookup per Huffman
 //!   code, with a canonical slow path for longer ones;
 //! - [`zip`] — ZIP archive reader/writer (methods *stored* and *deflate*);
-//! - [`xml`] — a minimal XML tree parser and writer;
+//! - [`xml`] — a minimal XML pull reader and tree writer;
 //! - [`slx`] — the Simulink-model ⇄ XML-in-ZIP mapping
-//!   ([`read_slx`], [`write_slx`]);
+//!   ([`read_slx`], [`write_slx`]). Reading is one pass: the model is
+//!   built from the reader's borrowed events, with no XML tree between;
 //! - [`mdl`] — a classic `.mdl`-style textual format
 //!   ([`read_mdl`], [`write_mdl`]), the "external file" representation the
 //!   paper uses for its libraries.
+//!
+//! Both readers refuse nesting deeper than [`MAX_DEPTH`] with an error, so
+//! no input file can overflow the stack of the thread reading it.
 //!
 //! # Example
 //!
@@ -57,9 +62,10 @@ pub mod xml;
 pub mod zip;
 
 pub use error::FormatError;
-#[allow(deprecated)]
-pub use mdl::read_mdl_traced;
 pub use mdl::{read_mdl, write_mdl};
-#[allow(deprecated)]
-pub use slx::read_slx_traced;
 pub use slx::{read_slx, write_slx};
+
+/// The deepest nesting either reader accepts: XML elements in `.slx`,
+/// braced sections in `.mdl`. Deeper input is an error, not a stack
+/// overflow; a model with subsystems nested a hundred deep still fits.
+pub const MAX_DEPTH: usize = 256;

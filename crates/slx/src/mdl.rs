@@ -26,7 +26,7 @@
 
 use crate::params::{decode, encode};
 use crate::slx::{insert_sid, sid_lookup};
-use crate::FormatError;
+use crate::{FormatError, MAX_DEPTH};
 use frodo_model::{Block, Model};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -127,6 +127,12 @@ fn parse_sections(text: &str) -> Result<Section, FormatError> {
                 return Err(FormatError::Mdl {
                     line: line_no,
                     reason: format!("bad section header '{line}'"),
+                });
+            }
+            if stack.len() == MAX_DEPTH {
+                return Err(FormatError::Mdl {
+                    line: line_no,
+                    reason: format!("sections nested deeper than {MAX_DEPTH}"),
                 });
             }
             stack.push(Section {
@@ -252,8 +258,9 @@ fn system_to_section(model: &Model) -> Section {
 ///
 /// # Errors
 ///
-/// Returns [`FormatError::Mdl`] for syntax problems and
-/// [`FormatError::Schema`] for semantic ones.
+/// Returns [`FormatError::Mdl`] for syntax problems, sections nested
+/// deeper than [`MAX_DEPTH`] among them, and [`FormatError::Schema`] for
+/// semantic ones.
 pub fn read_mdl(text: &str, trace: &frodo_obs::Trace) -> Result<Model, FormatError> {
     let span = trace.span("mdl_parse");
     span.count("mdl_bytes", text.len() as u64);
@@ -274,18 +281,6 @@ pub fn read_mdl(text: &str, trace: &frodo_obs::Trace) -> Result<Model, FormatErr
     system_to_model(name, system)
 }
 
-/// Deprecated alias of [`read_mdl`], kept one release for callers of the
-/// old split traced/untraced entry points.
-///
-/// # Errors
-///
-/// Returns [`FormatError::Mdl`] for syntax problems and
-/// [`FormatError::Schema`] for semantic ones.
-#[deprecated(since = "0.7.0", note = "use `read_mdl(text, trace)` instead")]
-pub fn read_mdl_traced(text: &str, trace: &frodo_obs::Trace) -> Result<Model, FormatError> {
-    read_mdl(text, trace)
-}
-
 fn system_to_model(name: &str, system: &Section) -> Result<Model, FormatError> {
     let mut model = Model::new(name);
     let mut id_of_sid = HashMap::new();
@@ -301,7 +296,7 @@ fn system_to_model(name: &str, system: &Section) -> Result<Model, FormatError> {
             .ok_or_else(|| FormatError::Schema("Block missing SID".into()))?
             .parse()
             .map_err(|_| FormatError::Schema("non-numeric SID".into()))?;
-        let get = |key: &str| -> Option<String> { b.prop(key).map(str::to_string) };
+        let get = |key: &str| b.prop(key);
         let subsystem = match b.subs_named("System").next() {
             Some(inner) => {
                 let inner_name = inner.prop("Name").unwrap_or(block_name);
@@ -473,6 +468,26 @@ mod tests {
         let text = "Model {\n  Name \"m\"\n  System {\n    Block {\n      BlockType terminator\n      Name \"a\"\n      SID 7\n    }\n    Block {\n      BlockType terminator\n      Name \"b\"\n      SID 7\n    }\n  }\n}\n";
         let err = read_mdl(text, &frodo_obs::Trace::noop()).unwrap_err();
         assert_eq!(err, FormatError::Schema("duplicate SID 7".into()));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        const DEPTH: usize = 1_000_000;
+        let text = "Model {\n".repeat(DEPTH) + &"}\n".repeat(DEPTH);
+        // a pool worker's default stack
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || read_mdl(&text, &frodo_obs::Trace::noop()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(
+            result,
+            Err(FormatError::Mdl {
+                line: MAX_DEPTH + 1,
+                reason: format!("sections nested deeper than {MAX_DEPTH}"),
+            })
+        );
     }
 
     #[test]

@@ -239,12 +239,12 @@ pub fn encode(kind: &BlockKind) -> BlockParams {
 ///
 /// Returns [`FormatError::Schema`] for unknown types, missing parameters,
 /// or malformed values.
-pub fn decode(
+pub fn decode<'v>(
     type_name: &str,
-    get: &dyn Fn(&str) -> Option<String>,
+    get: &dyn Fn(&str) -> Option<&'v str>,
     subsystem: Option<Model>,
 ) -> Result<BlockKind, FormatError> {
-    let want = |key: &str| -> Result<String, FormatError> {
+    let want = |key: &str| -> Result<&'v str, FormatError> {
         get(key).ok_or_else(|| {
             FormatError::Schema(format!(
                 "block type '{type_name}' missing parameter '{key}'"
@@ -265,11 +265,11 @@ pub fn decode(
     Ok(match type_name {
         "inport" => BlockKind::Inport {
             index: usize_p("Port")?,
-            shape: parse_shape(&want("Shape")?).map_err(bad)?,
+            shape: parse_shape(want("Shape")?).map_err(bad)?,
         },
         "constant" => {
-            let shape = parse_shape(&want("Shape")?).map_err(bad)?;
-            let data = parse_vec(&want("Value")?).map_err(bad)?;
+            let shape = parse_shape(want("Shape")?).map_err(bad)?;
+            let data = parse_vec(want("Value")?).map_err(bad)?;
             if data.len() != shape.numel() {
                 return Err(FormatError::Schema(format!(
                     "constant value has {} elements for shape {shape}",
@@ -305,7 +305,7 @@ pub fn decode(
             upper: f64_p("Upper")?,
         },
         "rounding" => BlockKind::Rounding {
-            mode: match want("Mode")?.as_str() {
+            mode: match want("Mode")? {
                 "floor" => RoundMode::Floor,
                 "ceil" => RoundMode::Ceil,
                 "round" => RoundMode::Round,
@@ -321,7 +321,7 @@ pub fn decode(
         "max" => BlockKind::Max,
         "mod" => BlockKind::Mod,
         "relational" => BlockKind::Relational {
-            op: match want("Operator")?.as_str() {
+            op: match want("Operator")? {
                 "lt" => RelOp::Lt,
                 "le" => RelOp::Le,
                 "gt" => RelOp::Gt,
@@ -332,7 +332,7 @@ pub fn decode(
             },
         },
         "logical" => BlockKind::Logical {
-            op: match want("Operator")?.as_str() {
+            op: match want("Operator")? {
                 "and" => LogicOp::And,
                 "or" => LogicOp::Or,
                 "xor" => LogicOp::Xor,
@@ -351,16 +351,16 @@ pub fn decode(
         "matrix_multiply" => BlockKind::MatrixMultiply,
         "transpose" => BlockKind::Transpose,
         "reshape" => BlockKind::Reshape {
-            shape: parse_shape(&want("Shape")?).map_err(bad)?,
+            shape: parse_shape(want("Shape")?).map_err(bad)?,
         },
         "selector" => BlockKind::Selector {
-            mode: match want("Mode")?.as_str() {
+            mode: match want("Mode")? {
                 "start_end" => SelectorMode::StartEnd {
                     start: usize_p("Start")?,
                     end: usize_p("End")?,
                 },
                 "index_vector" => {
-                    SelectorMode::IndexVector(parse_usizes(&want("Indices")?).map_err(bad)?)
+                    SelectorMode::IndexVector(parse_usizes(want("Indices")?).map_err(bad)?)
                 }
                 "index_port" => SelectorMode::IndexPort {
                     output_len: usize_p("OutputLen")?,
@@ -389,11 +389,11 @@ pub fn decode(
             inputs: usize_p("Inputs")?,
         },
         "demux" => BlockKind::Demux {
-            sizes: parse_usizes(&want("Sizes")?).map_err(bad)?,
+            sizes: parse_usizes(want("Sizes")?).map_err(bad)?,
         },
         "convolution" => BlockKind::Convolution,
         "fir_filter" => BlockKind::FirFilter {
-            coeffs: parse_vec(&want("Coeffs")?).map_err(bad)?,
+            coeffs: parse_vec(want("Coeffs")?).map_err(bad)?,
         },
         "moving_average" => BlockKind::MovingAverage {
             window: usize_p("Window")?,
@@ -405,8 +405,8 @@ pub fn decode(
         "cumulative_sum" => BlockKind::CumulativeSum,
         "difference" => BlockKind::Difference,
         "unit_delay" => {
-            let shape = parse_shape(&want("Shape")?).map_err(bad)?;
-            let data = parse_vec(&want("InitialCondition")?).map_err(bad)?;
+            let shape = parse_shape(want("Shape")?).map_err(bad)?;
+            let data = parse_vec(want("InitialCondition")?).map_err(bad)?;
             if data.len() != shape.numel() {
                 return Err(FormatError::Schema(
                     "unit delay initial condition does not match its shape".into(),
@@ -429,11 +429,11 @@ mod tests {
 
     fn roundtrip(kind: BlockKind) {
         let enc = encode(&kind);
-        let get = |key: &str| -> Option<String> {
+        let get = |key: &str| {
             enc.params
                 .iter()
                 .find(|(k, _)| *k == key)
-                .map(|(_, v)| v.clone())
+                .map(|(_, v)| v.as_str())
         };
         let back = decode(enc.type_name, &get, enc.subsystem.clone()).unwrap();
         assert_eq!(back, kind);

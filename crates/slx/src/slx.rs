@@ -8,10 +8,11 @@
 //! `<System>` inside their `<Block>`.
 
 use crate::params::{decode, encode};
-use crate::xml::{parse as parse_xml, write as write_xml, Element};
+use crate::xml::{write as write_xml, Element, Event, Reader};
 use crate::zip::{Archive, Method};
 use crate::FormatError;
 use frodo_model::{Block, BlockId, Model};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Archive path of the block diagram.
@@ -46,14 +47,21 @@ pub fn write_slx(model: &Model) -> Result<Vec<u8>, FormatError> {
 
 /// Parses `.slx` bytes back into a model, recorded on the given trace:
 /// an `unzip` span for container decompression (with
-/// `slx_bytes`/`inflated_bytes` counters), an `xml_parse` span, and a
-/// `build_model` span for the XML→model mapping. Pass
+/// `slx_bytes`/`inflated_bytes` counters) and a `build_model` span for
+/// the one pass that reads the XML into the model. Pass
 /// `&Trace::noop()` when no instrumentation is wanted.
+///
+/// The model comes from the `<Model>` root's first `<System>`. A block's
+/// parameter is its first `<P>` child of that `Name`, a subsystem block's
+/// nested model is its first `<System>` child, and elements the mapping
+/// does not know are skipped (but must be well-formed).
 ///
 /// # Errors
 ///
 /// Propagates container ([`FormatError::Zip`]), decompression, XML, and
-/// schema errors.
+/// schema errors. A malformed document is an XML error even where a
+/// schema fault comes first, and elements nested deeper than
+/// [`crate::MAX_DEPTH`] are an XML error.
 pub fn read_slx(bytes: &[u8], trace: &frodo_obs::Trace) -> Result<Model, FormatError> {
     let span = trace.span("unzip");
     let ar = Archive::from_bytes(bytes)?;
@@ -65,24 +73,17 @@ pub fn read_slx(bytes: &[u8], trace: &frodo_obs::Trace) -> Result<Model, FormatE
     let text = std::str::from_utf8(diagram)
         .map_err(|_| FormatError::Schema("block diagram is not UTF-8".into()))?;
     span.end();
-    let parsed = {
-        let _x = trace.span("xml_parse");
-        parse_xml(text)?
-    };
     let _b = trace.span("build_model");
-    model_from_xml(&parsed)
-}
-
-/// Deprecated alias of [`read_slx`], kept one release for callers of the
-/// old split traced/untraced entry points.
-///
-/// # Errors
-///
-/// Propagates container ([`FormatError::Zip`]), decompression, XML, and
-/// schema errors.
-#[deprecated(since = "0.7.0", note = "use `read_slx(bytes, trace)` instead")]
-pub fn read_slx_traced(bytes: &[u8], trace: &frodo_obs::Trace) -> Result<Model, FormatError> {
-    read_slx(bytes, trace)
+    let mut r = Reader::new(text);
+    let model = read_model(&mut r);
+    if let Err(e) = &model {
+        // a schema fault waits until the rest of the document is known to
+        // be well-formed: a malformed document is an XML error first
+        if !matches!(e, FormatError::Xml { .. }) {
+            while r.read_event()? != Event::Eof {}
+        }
+    }
+    model
 }
 
 fn content_types() -> Element {
@@ -147,73 +148,136 @@ fn system_to_xml(model: &Model) -> Element {
     system
 }
 
-/// Converts a parsed `<Model>` element back to a model.
-///
-/// # Errors
-///
-/// Returns [`FormatError::Schema`] when required elements/attributes are
-/// missing or endpoints are malformed.
-pub fn model_from_xml(root: &Element) -> Result<Model, FormatError> {
-    if root.name != "Model" {
+/// Reads a whole `<Model>` document.
+fn read_model(r: &mut Reader<'_>) -> Result<Model, FormatError> {
+    let Event::Start(root) = r.read_event()? else {
+        unreachable!("a document's first event is its root");
+    };
+    if root != "Model" {
         return Err(FormatError::Schema(format!(
-            "expected <Model> root, found <{}>",
-            root.name
+            "expected <Model> root, found <{root}>"
         )));
     }
-    let name = root
+    let name = r
         .attr("Name")
         .ok_or_else(|| FormatError::Schema("<Model> missing Name".into()))?;
-    let system = root
-        .child("System")
-        .ok_or_else(|| FormatError::Schema("<Model> missing <System>".into()))?;
-    system_from_xml(name, system)
+    let mut model = None;
+    loop {
+        match r.read_event()? {
+            Event::Start("System") if model.is_none() => model = Some(read_system(r, &name)?),
+            Event::Start(_) => r.skip()?,
+            Event::Text(_) => {}
+            Event::End | Event::Eof => break,
+        }
+    }
+    let model = model.ok_or_else(|| FormatError::Schema("<Model> missing <System>".into()))?;
+    // the root is closed: this only checks that nothing but comments follows
+    r.read_event()?;
+    Ok(model)
 }
 
-fn system_from_xml(name: &str, system: &Element) -> Result<Model, FormatError> {
+/// A `<Block>`'s or `<Line>`'s `<P Name="…">` children, in document
+/// order: name and untrimmed text.
+type Params<'a> = Vec<(Cow<'a, str>, Cow<'a, str>)>;
+
+/// The text of the first parameter named `key`, trimmed.
+fn param<'p>(params: &'p Params<'_>, key: &str) -> Option<&'p str> {
+    params.iter().find(|(k, _)| k == key).map(|(_, v)| v.trim())
+}
+
+/// Reads the children of a `<System>` whose start tag was just read, up
+/// to its end tag. Lines connect once every block of the system is in.
+fn read_system(r: &mut Reader<'_>, name: &str) -> Result<Model, FormatError> {
     let mut model = Model::new(name);
     let mut id_of_sid = HashMap::new();
-    for e in system.children_named("Block") {
-        let type_name = e
-            .attr("BlockType")
-            .ok_or_else(|| FormatError::Schema("<Block> missing BlockType".into()))?;
-        let block_name = e
-            .attr("Name")
-            .ok_or_else(|| FormatError::Schema("<Block> missing Name".into()))?;
-        let sid: usize = e
-            .attr("SID")
-            .ok_or_else(|| FormatError::Schema("<Block> missing SID".into()))?
-            .parse()
-            .map_err(|_| FormatError::Schema("non-numeric SID".into()))?;
-        let get = |key: &str| -> Option<String> {
-            e.children_named("P")
-                .find(|p| p.attr("Name") == Some(key))
-                .map(|p| p.text())
-        };
-        let subsystem = match e.child("System") {
-            Some(inner) => {
-                let inner_name = inner.attr("Name").unwrap_or(block_name);
-                Some(system_from_xml(inner_name, inner)?)
+    let mut lines = Vec::new();
+    loop {
+        match r.read_event()? {
+            Event::Start("Block") => {
+                let (sid, block) = read_block(r)?;
+                insert_sid(&mut id_of_sid, sid, model.add(block))?;
             }
-            None => None,
-        };
-        let kind = decode(type_name, &get, subsystem)?;
-        insert_sid(&mut id_of_sid, sid, model.add(Block::new(block_name, kind)))?;
+            Event::Start("Line") => lines.push(read_body(r, None)?.0),
+            Event::Start(_) => r.skip()?,
+            Event::Text(_) => {}
+            Event::End | Event::Eof => break,
+        }
     }
     let lookup = |sid: usize| sid_lookup(&id_of_sid, sid);
-    for line in system.children_named("Line") {
-        let get = |key: &str| -> Result<String, FormatError> {
-            line.children_named("P")
-                .find(|p| p.attr("Name") == Some(key))
-                .map(|p| p.text())
-                .ok_or_else(|| FormatError::Schema(format!("<Line> missing {key}")))
+    for line in &lines {
+        let get = |key: &str| {
+            param(line, key).ok_or_else(|| FormatError::Schema(format!("<Line> missing {key}")))
         };
-        let (src_block, src_port) = parse_endpoint(&get("Src")?, "out")?;
-        let (dst_block, dst_port) = parse_endpoint(&get("Dst")?, "in")?;
+        let (src_block, src_port) = parse_endpoint(get("Src")?, "out")?;
+        let (dst_block, dst_port) = parse_endpoint(get("Dst")?, "in")?;
         model
             .connect(lookup(src_block)?, src_port, lookup(dst_block)?, dst_port)
             .map_err(|e| FormatError::Model(e.to_string()))?;
     }
     Ok(model)
+}
+
+/// Reads a `<Block>` whose start tag was just read: its SID and block.
+fn read_block(r: &mut Reader<'_>) -> Result<(usize, Block), FormatError> {
+    let type_name = r
+        .attr("BlockType")
+        .ok_or_else(|| FormatError::Schema("<Block> missing BlockType".into()))?;
+    let block_name = r
+        .attr("Name")
+        .ok_or_else(|| FormatError::Schema("<Block> missing Name".into()))?;
+    let sid: usize = r
+        .attr("SID")
+        .ok_or_else(|| FormatError::Schema("<Block> missing SID".into()))?
+        .parse()
+        .map_err(|_| FormatError::Schema("non-numeric SID".into()))?;
+    let (params, subsystem) = read_body(r, Some(&block_name))?;
+    let kind = decode(&type_name, &|key| param(&params, key), subsystem)?;
+    Ok((sid, Block::new(block_name, kind)))
+}
+
+/// Reads the children of a `<Block>` or `<Line>` up to its end tag: the
+/// `<P>` parameters and, for a block, the first nested `<System>`.
+/// `system_name` is `Some(block name)` for a block (a nested system
+/// without a `Name` takes it) and `None` for a line.
+fn read_body<'a>(
+    r: &mut Reader<'a>,
+    system_name: Option<&str>,
+) -> Result<(Params<'a>, Option<Model>), FormatError> {
+    let mut params = Params::new();
+    let mut system = None;
+    loop {
+        match r.read_event()? {
+            Event::Start("P") => {
+                let key = r.attr("Name");
+                let text = read_text(r)?;
+                if let Some(key) = key {
+                    params.push((key, text));
+                }
+            }
+            Event::Start("System") if system.is_none() && system_name.is_some() => {
+                let name = r.attr("Name");
+                let name = name.as_deref().or(system_name).unwrap_or_default();
+                system = Some(read_system(r, name)?);
+            }
+            Event::Start(_) => r.skip()?,
+            Event::Text(_) => {}
+            Event::End | Event::Eof => return Ok((params, system)),
+        }
+    }
+}
+
+/// The direct character data of the element whose start tag was just
+/// read, concatenated; nested elements are skipped.
+fn read_text<'a>(r: &mut Reader<'a>) -> Result<Cow<'a, str>, FormatError> {
+    let mut text = Cow::Borrowed("");
+    loop {
+        match r.read_event()? {
+            Event::Text(t) if text.is_empty() => text = t,
+            Event::Text(t) => text.to_mut().push_str(&t),
+            Event::Start(_) => r.skip()?,
+            Event::End | Event::Eof => return Ok(text),
+        }
+    }
 }
 
 /// Records a block's SID. SIDs identify blocks uniquely: a second block
@@ -391,22 +455,21 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_traced_shim_still_works() {
-        let m = figure1();
-        let bytes = write_slx(&m).unwrap();
-        let via_shim = read_slx_traced(&bytes, &frodo_obs::Trace::noop()).unwrap();
-        assert_eq!(
-            via_shim,
-            read_slx(&bytes, &frodo_obs::Trace::noop()).unwrap()
-        );
-    }
-
-    #[test]
     fn missing_diagram_is_reported() {
         let ar = Archive::new();
         let err = read_slx(&ar.to_bytes(), &frodo_obs::Trace::noop()).unwrap_err();
         assert!(err.to_string().contains("blockdiagram"));
+    }
+
+    /// Reads a block-diagram document through a whole `.slx` container.
+    fn read_diagram(xml: &str) -> Result<Model, FormatError> {
+        let mut ar = Archive::new();
+        ar.add(BLOCKDIAGRAM_PATH, xml.as_bytes().to_vec(), Method::Stored);
+        read_slx(&ar.to_bytes(), &frodo_obs::Trace::noop())
+    }
+
+    fn schema(reason: &str) -> Result<Model, FormatError> {
+        Err(FormatError::Schema(reason.into()))
     }
 
     #[test]
@@ -415,8 +478,7 @@ mod tests {
             <Block BlockType="terminator" Name="a" SID="7"/>
             <Block BlockType="terminator" Name="b" SID="7"/>
         </System></Model>"#;
-        let err = model_from_xml(&parse_xml(text).unwrap()).unwrap_err();
-        assert_eq!(err, FormatError::Schema("duplicate SID 7".into()));
+        assert_eq!(read_diagram(text), schema("duplicate SID 7"));
     }
 
     #[test]
@@ -425,7 +487,138 @@ mod tests {
             <Block BlockType="terminator" Name="t" SID="0"/>
             <Line><P Name="Src">zero#out:0</P><P Name="Dst">0#in:0</P></Line>
         </System></Model>"#;
-        let root = parse_xml(text).unwrap();
-        assert!(model_from_xml(&root).is_err());
+        assert_eq!(read_diagram(text), schema("bad endpoint 'zero#out:0'"));
+    }
+
+    #[test]
+    fn schema_faults_are_reported() {
+        let cases = [
+            ("<Diagram/>", "expected <Model> root, found <Diagram>"),
+            ("<Model/>", "<Model> missing Name"),
+            (
+                r#"<Model Name="m"><Other/></Model>"#,
+                "<Model> missing <System>",
+            ),
+            (
+                r#"<Model Name="m"><System><Block Name="a" SID="0"/></System></Model>"#,
+                "<Block> missing BlockType",
+            ),
+            (
+                r#"<Model Name="m"><System><Block BlockType="gain" Name="a" SID="x"/></System></Model>"#,
+                "non-numeric SID",
+            ),
+            (
+                r#"<Model Name="m"><System><Block BlockType="gain" Name="a" SID="0"/></System></Model>"#,
+                "block type 'gain' missing parameter 'Gain'",
+            ),
+            (
+                r#"<Model Name="m"><System><Line><P Name="Dst">0#in:0</P></Line></System></Model>"#,
+                "<Line> missing Src",
+            ),
+            (
+                r#"<Model Name="m"><System><Line><P Name="Src">3#out:0</P><P Name="Dst">0#in:0</P></Line></System></Model>"#,
+                "line references unknown SID 3",
+            ),
+        ];
+        for (text, reason) in cases {
+            assert_eq!(read_diagram(text), schema(reason), "{text}");
+        }
+    }
+
+    #[test]
+    fn xml_faults_keep_their_offsets() {
+        let text = r#"<Model Name="m"><System></Model>"#;
+        assert_eq!(
+            read_diagram(text),
+            Err(FormatError::Xml {
+                offset: 31,
+                reason: "mismatched close tag </Model> for <System>".into()
+            })
+        );
+        assert!(matches!(
+            read_diagram(r#"<Model Name="m"><System/></Model><Model/>"#),
+            Err(FormatError::Xml { .. })
+        ));
+        // the wrong root is a schema fault, but the unmatched close tag
+        // later on wins, as it would in a tree parser
+        assert_eq!(
+            read_diagram(r#"<Modem Name="m"><System/></Model>"#),
+            Err(FormatError::Xml {
+                offset: 32,
+                reason: "mismatched close tag </Model> for <Modem>".into()
+            })
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        const DEPTH: usize = 1_000_000;
+        let xml = format!(
+            r#"<Model Name="deep"><System>{}{}</System></Model>"#,
+            "<a>".repeat(DEPTH),
+            "</a>".repeat(DEPTH)
+        );
+        let bytes = {
+            let mut ar = Archive::new();
+            ar.add(BLOCKDIAGRAM_PATH, xml.into_bytes(), Method::Stored);
+            ar.to_bytes()
+        };
+        // a pool worker's default stack
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || read_slx(&bytes, &frodo_obs::Trace::noop()))
+            .unwrap()
+            .join()
+            .unwrap();
+        match result {
+            Err(FormatError::Xml { reason, .. }) => {
+                assert_eq!(reason, "elements nested deeper than 256")
+            }
+            other => panic!("expected a nesting error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reader_keeps_the_tree_semantics() {
+        // lines before their blocks, a parameter split by a comment and a
+        // CDATA section, a later duplicate <P> and <System>, entities in
+        // names, and unknown elements are all read as a tree walk would
+        let text = r#"<?xml version="1.0"?>
+<Model Name="a &amp; b">
+  <Meta><System Name="ignored"/></Meta>
+  <System Name="outer name is not used">
+    <Line><P Name="Src">0#out:0</P><Extra/><P Name="Dst"> 1#in:0 </P><P Name="Src">9#out:0</P></Line>
+    <Block BlockType="gain" Name="g&lt;1&gt;" SID="0">
+      <P Name="Gain"> 2<!-- split --><![CDATA[.5]]> </P>
+      <P Name="Gain">7.0</P>
+      <P>unnamed</P>
+    </Block>
+    <Block BlockType="subsystem" Name="sub" SID="1">
+      <System>
+        <Block BlockType="inport" Name="i" SID="4"><P Name="Port">0</P><P Name="Shape">scalar</P></Block>
+        <Block BlockType="terminator" Name="t" SID="0"/>
+        <Line><P Name="Src">4#out:0</P><P Name="Dst">0#in:0</P></Line>
+      </System>
+      <System><Block BlockType="nonsense" Name="x" SID="0"/></System>
+    </Block>
+  </System>
+  <System><Block BlockType="nonsense" Name="x" SID="0"/></System>
+</Model>
+<!-- trailing comment -->"#;
+        let mut inner = Model::new("sub");
+        let i = inner.add(Block::new(
+            "i",
+            BlockKind::Inport {
+                index: 0,
+                shape: Shape::Scalar,
+            },
+        ));
+        let t = inner.add(Block::new("t", BlockKind::Terminator));
+        inner.connect(i, 0, t, 0).unwrap();
+        let mut m = Model::new("a & b");
+        let g = m.add(Block::new("g<1>", BlockKind::Gain { gain: 2.5 }));
+        let s = m.add(Block::new("sub", BlockKind::Subsystem(Box::new(inner))));
+        m.connect(g, 0, s, 0).unwrap();
+        assert_eq!(read_diagram(text), Ok(m));
     }
 }

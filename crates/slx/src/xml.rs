@@ -1,12 +1,17 @@
-//! A minimal XML tree: parser and writer.
+//! Minimal XML: a pull reader and a tree writer.
 //!
 //! Covers the subset `.slx` block-diagram documents use — elements,
 //! attributes, character data, comments, processing instructions, and the
 //! five predefined entities plus numeric character references. No DTDs or
 //! namespaces (Simulink documents do not rely on them for the dataflow
 //! information FRODO extracts).
+//!
+//! Reading builds no tree: [`Reader`] yields start, text and end events
+//! that borrow from the input, and the `.slx` mapping builds the model
+//! from them directly. Writing goes through an [`Element`] tree.
 
-use crate::FormatError;
+use crate::{FormatError, MAX_DEPTH};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A child of an element: nested element or character data.
@@ -18,21 +23,8 @@ pub enum Node {
     Text(String),
 }
 
-/// An XML element: name, attributes in document order, and children.
-///
-/// # Example
-///
-/// ```
-/// use frodo_slx::xml::{parse, Element};
-///
-/// # fn main() -> Result<(), frodo_slx::FormatError> {
-/// let doc = parse(r#"<Block BlockType="Gain"><P Name="Gain">2.5</P></Block>"#)?;
-/// assert_eq!(doc.attr("BlockType"), Some("Gain"));
-/// let p = doc.child("P").unwrap();
-/// assert_eq!(p.text(), "2.5");
-/// # Ok(())
-/// # }
-/// ```
+/// An XML element to write: name, attributes in document order, and
+/// children.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Element {
     /// Tag name.
@@ -70,14 +62,6 @@ impl Element {
         }
     }
 
-    /// Attribute value by name.
-    pub fn attr(&self, key: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Appends a child element.
     pub fn push(&mut self, child: Element) {
         self.children.push(Node::Element(child));
@@ -86,24 +70,6 @@ impl Element {
     /// Appends character data.
     pub fn push_text(&mut self, text: impl Into<String>) {
         self.children.push(Node::Text(text.into()));
-    }
-
-    /// First child element with the given name.
-    pub fn child(&self, name: &str) -> Option<&Element> {
-        self.elements().find(|e| e.name == name)
-    }
-
-    /// All child elements.
-    pub fn elements(&self) -> impl Iterator<Item = &Element> {
-        self.children.iter().filter_map(|n| match n {
-            Node::Element(e) => Some(e),
-            Node::Text(_) => None,
-        })
-    }
-
-    /// All child elements with a given name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
-        self.elements().filter(move |e| e.name == name)
     }
 
     /// Concatenated direct character data, whitespace-trimmed.
@@ -176,40 +142,223 @@ fn write_element(e: &Element, depth: usize, out: &mut String) {
 }
 
 // ---------------------------------------------------------------------------
-// parser
+// pull reader
 // ---------------------------------------------------------------------------
 
-/// Parses a document into its root element.
-///
-/// # Errors
-///
-/// Returns [`FormatError::Xml`] with a byte offset for malformed input:
-/// mismatched tags, bad entities, attribute syntax errors, or trailing
-/// garbage after the root element.
-pub fn parse(input: &str) -> Result<Element, FormatError> {
-    let mut p = Parser {
-        s: input,
-        b: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_misc()?;
-    let root = p.parse_element()?;
-    p.skip_misc()?;
-    if p.pos != p.b.len() {
-        return Err(p.err("content after document root"));
-    }
-    Ok(root)
+/// One step of a document, as [`Reader::read_event`] yields it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Event<'a> {
+    /// A start tag. Its attributes are [`Reader::attr`] until the next
+    /// call to [`Reader::read_event`]. A self-closing tag yields `Start` and
+    /// then `End`.
+    Start(&'a str),
+    /// Character data, entity-decoded. Whitespace-only runs between tags
+    /// are dropped; CDATA sections come through literally.
+    Text(Cow<'a, str>),
+    /// The end of the innermost open element.
+    End,
+    /// The root element closed and only whitespace, comments and
+    /// processing instructions follow it.
+    Eof,
 }
 
-/// Every slice of `s` the parser takes starts and ends at an ASCII
-/// delimiter, so it always falls on `char` boundaries.
-struct Parser<'a> {
+/// A pull parser over a whole document.
+///
+/// It checks well-formedness as it goes — matched tags, quoted
+/// attributes, known entities, one root element, nothing after it — and
+/// reports [`FormatError::Xml`] with the byte offset of the problem. It
+/// refuses elements nested deeper than [`MAX_DEPTH`], so neither it nor
+/// a recursive consumer can exhaust the stack.
+///
+/// # Example
+///
+/// ```
+/// use frodo_slx::xml::{Event, Reader};
+///
+/// # fn main() -> Result<(), frodo_slx::FormatError> {
+/// let mut r = Reader::new(r#"<Block BlockType="Gain"><P Name="Gain">2.5</P></Block>"#);
+/// assert_eq!(r.read_event()?, Event::Start("Block"));
+/// assert_eq!(r.attr("BlockType").as_deref(), Some("Gain"));
+/// assert_eq!(r.read_event()?, Event::Start("P"));
+/// assert_eq!(r.read_event()?, Event::Text("2.5".into()));
+/// assert_eq!(r.read_event()?, Event::End);
+/// assert_eq!(r.read_event()?, Event::End);
+/// assert_eq!(r.read_event()?, Event::Eof);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    /// Every slice of `s` the reader takes starts and ends at an ASCII
+    /// delimiter, so it always falls on `char` boundaries.
     s: &'a str,
     b: &'a [u8],
     pos: usize,
+    /// Names of the open elements, outermost first.
+    open: Vec<&'a str>,
+    /// Attributes of the last start tag.
+    attrs: Vec<(&'a str, Cow<'a, str>)>,
+    /// The last start tag was self-closing: its `End` is due next.
+    pending_end: bool,
+    /// The root element has been opened.
+    started: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader positioned before the document's first byte.
+    pub fn new(input: &'a str) -> Self {
+        Reader {
+            s: input,
+            b: input.as_bytes(),
+            pos: 0,
+            open: Vec::new(),
+            attrs: Vec::new(),
+            pending_end: false,
+            started: false,
+        }
+    }
+
+    /// The value of the last start tag's first attribute named `key`.
+    pub fn attr(&self, key: &str) -> Option<Cow<'a, str>> {
+        self.attrs
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    }
+
+    /// The next event.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FormatError::Xml`] with a byte offset for malformed
+    /// input: mismatched tags, bad entities, attribute syntax errors,
+    /// nesting deeper than [`MAX_DEPTH`], or trailing garbage after the
+    /// root element.
+    pub fn read_event(&mut self) -> Result<Event<'a>, FormatError> {
+        if self.pending_end {
+            self.pending_end = false;
+            self.open.pop();
+            return Ok(Event::End);
+        }
+        let Some(&top) = self.open.last() else {
+            self.skip_misc()?;
+            if !self.started {
+                self.started = true;
+                self.expect(b'<')?;
+                return self.start_tag();
+            }
+            if self.pos != self.b.len() {
+                return Err(self.err("content after document root"));
+            }
+            return Ok(Event::Eof);
+        };
+        loop {
+            if self.starts_with("<!--") {
+                let end = self.find("-->")?;
+                self.pos = end + 3;
+            } else if self.starts_with("<![CDATA[") {
+                self.pos += 9;
+                let end = self.find("]]>")?;
+                let start = self.pos;
+                self.pos = end + 3;
+                // CDATA is literal: no entity decoding
+                if end > start {
+                    return Ok(Event::Text(Cow::Borrowed(&self.s[start..end])));
+                }
+            } else if self.starts_with("</") {
+                self.pos += 2;
+                let close = self.parse_name()?;
+                if close != top {
+                    return Err(self.err(format!("mismatched close tag </{close}> for <{top}>")));
+                }
+                self.skip_ws();
+                self.expect(b'>')?;
+                self.open.pop();
+                return Ok(Event::End);
+            } else if self.peek() == Some(b'<') {
+                self.pos += 1;
+                return self.start_tag();
+            } else if self.peek().is_none() {
+                return Err(self.err(format!("unclosed element <{top}>")));
+            } else {
+                let start = self.pos;
+                self.pos += self.b[start..]
+                    .iter()
+                    .position(|&c| c == b'<')
+                    .unwrap_or(self.b.len() - start);
+                let raw = &self.s[start..self.pos];
+                // indentation between elements: dropped before any copy
+                if raw.bytes().all(|c| c.is_ascii_whitespace()) {
+                    continue;
+                }
+                let text = self.decode_entities(raw)?;
+                if !text.trim().is_empty() {
+                    return Ok(Event::Text(text));
+                }
+            }
+        }
+    }
+
+    /// Consumes the rest of the innermost open element (the one whose
+    /// `Start` was just returned), up to and including its `End`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`FormatError::Xml`] inside the element.
+    pub fn skip(&mut self) -> Result<(), FormatError> {
+        let depth = self.open.len();
+        while depth > 0 && self.open.len() >= depth {
+            self.read_event()?;
+        }
+        Ok(())
+    }
+
+    /// Reads the rest of a start tag whose `<` is consumed.
+    fn start_tag(&mut self) -> Result<Event<'a>, FormatError> {
+        let name = self.parse_name()?;
+        if self.open.len() == MAX_DEPTH {
+            return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
+        }
+        self.attrs.clear();
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'/') => {
+                    self.pos += 1;
+                    self.expect(b'>')?;
+                    self.pending_end = true;
+                    break;
+                }
+                Some(b'>') => {
+                    self.pos += 1;
+                    break;
+                }
+                Some(_) => {
+                    let key = self.parse_name()?;
+                    self.skip_ws();
+                    self.expect(b'=')?;
+                    self.skip_ws();
+                    let quote = self.peek().ok_or_else(|| self.err("truncated attribute"))?;
+                    if quote != b'"' && quote != b'\'' {
+                        return Err(self.err("attribute value must be quoted"));
+                    }
+                    self.pos += 1;
+                    let start = self.pos;
+                    let Some(len) = self.b[start..].iter().position(|&c| c == quote) else {
+                        self.pos = self.b.len();
+                        return Err(self.err("unterminated attribute value"));
+                    };
+                    self.pos = start + len + 1;
+                    let value = self.decode_entities(&self.s[start..start + len])?;
+                    self.attrs.push((key, value));
+                }
+                None => return Err(self.err("truncated start tag")),
+            }
+        }
+        self.open.push(name);
+        Ok(Event::Start(name))
+    }
+
     fn err(&self, reason: impl Into<String>) -> FormatError {
         FormatError::Xml {
             offset: self.pos,
@@ -279,96 +428,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_element(&mut self) -> Result<Element, FormatError> {
-        self.expect(b'<')?;
-        let name = self.parse_name()?;
-        let mut element = Element::new(name);
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'/') => {
-                    self.pos += 1;
-                    self.expect(b'>')?;
-                    return Ok(element);
-                }
-                Some(b'>') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(_) => {
-                    let key = self.parse_name()?.to_string();
-                    self.skip_ws();
-                    self.expect(b'=')?;
-                    self.skip_ws();
-                    let quote = self.peek().ok_or_else(|| self.err("truncated attribute"))?;
-                    if quote != b'"' && quote != b'\'' {
-                        return Err(self.err("attribute value must be quoted"));
-                    }
-                    self.pos += 1;
-                    let start = self.pos;
-                    let Some(len) = self.b[start..].iter().position(|&c| c == quote) else {
-                        self.pos = self.b.len();
-                        return Err(self.err("unterminated attribute value"));
-                    };
-                    self.pos = start + len + 1;
-                    let value = self.decode_entities(&self.s[start..start + len])?;
-                    element.attrs.push((key, value));
-                }
-                None => return Err(self.err("truncated start tag")),
-            }
-        }
-        // content
-        loop {
-            if self.starts_with("<!--") {
-                let end = self.find("-->")?;
-                self.pos = end + 3;
-            } else if self.starts_with("<![CDATA[") {
-                self.pos += 9;
-                let end = self.find("]]>")?;
-                // CDATA is literal: no entity decoding
-                if end > self.pos {
-                    element.push_text(&self.s[self.pos..end]);
-                }
-                self.pos = end + 3;
-            } else if self.starts_with("</") {
-                self.pos += 2;
-                let close = self.parse_name()?;
-                if close != element.name {
-                    return Err(self.err(format!(
-                        "mismatched close tag </{close}> for <{}>",
-                        element.name
-                    )));
-                }
-                self.skip_ws();
-                self.expect(b'>')?;
-                return Ok(element);
-            } else if self.peek() == Some(b'<') {
-                let child = self.parse_element()?;
-                element.push(child);
-            } else if self.peek().is_none() {
-                return Err(self.err(format!("unclosed element <{}>", element.name)));
-            } else {
-                let start = self.pos;
-                self.pos += self.b[start..]
-                    .iter()
-                    .position(|&c| c == b'<')
-                    .unwrap_or(self.b.len() - start);
-                let raw = &self.s[start..self.pos];
-                // indentation between elements: dropped before any copy
-                if raw.bytes().all(|c| c.is_ascii_whitespace()) {
-                    continue;
-                }
-                let text = self.decode_entities(raw)?;
-                if !text.trim().is_empty() {
-                    element.push_text(text);
-                }
-            }
-        }
-    }
-
-    fn decode_entities(&self, raw: &str) -> Result<String, FormatError> {
+    fn decode_entities(&self, raw: &'a str) -> Result<Cow<'a, str>, FormatError> {
         if !raw.contains('&') {
-            return Ok(raw.to_string());
+            return Ok(Cow::Borrowed(raw));
         }
         let mut out = String::with_capacity(raw.len());
         let mut rest = raw;
@@ -407,7 +469,7 @@ impl<'a> Parser<'a> {
             rest = &rest[semi + 1..];
         }
         out.push_str(rest);
-        Ok(out)
+        Ok(Cow::Owned(out))
     }
 }
 
@@ -415,9 +477,34 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    /// Every event of a document, with each start tag's attributes.
+    fn events(input: &str) -> Result<Vec<String>, FormatError> {
+        let mut r = Reader::new(input);
+        let mut out = Vec::new();
+        loop {
+            match r.read_event()? {
+                Event::Start(name) => {
+                    let attrs: Vec<String> =
+                        r.attrs.iter().map(|(k, v)| format!(" {k}={v}")).collect();
+                    out.push(format!("<{name}{}>", attrs.concat()));
+                }
+                Event::Text(t) => out.push(format!("{t:?}")),
+                Event::End => out.push("/".into()),
+                Event::Eof => return Ok(out),
+            }
+        }
+    }
+
+    fn reason(input: &str) -> String {
+        match events(input).unwrap_err() {
+            FormatError::Xml { reason, .. } => reason,
+            e => panic!("not an xml error: {e}"),
+        }
+    }
+
     #[test]
-    fn parse_simple_document() {
-        let doc = parse(
+    fn reads_simple_document() {
+        let ev = events(
             r#"<?xml version="1.0"?>
             <!-- a comment -->
             <Model Name="conv">
@@ -427,47 +514,92 @@ mod tests {
             </Model>"#,
         )
         .unwrap();
-        assert_eq!(doc.name, "Model");
-        assert_eq!(doc.attr("Name"), Some("conv"));
-        let block = doc.child("System").unwrap().child("Block").unwrap();
-        assert_eq!(block.attr("BlockType"), Some("Gain"));
-        assert_eq!(block.child("P").unwrap().text(), "2.0");
+        assert_eq!(
+            ev,
+            [
+                "<Model Name=conv>",
+                "<System>",
+                "<Block BlockType=Gain Name=g>",
+                "<P Name=Gain>",
+                "\"2.0\"",
+                "/",
+                "/",
+                "/",
+                "/"
+            ]
+        );
     }
 
     #[test]
     fn self_closing_and_empty_elements() {
-        let doc = parse("<A><B/><C></C></A>").unwrap();
-        assert_eq!(doc.elements().count(), 2);
-        assert!(doc.child("B").unwrap().children.is_empty());
+        assert_eq!(
+            events("<A><B/><C></C></A>").unwrap(),
+            ["<A>", "<B>", "/", "<C>", "/", "/"]
+        );
     }
 
     #[test]
     fn entities_decode_in_text_and_attrs() {
-        let doc = parse(r#"<A v="a&lt;b&amp;c&quot;d">&#65;&#x42;&apos;</A>"#).unwrap();
-        assert_eq!(doc.attr("v"), Some(r#"a<b&c"d"#));
-        assert_eq!(doc.text(), "AB'");
+        let ev = events(r#"<A v="a&lt;b&amp;c&quot;d">&#65;&#x42;&apos;</A>"#).unwrap();
+        assert_eq!(ev, [r#"<A v=a<b&c"d>"#, "\"AB'\"", "/"]);
+    }
+
+    #[test]
+    fn text_borrows_unless_decoded() {
+        let mut r = Reader::new("<A>plain<B>a&amp;b</B></A>");
+        r.read_event().unwrap();
+        assert!(matches!(
+            r.read_event().unwrap(),
+            Event::Text(Cow::Borrowed("plain"))
+        ));
+        r.read_event().unwrap();
+        assert!(matches!(
+            r.read_event().unwrap(),
+            Event::Text(Cow::Owned(_))
+        ));
     }
 
     #[test]
     fn mismatched_tags_are_rejected() {
-        let err = parse("<A><B></A></B>").unwrap_err();
-        assert!(matches!(err, FormatError::Xml { .. }));
-        assert!(err.to_string().contains("mismatched"));
+        let err = events("<A><B></A></B>").unwrap_err();
+        assert_eq!(
+            err,
+            FormatError::Xml {
+                offset: 9,
+                reason: "mismatched close tag </A> for <B>".into()
+            }
+        );
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        assert!(parse("<A/><B/>").is_err());
-        assert!(parse("<A/>junk").is_err());
+        assert_eq!(reason("<A/><B/>"), "content after document root");
+        assert_eq!(reason("<A/>junk"), "content after document root");
     }
 
     #[test]
-    fn unknown_entity_is_rejected() {
-        assert!(parse("<A>&nope;</A>").is_err());
+    fn malformed_input_reports_offset_and_reason() {
+        let cases = [
+            ("", 0, "expected '<'"),
+            ("<A>&nope;</A>", 9, "unknown entity &nope;"),
+            ("<A v=x/>", 5, "attribute value must be quoted"),
+            ("<A v=\"x/>", 9, "unterminated attribute value"),
+            ("<A", 2, "truncated start tag"),
+            ("<A>text", 7, "unclosed element <A>"),
+            ("<A><!-- x", 3, "unterminated '-->' construct"),
+            ("<A>&#xZZ;</A>", 9, "bad character reference &#xZZ;"),
+        ];
+        for (input, offset, reason) in cases {
+            let want = FormatError::Xml {
+                offset,
+                reason: reason.into(),
+            };
+            assert_eq!(events(input).unwrap_err(), want, "{input:?}");
+        }
     }
 
     #[test]
-    fn write_then_parse_roundtrips() {
+    fn write_then_read_roundtrips() {
         let mut root = Element::new("Model").with_attr("Name", "m<&>");
         let mut sys = Element::new("System");
         let mut b = Element::new("Block")
@@ -478,23 +610,40 @@ mod tests {
         b.push(p);
         sys.push(b);
         root.push(sys);
-        let text = write(&root);
-        let back = parse(&text).unwrap();
-        assert_eq!(back, root);
+        assert_eq!(
+            events(&write(&root)).unwrap(),
+            [
+                "<Model Name=m<&>>",
+                "<System>",
+                "<Block BlockType=Selector Name=weird \"name\">",
+                "<P Name=Indices>",
+                "\"[5 6 7]\"",
+                "/",
+                "/",
+                "/",
+                "/"
+            ]
+        );
     }
 
     #[test]
     fn cdata_sections_are_literal() {
-        let doc = parse("<A><![CDATA[1 < 2 && \"x\"]]></A>").unwrap();
-        assert_eq!(doc.text(), "1 < 2 && \"x\"");
-        let doc = parse("<A><![CDATA[]]><B/></A>").unwrap();
-        assert_eq!(doc.elements().count(), 1);
+        assert_eq!(
+            events("<A><![CDATA[1 < 2 && \"x\"]]></A>").unwrap(),
+            ["<A>", "\"1 < 2 && \\\"x\\\"\"", "/"]
+        );
+        assert_eq!(
+            events("<A><![CDATA[]]><B/></A>").unwrap(),
+            ["<A>", "<B>", "/", "/"]
+        );
     }
 
     #[test]
     fn comments_inside_content_are_skipped() {
-        let doc = parse("<A><!-- hi --><B/></A>").unwrap();
-        assert_eq!(doc.elements().count(), 1);
+        assert_eq!(
+            events("<A><!-- hi --><B/></A>").unwrap(),
+            ["<A>", "<B>", "/", "/"]
+        );
     }
 
     #[test]
@@ -502,13 +651,30 @@ mod tests {
         let mut e = Element::new("E");
         e.set_attr("k", "1");
         e.set_attr("k", "2");
-        assert_eq!(e.attr("k"), Some("2"));
-        assert_eq!(e.attrs.len(), 1);
+        assert_eq!(e.attrs, [("k".to_string(), "2".to_string())]);
     }
 
     #[test]
     fn single_quoted_attributes_parse() {
-        let doc = parse("<A v='x'/>").unwrap();
-        assert_eq!(doc.attr("v"), Some("x"));
+        assert_eq!(events("<A v='x'/>").unwrap(), ["<A v=x>", "/"]);
+    }
+
+    #[test]
+    fn skip_consumes_one_subtree() {
+        let mut r = Reader::new("<A><B><C/>t</B><D/></A>");
+        r.read_event().unwrap();
+        assert_eq!(r.read_event().unwrap(), Event::Start("B"));
+        r.skip().unwrap();
+        assert_eq!(r.read_event().unwrap(), Event::Start("D"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let doc = |depth: usize| "<a>".repeat(depth) + &"</a>".repeat(depth);
+        assert!(events(&doc(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            reason(&doc(MAX_DEPTH + 1)),
+            format!("elements nested deeper than {MAX_DEPTH}")
+        );
     }
 }
