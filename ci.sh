@@ -18,16 +18,11 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # frodo-obs must stay dependency-free: its cargo tree is exactly one line
 test "$(cargo tree -p frodo-obs --offline --edges normal | wc -l)" -eq 1
 
-# the analysis hot-path bench must at least execute (1 quick pass per
-# subject; real measurements are BENCH_pr3.json/BENCH_pr8.json)
-cargo bench -q -p frodo-bench --bench hotpath --offline -- --quick >/dev/null
-
 # a traced compile of a Table-1 model emits parseable NDJSON covering
-# every pipeline stage; --threads 1 pins the determinism-contract
-# reference path (sequential engines, sequential emitter); --verify
-# turns the opt-in verify stage on so its span is covered too
+# every pipeline stage; --verify and --analyze turn the opt-in stages on
+# so their spans are covered too
 trace_out="$(mktemp)"
-./target/release/frodo compile --threads 1 --verify --analyze --trace "$trace_out" Kalman >/dev/null
+./target/release/frodo compile --verify --analyze --trace "$trace_out" Kalman >/dev/null
 for stage in parse flatten hash cache dfg iomap ranges classify lower verify analyze emit; do
     grep -q "\"name\":\"$stage\"" "$trace_out"
 done
@@ -42,7 +37,7 @@ fi
 # statement counts); --fail-over 0 turns wall-time gating off, so only
 # counters are compared
 trace_out2="$(mktemp)"
-./target/release/frodo compile --threads 1 --verify --analyze --trace "$trace_out2" Kalman >/dev/null
+./target/release/frodo compile --verify --analyze --trace "$trace_out2" Kalman >/dev/null
 ./target/release/frodo obs diff "$trace_out" "$trace_out2" --fail-over 0
 
 # the chrome-trace export of the same trace is one trace_event document
@@ -52,52 +47,40 @@ grep -q '"traceEvents"' "$chrome_out"
 ./target/release/frodo obs export "$trace_out" --format collapsed | grep -q '^job:Kalman;ranges '
 rm -f "$trace_out" "$trace_out2" "$chrome_out"
 
-# perf-ledger regression gate: a fresh single-threaded batch of the
+# perf-ledger regression gate: a fresh one-worker batch of the
 # Table-1 suite must be counter-identical to the committed baseline
 # (LEDGER.ndjson); counters are model/code-derived, so this holds across
 # hosts — wall times are informational only at --fail-over 0
 ledger_out="$(mktemp)"
 ./target/release/frodo batch AudioProcess Decryption HighPass HT Kalman Back \
     Maintenance Maunfacture RunningDiff Simpson \
-    --threads 1 --workers 1 --ledger-out "$ledger_out" >/dev/null
+    --workers 1 --ledger-out "$ledger_out" >/dev/null
 ./target/release/frodo obs diff LEDGER.ndjson "$ledger_out" --fail-over 0
 ./target/release/frodo obs report "$ledger_out" >/dev/null
 rm -f "$ledger_out"
 
 # static verification gate: every benchmark model must lint clean of
-# errors, and every compile must pass the range-soundness checker under
-# all three range engines (no uninitialized reads, no OOB, outputs
-# written exactly as demanded)
+# errors, and every compile must pass the range-soundness checker (no
+# uninitialized reads, no OOB, outputs written exactly as demanded)
 for model in AudioProcess Decryption HighPass HT Kalman Back \
     Maintenance Maunfacture RunningDiff Simpson; do
     ./target/release/frodo lint "$model" >/dev/null
-    for engine in recursive iterative parallel; do
-        ./target/release/frodo compile --no-cache --verify --threads 1 \
-            --engine "$engine" "$model" >/dev/null
-        # the SIMD/window-reuse modes must stay range-sound too: the
-        # two-invocation checker treats stale ring-buffer state as poison
-        ./target/release/frodo compile --no-cache --verify --threads 1 \
-            --engine "$engine" --vectorize batch --window-reuse "$model" >/dev/null
-    done
+    ./target/release/frodo compile --no-cache --verify "$model" >/dev/null
+    # the SIMD/window-reuse modes must stay range-sound too: the
+    # two-invocation checker treats stale ring-buffer state as poison
+    ./target/release/frodo compile --no-cache --verify \
+        --vectorize batch --window-reuse "$model" >/dev/null
 done
 
-# dataflow-analysis gate: the injected-defect selftest must catch every
-# planted bug, and every benchmark under every engine and vector mode —
-# including the window-reuse ring-buffer lowering — must come out with
-# zero findings: no numeric hazards (F2xx), no residual redundancy
-# (F204), and a schedule proved race-free (no F3xx)
+# dataflow-analysis gate: the injected-defect selftest must catch the
+# planted bug, and every benchmark — with and without the window-reuse
+# ring-buffer lowering — must come out with zero findings: no numeric
+# hazards (F2xx) and no residual redundancy (F204)
 ./target/release/frodo analyze --selftest >/dev/null
 for model in AudioProcess Decryption HighPass HT Kalman Back \
     Maintenance Maunfacture RunningDiff Simpson; do
-    for engine in recursive iterative parallel; do
-        ./target/release/frodo analyze "$model" --engine "$engine" --gate >/dev/null
-    done
-    for mode in auto hints batch:8; do
-        ./target/release/frodo analyze "$model" --engine parallel \
-            --vectorize "$mode" --gate >/dev/null
-    done
-    ./target/release/frodo analyze "$model" --engine parallel \
-        --window-reuse --gate >/dev/null
+    ./target/release/frodo analyze "$model" --gate >/dev/null
+    ./target/release/frodo analyze "$model" --window-reuse --gate >/dev/null
 done
 # ...while the Simulink-style baseline must trip the residual detector
 # on a convolution benchmark: over-computation is real and detectable
@@ -154,14 +137,14 @@ for _ in $(seq 1 200); do
 done
 test -S "$serve_sock"
 ./target/release/frodo client --socket "$serve_sock" batch Kalman HT \
-    -s all --threads 1 >/dev/null
+    -s all >/dev/null
 ./target/release/frodo client --socket "$serve_sock" status \
     | grep -q '"completed":8'
 ./target/release/frodo client --socket "$serve_sock" shutdown \
     | grep -q '"type":"shutdown"'
 wait "$serve_pid"
 test ! -e "$serve_sock"
-./target/release/frodo batch Kalman HT -s all --threads 1 --workers 1 \
+./target/release/frodo batch Kalman HT -s all --workers 1 \
     --ledger-out "$serve_dir/batch-ledger.ndjson" >/dev/null
 ./target/release/frodo obs diff "$serve_dir/batch-ledger.ndjson" \
     "$serve_dir/serve-ledger.ndjson" --fail-over 0
@@ -173,19 +156,19 @@ rm -rf "$serve_dir"
 # with and without an explicit --vectorize auto, preserving the
 # pre-VectorMode emission exactly
 simd_dir="$(mktemp -d)"
-./target/release/frodo compile --no-cache --threads 1 --vectorize batch \
+./target/release/frodo compile --no-cache --vectorize batch \
     AudioProcess -o "$simd_dir/batch1.c" >/dev/null
-./target/release/frodo compile --no-cache --threads 1 --vectorize batch \
+./target/release/frodo compile --no-cache --vectorize batch \
     AudioProcess -o "$simd_dir/batch2.c" >/dev/null
 cmp "$simd_dir/batch1.c" "$simd_dir/batch2.c"
 grep -q 'restrict' "$simd_dir/batch1.c"
 grep -q 'explicit simd batch' "$simd_dir/batch1.c"
-./target/release/frodo compile --no-cache --threads 1 --vectorize hints \
+./target/release/frodo compile --no-cache --vectorize hints \
     AudioProcess -o "$simd_dir/hints.c" >/dev/null
 grep -q 'ivdep' "$simd_dir/hints.c"
-./target/release/frodo compile --no-cache --threads 1 \
+./target/release/frodo compile --no-cache \
     AudioProcess -o "$simd_dir/auto1.c" >/dev/null
-./target/release/frodo compile --no-cache --threads 1 --vectorize auto \
+./target/release/frodo compile --no-cache --vectorize auto \
     AudioProcess -o "$simd_dir/auto2.c" >/dev/null
 cmp "$simd_dir/auto1.c" "$simd_dir/auto2.c"
 ! grep -q 'restrict' "$simd_dir/auto1.c"
@@ -211,7 +194,7 @@ done
 rm -f "$ablation_out"
 
 # the SARIF rendering keeps the minimal schema code-scanning UIs need,
-# for the model-lint families and the analyze (F2xx/F3xx/F204) families
+# for the model-lint families and the analyze (F2xx) family
 sarif_out="$(mktemp)"
 ./target/release/frodo lint Kalman --format sarif -o "$sarif_out"
 for key in '"version":"2.1.0"' '"\$schema"' '"name":"frodo-verify"' '"rules"'; do
@@ -230,11 +213,11 @@ rm -f "$sarif_out"
 # and stitch C byte-identical to a cold compile of the edited model.
 inc_dir="$(mktemp -d)"
 ./target/release/frodo batch random:42:2000 random:42:2000:edit:1 \
-    --incremental --threads 1 --ledger-out "$inc_dir/ledger.ndjson" \
+    --incremental --ledger-out "$inc_dir/ledger.ndjson" \
     -o "$inc_dir/out" >/dev/null
 ./target/release/frodo obs report "$inc_dir/ledger.ndjson" \
     | grep -q 'random:42:2000:edit:1'
-./target/release/frodo compile --no-cache --threads 1 \
+./target/release/frodo compile --no-cache \
     random:42:2000:edit:1 -o "$inc_dir/cold-edit.c" >/dev/null
 cmp "$inc_dir/out/random_42_2000_edit_1_frodo.c" "$inc_dir/cold-edit.c"
 region_hits="$(grep -o '"counter_region_hits":[0-9]*' "$inc_dir/ledger.ndjson" | tail -1 | cut -d: -f2)"
@@ -257,9 +240,9 @@ for _ in $(seq 1 200); do
     sleep 0.05
 done
 ./target/release/frodo client --socket "$inc_sock_dir/serve.sock" recompile \
-    random:42:400 --session ci-edit --threads 1 >/dev/null
+    random:42:400 --session ci-edit >/dev/null
 ./target/release/frodo client --socket "$inc_sock_dir/serve.sock" recompile \
-    random:42:400:edit:1 --session ci-edit --threads 1 >/dev/null 2>"$inc_sock_dir/warm.err"
+    random:42:400:edit:1 --session ci-edit >/dev/null 2>"$inc_sock_dir/warm.err"
 grep -q 'regions 3[0-9]/3[0-9] reused' "$inc_sock_dir/warm.err"
 ./target/release/frodo client --socket "$inc_sock_dir/serve.sock" status \
     | grep -q '"proto_version":4'
@@ -269,7 +252,7 @@ grep -q 'regions 3[0-9]/3[0-9] reused' "$inc_sock_dir/warm.err"
 # histogram-derived percentile columns rendering real durations
 for _ in 1 2 3; do
     ./target/release/frodo client --socket "$inc_sock_dir/serve.sock" \
-        compile Kalman --threads 1 >/dev/null
+        compile Kalman >/dev/null
 done
 ./target/release/frodo client --socket "$inc_sock_dir/serve.sock" metrics \
     > "$inc_sock_dir/metrics.txt"
@@ -287,7 +270,7 @@ rm -rf "$inc_sock_dir"
 # and the NDJSON dumper into the generated C; the default emission must
 # stay free of any profiling symbol
 prof_dir="$(mktemp -d)"
-./target/release/frodo compile --no-cache --threads 1 --profile \
+./target/release/frodo compile --no-cache --profile \
     Kalman -o "$prof_dir/prof.c" >/dev/null
 grep -q 'frodo_prof_dump' "$prof_dir/prof.c"
 grep -q 'stmt_%d_%s' "$prof_dir/prof.c"
@@ -295,7 +278,7 @@ grep -q 'frodo_prof_kind' "$prof_dir/prof.c"
 if command -v gcc >/dev/null 2>&1; then
     gcc -fsyntax-only -O0 "$prof_dir/prof.c"
 fi
-./target/release/frodo compile --no-cache --threads 1 \
+./target/release/frodo compile --no-cache \
     Kalman -o "$prof_dir/plain.c" >/dev/null
 ! grep -q 'frodo_prof' "$prof_dir/plain.c"
 rm -rf "$prof_dir"
@@ -318,7 +301,7 @@ slx_dir="$(mktemp -d)"
 for model in AudioProcess Decryption HighPass HT Kalman Back \
     Maintenance Maunfacture RunningDiff Simpson; do
     ./target/release/frodo demo "$model" "$slx_dir/$model.slx" >/dev/null
-    ./target/release/frodo compile --no-cache --threads 1 "$model" \
+    ./target/release/frodo compile --no-cache "$model" \
         -o "$slx_dir/$model.c" 2>/dev/null
 done
 ./target/release/frodo batch "$slx_dir"/*.slx --no-cache -o "$slx_dir/out" 2>/dev/null >/dev/null

@@ -1,8 +1,5 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! - **Algorithm-1 engine**: the paper's recursive formulation vs the
-//!   iterative reverse-topological sweep (identical results, different
-//!   analysis cost).
 //! - **Dead-end elimination**: the optional extension beyond the paper's
 //!   conservative full-range rule for unconsumed ports.
 //! - **End-to-end generation**: the cost of FRODO's own pipeline (parse-to-
@@ -10,7 +7,7 @@
 
 use frodo_bench::harness;
 use frodo_codegen::{generate, GeneratorStyle};
-use frodo_core::{determine_ranges, Analysis, IoMappings, RangeEngine, RangeOptions};
+use frodo_core::{determine_ranges, Analysis, IoMappings, RangeOptions};
 use frodo_graph::Dfg;
 use std::hint::black_box;
 
@@ -25,20 +22,9 @@ fn main() {
     let dfg = Dfg::new(maintenance.model.clone(), &frodo_obs::Trace::noop()).expect("analyzable");
     let maps = IoMappings::derive(&dfg);
 
-    for engine in [RangeEngine::Recursive, RangeEngine::Iterative] {
-        let opts = RangeOptions {
-            engine,
-            ..Default::default()
-        };
-        harness::bench("ablation", &format!("algorithm1/{engine:?}"), || {
-            black_box(determine_ranges(black_box(&dfg), black_box(&maps), opts));
-        });
-    }
-
     for (label, eliminate) in [("paper_rule", false), ("dead_end_elim", true)] {
         let opts = RangeOptions {
             eliminate_dead_ends: eliminate,
-            ..Default::default()
         };
         harness::bench("ablation", &format!("dead_ends/{label}"), || {
             black_box(determine_ranges(black_box(&dfg), black_box(&maps), opts));

@@ -1,6 +1,6 @@
 //! Element-level read/write sets of [`Stmt`]s — the single source of
-//! truth shared by the soundness checker, the dataflow analyses, and the
-//! schedule race checker in `frodo-verify`.
+//! truth shared by the soundness checker and the dataflow analyses in
+//! `frodo-verify`.
 //!
 //! [`stmt_access`] mirrors the exact element accesses of the reference VM
 //! in `frodo-sim`: for every statement it returns which buffer elements
@@ -52,22 +52,6 @@ impl StmtAccess {
     /// Union of written elements of `buf` across all write accesses.
     pub fn writes_of(&self, buf: BufId) -> IndexSet {
         union_of(&self.writes, buf)
-    }
-
-    /// Whether this statement conflicts with `other` on any buffer:
-    /// write/write or read/write overlap on at least one element. Two
-    /// conflicting statements must not run concurrently and must keep
-    /// their program order in any parallel schedule.
-    pub fn conflicts_with(&self, other: &StmtAccess) -> bool {
-        let overlap = |xs: &[Access], ys: &[Access]| {
-            xs.iter().any(|x| {
-                ys.iter()
-                    .any(|y| x.buf == y.buf && !x.set.intersect(&y.set).is_empty())
-            })
-        };
-        overlap(&self.writes, &other.writes)
-            || overlap(&self.writes, &other.reads)
-            || overlap(&self.reads, &other.writes)
     }
 }
 
@@ -482,51 +466,5 @@ mod tests {
         let m = stmt_access(&p, &s).unwrap_err();
         assert_eq!(m.buf, BufId(2));
         assert_eq!(m.reason, "zero-length run");
-    }
-
-    #[test]
-    fn disjoint_writes_do_not_conflict_overlapping_ones_do() {
-        let p = program(vec![]);
-        let lo = stmt_access(
-            &p,
-            &Stmt::Fill {
-                dst: Slice::new(BufId(1), 0),
-                value: 0.0,
-                len: 8,
-            },
-        )
-        .unwrap();
-        let hi = stmt_access(
-            &p,
-            &Stmt::Fill {
-                dst: Slice::new(BufId(1), 8),
-                value: 0.0,
-                len: 8,
-            },
-        )
-        .unwrap();
-        assert!(!lo.conflicts_with(&hi));
-        let overlap = stmt_access(
-            &p,
-            &Stmt::Fill {
-                dst: Slice::new(BufId(1), 4),
-                value: 0.0,
-                len: 8,
-            },
-        )
-        .unwrap();
-        assert!(lo.conflicts_with(&overlap));
-        // read/write ordering conflicts count too
-        let reader = stmt_access(
-            &p,
-            &Stmt::Copy {
-                dst: Slice::new(BufId(2), 0),
-                src: Slice::new(BufId(1), 0),
-                len: 4,
-            },
-        )
-        .unwrap();
-        assert!(lo.conflicts_with(&reader));
-        assert!(!hi.conflicts_with(&reader));
     }
 }

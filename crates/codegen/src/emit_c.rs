@@ -116,80 +116,11 @@ pub fn emit_c_with(program: &Program, opts: CEmitOptions) -> String {
     Emitter::new_with(program, opts).emit()
 }
 
-/// [`emit_c_with`] with the statement bodies rendered by `threads` worker
-/// threads into private string buffers that are rejoined in statement order.
-///
-/// Each statement renders from a fresh indent-1 emitter and is addressed by
-/// its *global* index (local tables like `idx_<n>` embed that index), so the
-/// output is byte-identical to [`emit_c_with`] for every thread count. Small
-/// programs fall back to the sequential path: parallel rendering only pays
-/// off when each worker has a meaningful amount of text to produce.
-pub fn emit_c_threaded(program: &Program, opts: CEmitOptions, threads: usize) -> String {
-    let chunks = emission_chunks(program.stmts.len(), threads);
-    if chunks.len() <= 1 {
-        return emit_c_with(program, opts);
-    }
-    let chunk = chunks[0].1 - chunks[0].0;
-    let mut out = Emitter::new_with(program, opts).header();
-    let parts: Vec<String> = std::thread::scope(|s| {
-        let handles: Vec<_> = program
-            .stmts
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, stmts)| {
-                s.spawn(move || {
-                    let mut e = Emitter::new_with(program, opts);
-                    for (j, stmt) in stmts.iter().enumerate() {
-                        e.emit_stmt(ci * chunk + j, stmt);
-                    }
-                    e.out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("emit worker panicked"))
-            .collect()
-    });
-    for part in &parts {
-        out.push_str(part);
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// The statement-chunk partition [`emit_c_threaded`] hands its rendering
-/// workers: consecutive half-open `[start, end)` index ranges covering
-/// `0..n` exactly once, in statement order. Small programs collapse to a
-/// single chunk (below 64 statements per worker, thread spawn overhead
-/// exceeds the rendering cost). Exported so the schedule race checker in
-/// `frodo-verify` can prove the partition it certifies is the partition
-/// the emitter actually uses.
-pub fn emission_chunks(n: usize, threads: usize) -> Vec<(usize, usize)> {
-    /// Below this many statements per worker, thread spawn overhead exceeds
-    /// the rendering cost.
-    const MIN_STMTS_PER_WORKER: usize = 64;
-    let threads = threads.min(n / MIN_STMTS_PER_WORKER).max(1);
-    if threads <= 1 {
-        return vec![(0, n)];
-    }
-    let chunk = n.div_ceil(threads);
-    (0..n.div_ceil(chunk))
-        .map(|ci| (ci * chunk, ((ci + 1) * chunk).min(n)))
-        .collect()
-}
-
-/// [`emit_c_threaded`], recorded as an `emit` span (with `bytes_emitted` and
-/// `emit_threads` counters) on the given trace.
-pub fn emit_c_traced(
-    program: &Program,
-    opts: CEmitOptions,
-    threads: usize,
-    trace: &frodo_obs::Trace,
-) -> String {
+/// [`emit_c_with`], recorded as an `emit` span (with a `bytes_emitted`
+/// counter) on the given trace.
+pub fn emit_c_traced(program: &Program, opts: CEmitOptions, trace: &frodo_obs::Trace) -> String {
     let span = trace.span("emit");
-    span.count("emit_threads", threads as u64);
-    let code = emit_c_threaded(program, opts, threads);
+    let code = emit_c_with(program, opts);
     span.count("bytes_emitted", code.len() as u64);
     code
 }
@@ -1319,59 +1250,6 @@ mod tests {
         assert!(!c.contains("frodo_conv_range"));
     }
 
-    #[test]
-    fn threaded_emit_is_byte_identical_for_any_thread_count() {
-        use crate::lir::{Buffer, BufferRole};
-        // Large enough to clear MIN_STMTS_PER_WORKER for several workers, and
-        // heavy on Gather so the `idx_<global index>` tables would expose any
-        // per-chunk index reset.
-        let mut stmts = Vec::new();
-        for i in 0..300 {
-            if i % 3 == 0 {
-                stmts.push(Stmt::Gather {
-                    dst: Slice::new(BufId(2), 0),
-                    src: BufId(0),
-                    indices: vec![i % 8, (i + 1) % 8],
-                });
-            } else {
-                stmts.push(Stmt::Unary {
-                    op: UnOp::Gain(1.5),
-                    dst: Slice::new(BufId(1), 0),
-                    src: Src::Run(Slice::new(BufId(2), 0)),
-                    len: 8,
-                });
-            }
-        }
-        let p = Program {
-            name: "wide".into(),
-            style: GeneratorStyle::Frodo,
-            buffers: vec![
-                Buffer {
-                    name: "a".into(),
-                    len: 8,
-                    role: BufferRole::Input(0),
-                },
-                Buffer {
-                    name: "b".into(),
-                    len: 8,
-                    role: BufferRole::Output(0),
-                },
-                Buffer {
-                    name: "t".into(),
-                    len: 8,
-                    role: BufferRole::Temp,
-                },
-            ],
-            stmts,
-        };
-        let sequential = emit_c(&p);
-        for threads in [1, 2, 4, 7] {
-            let threaded = emit_c_threaded(&p, CEmitOptions::default(), threads);
-            assert_eq!(threaded, sequential, "threads = {threads}");
-        }
-        assert!(sequential.contains("idx_297"));
-    }
-
     /// Emits one statement in a minimal two-buffer program.
     fn emit_single(stmt: Stmt) -> String {
         use crate::lir::{Buffer, BufferRole};
@@ -1567,45 +1445,6 @@ mod tests {
             },
         );
         assert_eq!(plain, explicit_off);
-    }
-
-    #[test]
-    fn profiled_threaded_emit_matches_sequential() {
-        use crate::lir::{Buffer, BufferRole};
-        let stmts: Vec<Stmt> = (0..200)
-            .map(|_| Stmt::Unary {
-                op: UnOp::Gain(1.5),
-                dst: Slice::new(BufId(1), 0),
-                src: Src::Run(Slice::new(BufId(0), 0)),
-                len: 8,
-            })
-            .collect();
-        let p = Program {
-            name: "wide".into(),
-            style: GeneratorStyle::Frodo,
-            buffers: vec![
-                Buffer {
-                    name: "a".into(),
-                    len: 8,
-                    role: BufferRole::Input(0),
-                },
-                Buffer {
-                    name: "b".into(),
-                    len: 8,
-                    role: BufferRole::Output(0),
-                },
-            ],
-            stmts,
-        };
-        let opts = CEmitOptions {
-            profile: true,
-            ..CEmitOptions::default()
-        };
-        let sequential = emit_c_with(&p, opts);
-        for threads in [2, 3] {
-            assert_eq!(emit_c_threaded(&p, opts, threads), sequential);
-        }
-        assert!(sequential.contains("frodo_prof_record(199, frodo_prof_t0);"));
     }
 
     #[test]

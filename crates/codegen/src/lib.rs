@@ -58,8 +58,8 @@ pub mod optimize;
 mod style;
 
 pub use emit_c::{
-    emission_chunks, emit_c, emit_c_harness, emit_c_harness_with, emit_c_threaded, emit_c_traced,
-    emit_c_with, CEmitOptions, VectorMode,
+    emit_c, emit_c_harness, emit_c_harness_with, emit_c_traced, emit_c_with, CEmitOptions,
+    VectorMode,
 };
 pub use fragment::{generate_from_fragments, FragmentCache, FragmentStats};
 pub use lower::{generate, generate_with, LowerOptions};

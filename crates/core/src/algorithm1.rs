@@ -26,54 +26,14 @@ use frodo_graph::Dfg;
 use frodo_model::{BlockId, BlockKind, InPort, OutPort};
 use frodo_ranges::{IndexSet, Interval, PortMap, Scratch};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Barrier, OnceLock};
-
-/// Which engine computes the ranges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RangeEngine {
-    /// The paper's Algorithm 1: depth-first recursion from the roots with
-    /// memoization for diamond sharing.
-    #[default]
-    Recursive,
-    /// An equivalent single reverse-topological sweep.
-    Iterative,
-    /// A level-scheduled fan-out over the range-dependency DAG: blocks in
-    /// the same level have data-independent ranges and are analyzed
-    /// concurrently by [`RangeOptions::threads`] workers. Produces ranges
-    /// identical to the sequential engines for any thread count.
-    Parallel,
-}
 
 /// Tuning knobs for range determination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RangeOptions {
-    /// Engine selection (all engines produce identical results).
-    pub engine: RangeEngine,
     /// When `true`, output ports with no consumers get an *empty* range
     /// (dead-code elimination) instead of the paper's conservative full
     /// range. Off by default for paper fidelity.
     pub eliminate_dead_ends: bool,
-    /// Worker threads for [`RangeEngine::Parallel`] (`0` = one per available
-    /// core). The sequential engines ignore it.
-    pub threads: usize,
-}
-
-impl RangeOptions {
-    /// The worker count the parallel engine would actually use: `threads`
-    /// with `0` resolved to the machine's available parallelism, and `1`
-    /// for the sequential engines.
-    pub fn resolved_threads(&self) -> usize {
-        if self.engine != RangeEngine::Parallel {
-            return 1;
-        }
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
-    }
 }
 
 /// Hot-path instrumentation from one range-determination run.
@@ -91,21 +51,6 @@ pub struct RangeStats {
     pub set_ops_inline: u64,
     /// In-place set operations that spilled to the heap scratch buffer.
     pub set_ops_spilled: u64,
-    /// Levels in the analysis schedule (parallel engine only).
-    pub levels: u64,
-    /// Widest level of the analysis schedule (parallel engine only).
-    pub max_level_width: u64,
-}
-
-impl RangeStats {
-    fn absorb(&mut self, other: &RangeStats) {
-        self.iomap_cache_hits += other.iomap_cache_hits;
-        self.iomap_cache_misses += other.iomap_cache_misses;
-        self.set_ops_inline += other.set_ops_inline;
-        self.set_ops_spilled += other.set_ops_spilled;
-        self.levels += other.levels;
-        self.max_level_width = self.max_level_width.max(other.max_level_width);
-    }
 }
 
 /// Content-addressed memo of [`PortMap::apply`] results.
@@ -156,9 +101,8 @@ impl ApplyCache {
     }
 }
 
-/// Reusable per-engine (per-worker, for the parallel engine) buffers: one
-/// warmed-up workspace makes Algorithm 1's inner loop allocation-free in
-/// steady state.
+/// Reusable per-engine buffers: one warmed-up workspace makes Algorithm 1's
+/// inner loop allocation-free in steady state.
 #[derive(Debug, Default)]
 pub(crate) struct EngineCtx {
     scratch: Scratch,
@@ -174,7 +118,6 @@ impl EngineCtx {
             iomap_cache_misses: self.cache.misses,
             set_ops_inline: self.scratch.stats.inline,
             set_ops_spilled: self.scratch.stats.spilled,
-            ..RangeStats::default()
         }
     }
 }
@@ -272,7 +215,7 @@ pub(crate) fn full_range_of(dfg: &Dfg, port: OutPort) -> IndexSet {
 }
 
 /// The calculation range of one output port, given final (or, inside delay
-/// cycles, absent) consumer ranges. The shared core of all three engines:
+/// cycles, absent) consumer ranges. The shared core of both engines:
 /// Algorithm 1 lines 16–18 (no consumers ⇒ full output) and lines 20–25
 /// (union of the input needs of each consumer).
 pub(crate) fn port_range<'r>(
@@ -300,27 +243,10 @@ pub(crate) fn port_range<'r>(
     }
 }
 
-/// Computes the calculation range of every output port.
-///
-/// Dispatches on [`RangeOptions::engine`]; all engines implement the same
-/// semantics (see the module docs) and are tested to agree.
+/// Computes the calculation range of every output port (semantics in the
+/// module docs).
 pub fn determine_ranges(dfg: &Dfg, maps: &IoMappings, opts: RangeOptions) -> Ranges {
     determine_ranges_with_stats(dfg, maps, opts).0
-}
-
-/// [`determine_ranges`] plus the run's hot-path instrumentation
-/// ([`RangeStats`]): apply-cache effectiveness, inline-vs-spilled set
-/// operations, and (for the parallel engine) the level-schedule shape.
-pub fn determine_ranges_with_stats(
-    dfg: &Dfg,
-    maps: &IoMappings,
-    opts: RangeOptions,
-) -> (Ranges, RangeStats) {
-    match opts.engine {
-        RangeEngine::Recursive => recursive_ranges(dfg, maps, opts),
-        RangeEngine::Iterative => iterative_ranges(dfg, maps, opts),
-        RangeEngine::Parallel => parallel_ranges(dfg, maps, opts),
-    }
 }
 
 /// The no-elimination baseline: every output port keeps its full range.
@@ -338,14 +264,21 @@ pub fn full_ranges(dfg: &Dfg) -> Ranges {
     Ranges { map }
 }
 
-/// Paper-faithful engine: depth-first traversal from the root blocks.
+/// [`determine_ranges`] plus the run's hot-path instrumentation
+/// ([`RangeStats`]): apply-cache effectiveness and inline-vs-spilled set
+/// operations.
 ///
+/// The paper's depth-first traversal from the root blocks:
 /// `rangeDetermine` (Algorithm 1 lines 1–13) walks the roots; `recursive`
 /// (lines 14–27) computes each block's range from its children's ranges. We
 /// memoize per output port so diamonds are computed once, and run the
 /// depth-first walk on an explicit work stack so arbitrarily deep models
 /// (thousands of chained blocks) cannot overflow the call stack.
-fn recursive_ranges(dfg: &Dfg, maps: &IoMappings, opts: RangeOptions) -> (Ranges, RangeStats) {
+pub fn determine_ranges_with_stats(
+    dfg: &Dfg,
+    maps: &IoMappings,
+    opts: RangeOptions,
+) -> (Ranges, RangeStats) {
     let mut memo: BTreeMap<OutPort, IndexSet> = BTreeMap::new();
     let mut ctx = EngineCtx::default();
 
@@ -434,13 +367,15 @@ fn recursive_ranges(dfg: &Dfg, maps: &IoMappings, opts: RangeOptions) -> (Ranges
     (Ranges { map: memo }, stats)
 }
 
-/// Iterative engine: one sweep over the reverse topological order.
+/// The reference engine: one sweep over the reverse topological order.
 ///
+/// An independent formulation of Algorithm 1 that the agreement tests
+/// compare [`determine_ranges`] against; nothing in the pipeline calls it.
 /// Consumers are scheduled after producers, so visiting the translation
 /// sequence backwards guarantees every consumer's range is final before its
 /// producers are processed. Stateful blocks need no ordering care because
 /// their input requirement is constant (full).
-fn iterative_ranges(dfg: &Dfg, maps: &IoMappings, opts: RangeOptions) -> (Ranges, RangeStats) {
+pub fn reference_ranges(dfg: &Dfg, maps: &IoMappings, opts: RangeOptions) -> Ranges {
     let order = dfg.schedule().expect("a valid Dfg always has a schedule");
     let mut map: BTreeMap<OutPort, IndexSet> = BTreeMap::new();
     let mut ctx = EngineCtx::default();
@@ -454,107 +389,7 @@ fn iterative_ranges(dfg: &Dfg, maps: &IoMappings, opts: RangeOptions) -> (Ranges
             map.insert(port, range);
         }
     }
-    let stats = ctx.stats();
-    (Ranges { map }, stats)
-}
-
-/// Level-scheduled parallel engine.
-///
-/// [`Dfg::analysis_levels`] partitions the blocks so that every range a
-/// block's computation reads lives in a strictly earlier level (delay-broken
-/// feedback keeps the dependency relation acyclic). Workers are spawned
-/// once, split each level by block index modulo the worker count, and meet
-/// at a [`Barrier`] between levels; results live in [`OnceLock`] slots
-/// indexed by [`Dfg::out_port_index`], so cross-level reads are lock-free.
-///
-/// The per-port computation is byte-for-byte the one the sequential engines
-/// run ([`port_range`]), so the result is identical for any thread count.
-fn parallel_ranges(dfg: &Dfg, maps: &IoMappings, opts: RangeOptions) -> (Ranges, RangeStats) {
-    let levels = dfg
-        .analysis_levels()
-        .expect("a valid Dfg has no delay-free cycles");
-    let max_width = levels.iter().map(Vec::len).max().unwrap_or(0);
-    // More workers than the widest level would only ever idle at barriers.
-    let threads = opts.resolved_threads().min(max_width).max(1);
-
-    let slots: Vec<OnceLock<IndexSet>> =
-        (0..dfg.num_out_ports()).map(|_| OnceLock::new()).collect();
-
-    let mut stats = RangeStats {
-        levels: levels.len() as u64,
-        max_level_width: max_width as u64,
-        ..RangeStats::default()
-    };
-
-    let run_worker = |worker: usize, sync: Option<&Barrier>| -> RangeStats {
-        let mut ctx = EngineCtx::default();
-        for level in &levels {
-            for (i, &b) in level.iter().enumerate() {
-                if i % threads != worker {
-                    continue;
-                }
-                for o in 0..dfg.model().block(b).kind.num_outputs() {
-                    let port = OutPort::new(b, o);
-                    let r = port_range(
-                        dfg,
-                        maps,
-                        opts,
-                        port,
-                        &mut |p| {
-                            Some(
-                                slots[dfg.out_port_index(p)]
-                                    .get()
-                                    .expect("level schedule finalizes consumers first"),
-                            )
-                        },
-                        &mut ctx,
-                    );
-                    slots[dfg.out_port_index(port)]
-                        .set(r)
-                        .expect("each port is owned by exactly one worker");
-                }
-            }
-            if let Some(b) = sync {
-                b.wait();
-            }
-        }
-        ctx.stats()
-    };
-
-    if threads <= 1 {
-        stats.absorb(&run_worker(0, None));
-    } else {
-        let barrier = Barrier::new(threads);
-        let run_worker = &run_worker;
-        let barrier = &barrier;
-        let worker_stats = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| s.spawn(move || run_worker(w, Some(barrier))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("range worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for ws in &worker_stats {
-            stats.absorb(ws);
-        }
-    }
-
-    // Slot order equals model iteration order (out_port_index is a prefix
-    // sum over blocks in id order), so draining the slots re-labels them.
-    let mut map = BTreeMap::new();
-    let mut drained = slots.into_iter();
-    for (id, block) in dfg.model().iter() {
-        for o in 0..block.kind.num_outputs() {
-            let r = drained
-                .next()
-                .and_then(OnceLock::into_inner)
-                .expect("every level was executed");
-            map.insert(OutPort::new(id, o), r);
-        }
-    }
-    (Ranges { map }, stats)
+    Ranges { map }
 }
 
 #[cfg(test)]
@@ -616,16 +451,9 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_agree_on_figure1() {
-        let (_, _, rec) = analyze(figure1(), RangeOptions::default());
-        let (_, _, it) = analyze(
-            figure1(),
-            RangeOptions {
-                engine: RangeEngine::Iterative,
-                ..Default::default()
-            },
-        );
-        assert_eq!(rec, it);
+    fn production_engine_agrees_with_the_reference_on_figure1() {
+        let (dfg, maps, rec) = analyze(figure1(), RangeOptions::default());
+        assert_eq!(rec, reference_ranges(&dfg, &maps, RangeOptions::default()));
     }
 
     #[test]
@@ -846,25 +674,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_agrees_with_recursive_for_any_thread_count() {
-        for threads in [1, 2, 4, 9] {
-            let (_, _, rec) = analyze(figure1(), RangeOptions::default());
-            let (_, _, par) = analyze(
-                figure1(),
-                RangeOptions {
-                    engine: RangeEngine::Parallel,
-                    threads,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(rec, par, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_engine_handles_feedback_and_dead_ends() {
+    fn engines_agree_on_feedback_and_dead_ends() {
         // delay feedback: add -> z -> add, plus a dangling gain
-        let mut m = Model::new("par-acc");
+        let mut m = Model::new("acc-dangling");
         let i = m.add(Block::new(
             "in",
             BlockKind::Inport {
@@ -887,40 +699,16 @@ mod tests {
         m.connect(add, 0, o, 0).unwrap();
         m.connect(i, 0, g, 0).unwrap(); // g's output dangles
         for eliminate_dead_ends in [false, true] {
-            let (_, _, rec) = analyze(
-                m.clone(),
-                RangeOptions {
-                    eliminate_dead_ends,
-                    ..Default::default()
-                },
+            let opts = RangeOptions {
+                eliminate_dead_ends,
+            };
+            let (dfg, maps, rec) = analyze(m.clone(), opts);
+            assert_eq!(
+                rec,
+                reference_ranges(&dfg, &maps, opts),
+                "eliminate_dead_ends={eliminate_dead_ends}"
             );
-            let (_, _, par) = analyze(
-                m.clone(),
-                RangeOptions {
-                    engine: RangeEngine::Parallel,
-                    eliminate_dead_ends,
-                    threads: 3,
-                },
-            );
-            assert_eq!(rec, par, "eliminate_dead_ends={eliminate_dead_ends}");
         }
-    }
-
-    #[test]
-    fn parallel_stats_record_the_level_schedule() {
-        let dfg = Dfg::new(figure1(), &frodo_obs::Trace::noop()).unwrap();
-        let maps = IoMappings::derive(&dfg);
-        let (_, stats) = determine_ranges_with_stats(
-            &dfg,
-            &maps,
-            RangeOptions {
-                engine: RangeEngine::Parallel,
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        assert!(stats.levels >= 3, "chain model has a deep level schedule");
-        assert!(stats.max_level_width >= 1);
     }
 
     #[test]

@@ -251,10 +251,9 @@ fn demand_digest(
 
 /// Runs the full analysis pipeline with region-cached range
 /// determination. Produces an [`Analysis`] identical to
-/// [`Analysis::run_traced`] with the same model and options (all range
-/// engines agree, and the regional walk implements the same per-port
-/// computation), while re-running Algorithm 1 only on regions missing
-/// from `cache`.
+/// [`Analysis::run_traced`] with the same model and options (the
+/// regional walk implements the same per-port computation), while
+/// re-running Algorithm 1 only on regions missing from `cache`.
 ///
 /// Recorded on `trace`: the standard `flatten`/`dfg`/`iomap`/`ranges`/
 /// `classify` spans, with `region_total`, `region_hits`, `region_misses`,
@@ -275,17 +274,14 @@ pub fn analyze_incremental(
     trace: &Trace,
 ) -> Result<IncrementalAnalysis, ModelError> {
     let dfg = Dfg::new(model, trace)?;
-    let threads = options.resolved_threads();
     let mappings = {
-        let span = trace.span("iomap");
-        span.count("iomap_threads", threads as u64);
-        IoMappings::derive_with(&dfg, threads)
+        let _span = trace.span("iomap");
+        IoMappings::derive(&dfg)
     };
 
     let span = trace.span("ranges");
     let partition = partition_regions(&dfg, region_max)?;
-    // every option that shapes range results (engine choice does not:
-    // the engines are tested to agree on every model)
+    // every option that shapes range results
     let options_digest = {
         let mut h = Fnv128::new();
         h.write(b"regions-v1");

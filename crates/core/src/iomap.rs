@@ -20,50 +20,19 @@ pub struct IoMappings {
 impl IoMappings {
     /// Derives the mappings of every block in the graph.
     pub fn derive(dfg: &Dfg) -> Self {
-        IoMappings::derive_with(dfg, 1)
-    }
-
-    /// [`IoMappings::derive`] fanned out over `threads` workers.
-    ///
-    /// Every block's mapping is derived independently from its own
-    /// parameters and resolved shapes, so the blocks are split into
-    /// contiguous chunks processed concurrently and re-joined in block-id
-    /// order — the result is identical for any thread count. `threads ≤ 1`
-    /// (and small models, where spawn overhead dominates) run inline.
-    pub fn derive_with(dfg: &Dfg, threads: usize) -> Self {
-        let model = dfg.model();
         let shapes = dfg.shapes();
-        let derive_one = |(id, block): (frodo_model::BlockId, &frodo_model::Block)| {
-            let n_in = block.kind.num_inputs();
-            let n_out = block.kind.num_outputs();
-            let in_shapes = shapes.inputs_of(id, n_in);
-            let out_shapes = shapes.outputs_of(id, n_out);
-            proplib::io_maps_of(block, &in_shapes, &out_shapes)
-        };
-        let n = model.len();
-        const MIN_BLOCKS_PER_WORKER: usize = 64;
-        let threads = threads.min(n / MIN_BLOCKS_PER_WORKER).max(1);
-        if threads <= 1 {
-            return IoMappings {
-                maps: model.iter().map(derive_one).collect(),
-            };
-        }
-        let blocks: Vec<_> = model.iter().collect();
-        let chunk = n.div_ceil(threads);
-        let derive_one = &derive_one;
-        let chunks = std::thread::scope(|s| {
-            let handles: Vec<_> = blocks
-                .chunks(chunk)
-                .map(|c| s.spawn(move || c.iter().copied().map(derive_one).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("iomap worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        IoMappings {
-            maps: chunks.into_iter().flatten().collect(),
-        }
+        let maps = dfg
+            .model()
+            .iter()
+            .map(|(id, block)| {
+                let n_in = block.kind.num_inputs();
+                let n_out = block.kind.num_outputs();
+                let in_shapes = shapes.inputs_of(id, n_in);
+                let out_shapes = shapes.outputs_of(id, n_out);
+                proplib::io_maps_of(block, &in_shapes, &out_shapes)
+            })
+            .collect();
+        IoMappings { maps }
     }
 
     /// The mapping of `(block, out_port) → in_port`.

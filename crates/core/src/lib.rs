@@ -12,11 +12,9 @@
 //!    shrank below their full output are *optimizable*
 //!    ([`Analysis::is_optimizable`]) and receive concise code downstream.
 //!
-//! Three interchangeable engines implement Algorithm 1 — the paper's
-//! recursion ([`RangeEngine::Recursive`]), an iterative reverse-topological
-//! pass ([`RangeEngine::Iterative`]), and a level-scheduled multi-threaded
-//! fan-out ([`RangeEngine::Parallel`]) — which are tested to agree
-//! exactly on every model.
+//! [`determine_ranges`] is the paper's recursion from the roots. An
+//! independent reverse-topological sweep, [`reference_ranges`], is kept
+//! only as the reference the agreement tests compare it against.
 //!
 //! # Example
 //!
@@ -62,7 +60,7 @@ mod iomap;
 mod pipeline;
 
 pub use algorithm1::{
-    determine_ranges, determine_ranges_with_stats, full_ranges, RangeEngine, RangeOptions,
+    determine_ranges, determine_ranges_with_stats, full_ranges, reference_ranges, RangeOptions,
     RangeStats, Ranges,
 };
 pub use classify::{BlockStat, OptimizationReport};

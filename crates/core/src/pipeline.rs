@@ -82,11 +82,9 @@ impl Analysis {
         trace: &Trace,
     ) -> Result<Self, ModelError> {
         let dfg = Dfg::new(model, trace)?;
-        let threads = options.resolved_threads();
         let mappings = {
-            let span = trace.span("iomap");
-            span.count("iomap_threads", threads as u64);
-            IoMappings::derive_with(&dfg, threads)
+            let _span = trace.span("iomap");
+            IoMappings::derive(&dfg)
         };
         let ranges = {
             let span = trace.span("ranges");
@@ -95,8 +93,6 @@ impl Analysis {
             span.count("iomap_cache_misses", stats.iomap_cache_misses);
             span.count("set_ops_inline", stats.set_ops_inline);
             span.count("set_ops_spilled", stats.set_ops_spilled);
-            span.count("analysis_levels", stats.levels);
-            span.count("level_width_max", stats.max_level_width);
             ranges
         };
         let report = {
@@ -223,9 +219,8 @@ mod tests {
         }
         assert_eq!(trace.counter_total("blocks_analyzed"), 5);
         assert_eq!(trace.counter_total("blocks_optimizable"), 1);
-        // hot-path instrumentation: every run derives at least one mapping
+        // hot-path instrumentation: every run applies at least one mapping
         // and performs at least one set operation, all inline on this model
-        assert_eq!(trace.counter_total("iomap_threads"), 1);
         assert!(trace.counter_total("iomap_cache_misses") > 0);
         assert!(trace.counter_total("set_ops_inline") > 0);
         assert_eq!(
@@ -252,7 +247,6 @@ mod tests {
     #[cfg(feature = "proptest")]
     mod props {
         use super::*;
-        use crate::RangeEngine;
         use proptest::prelude::*;
 
         /// Generates a random layered feed-forward model mixing elementwise,
@@ -342,25 +336,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
             #[test]
-            fn prop_engines_agree_on_random_models(model in arb_model(), threads in 1usize..8) {
-                let rec = Analysis::run_with(
-                    model.clone(),
-                    RangeOptions { engine: RangeEngine::Recursive, ..Default::default() },
-                ).unwrap();
-                let it = Analysis::run_with(
-                    model.clone(),
-                    RangeOptions { engine: RangeEngine::Iterative, ..Default::default() },
-                ).unwrap();
-                let par = Analysis::run_with(
-                    model,
-                    RangeOptions {
-                        engine: RangeEngine::Parallel,
-                        threads,
-                        ..Default::default()
-                    },
-                ).unwrap();
-                prop_assert_eq!(rec.ranges(), it.ranges());
-                prop_assert_eq!(rec.ranges(), par.ranges());
+            fn prop_engines_agree_on_random_models(model in arb_model()) {
+                let a = Analysis::run(model).unwrap();
+                let reference =
+                    crate::reference_ranges(a.dfg(), a.mappings(), RangeOptions::default());
+                prop_assert_eq!(a.ranges(), &reference);
             }
 
             #[test]

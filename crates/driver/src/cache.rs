@@ -2,8 +2,7 @@
 //!
 //! Keys are [`ContentDigest`](frodo_slx::fnv::ContentDigest)s of the
 //! flattened model plus every option that affects the generated C (style,
-//! dead-end elimination, coalescing gap, emission options). The range
-//! engine is not keyed: every engine gives the same C.
+//! dead-end elimination, coalescing gap, emission options).
 //! Two layers:
 //!
 //! - an **in-memory** map, always on, which also retains the lowered

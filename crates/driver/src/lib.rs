@@ -6,14 +6,14 @@
 //! that pipeline into a *service* able to take production-scale traffic:
 //!
 //! - **Batching & parallelism** — [`CompileService::compile_batch`] drains
-//!   a job queue on a `std::thread` worker pool. Jobs are panic-isolated:
-//!   a poisoned job becomes a [`JobError`] in its result slot, the rest of
-//!   the batch completes.
+//!   a job queue on a `std::thread` worker pool; each job compiles on the
+//!   one worker thread that took it. Jobs are panic-isolated: a poisoned
+//!   job becomes a [`JobError`] in its result slot, the rest of the batch
+//!   completes.
 //! - **Content-addressed caching** — every artifact is keyed by a digest
 //!   ([`frodo_slx::fnv`]) of the *flattened* model plus every option that
 //!   affects the generated C. The model's derived `Debug` form is
-//!   streamed straight into the digest, so no text is built to hash it;
-//!   the range engine is not keyed, since every engine gives the same C.
+//!   streamed straight into the digest, so no text is built to hash it.
 //!   Resubmitting an unchanged model skips
 //!   analysis and emission entirely; an optional on-disk layer persists
 //!   artifacts across processes. Hit/miss counters are exposed via
@@ -86,12 +86,10 @@ use std::time::Instant;
 /// The options that determine the generated C, which the artifact cache
 /// key (and the incremental session's per-region keys) must cover. Two
 /// compiles whose model and `KeyedOptions` agree produce byte-identical
-/// code. One field is carried here but not keyed: the range engine inside
-/// [`RangeOptions`], since every engine gives identical ranges.
+/// code.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeyedOptions {
-    /// Range-determination options. Only dead-end elimination is keyed;
-    /// the engine is not.
+    /// Range-determination options (dead-end elimination).
     pub range: RangeOptions,
     /// Lowering options (run coalescing).
     pub lower: LowerOptions,
@@ -105,11 +103,6 @@ pub struct KeyedOptions {
 /// [`cache_key`] takes [`KeyedOptions`] and cannot see these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Intra-model thread budget for analysis and emission; `0` means one
-    /// per available core. `1` keeps every stage on the calling thread.
-    /// The parallel stages are byte-identical to the sequential ones for
-    /// every thread count.
-    pub intra_threads: usize,
     /// Runs the range-soundness checker (`frodo-verify`) on the lowered
     /// program before emission; a failed check fails the job closed with
     /// [`JobError::Verify`] carrying the structured diagnostics.
@@ -121,12 +114,10 @@ pub struct ExecOptions {
     pub verify: bool,
     /// Runs the dataflow analyses (`frodo-verify`'s `analyze` stage) on
     /// the lowered program before emission: value-range numeric-safety
-    /// checks, the residual-redundancy detector, the parallel-schedule
-    /// race checker, and the buffer-lifetime report. Error-severity
-    /// findings (`F301`/`F302`) fail the job closed with
-    /// [`JobError::Verify`]; warnings are recorded as counters only.
-    /// Like `verify`, this never changes the generated C and is excluded
-    /// from every cache key.
+    /// checks, the residual-redundancy detector, and the buffer-lifetime
+    /// report. Their findings are warnings, recorded as counters only; they
+    /// never fail the job. Like `verify`, this never changes the generated
+    /// C and is excluded from every cache key.
     pub analyze: bool,
     /// Wall-clock budget for the whole job in milliseconds; `0` means no
     /// limit. Enforced by the worker pool ([`JobPool`]): an overrunning
@@ -153,18 +144,6 @@ impl CompileOptions {
     pub fn builder() -> CompileOptionsBuilder {
         CompileOptionsBuilder::default()
     }
-
-    /// Resolves [`ExecOptions::intra_threads`]: `0` becomes one thread
-    /// per available core.
-    pub fn resolved_intra_threads(&self) -> usize {
-        if self.exec.intra_threads > 0 {
-            self.exec.intra_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
 }
 
 /// Builds a [`CompileOptions`] one knob at a time; each setter routes its
@@ -175,12 +154,6 @@ pub struct CompileOptionsBuilder {
 }
 
 impl CompileOptionsBuilder {
-    /// Range-determination engine (carried in [`KeyedOptions`], not keyed).
-    pub fn engine(mut self, engine: frodo_core::RangeEngine) -> Self {
-        self.options.keyed.range.engine = engine;
-        self
-    }
-
     /// Full range-determination options (keyed).
     pub fn range(mut self, range: RangeOptions) -> Self {
         self.options.keyed.range = range;
@@ -222,12 +195,6 @@ impl CompileOptionsBuilder {
     /// Sliding-window reuse pass after lowering (keyed).
     pub fn window_reuse(mut self, on: bool) -> Self {
         self.options.keyed.lower.window_reuse = on;
-        self
-    }
-
-    /// Intra-model thread budget (exec-only).
-    pub fn intra_threads(mut self, threads: usize) -> Self {
-        self.options.exec.intra_threads = threads;
         self
     }
 
@@ -377,10 +344,9 @@ pub enum JobError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// The range-soundness checker or the dataflow analyses rejected the
-    /// lowered program ([`ExecOptions::verify`] / [`ExecOptions::analyze`]).
-    /// The structured diagnostics name the block, buffer, and offending
-    /// interval of every finding.
+    /// The range-soundness checker rejected the lowered program
+    /// ([`ExecOptions::verify`]). The structured diagnostics name the
+    /// block, buffer, and offending interval of every finding.
     Verify {
         /// Job display name.
         job: String,
@@ -525,24 +491,6 @@ impl CompileService {
         let start = Instant::now();
         let batch_span = trace.span("batch");
         batch_span.count("jobs", specs.len() as u64);
-        // Jobs that left intra_threads on auto split the machine with the
-        // pool instead of each claiming every core: `workers` jobs run at
-        // once, so each gets `cores / workers` threads. Explicit budgets
-        // (including 1) pass through untouched.
-        let intra_auto = (std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            / workers)
-            .max(1);
-        let specs: Vec<JobSpec> = specs
-            .into_iter()
-            .map(|mut s| {
-                if s.options.exec.intra_threads == 0 {
-                    s.options.exec.intra_threads = intra_auto;
-                }
-                s
-            })
-            .collect();
         let bt = batch_span.trace();
         let specs = if trace.is_enabled() {
             specs.into_iter().map(|s| s.with_trace(&bt)).collect()
@@ -671,22 +619,14 @@ impl CompileService {
             }
         }
 
-        // The intra-model thread budget is applied *after* the cache key is
-        // taken: the parallel engine and threaded emitter are byte-identical
-        // to the sequential path, so the budget must never split the cache.
-        let threads = options.resolved_intra_threads();
-        let mut range = options.keyed.range;
-        if threads > 1 {
-            range.engine = frodo_core::RangeEngine::Parallel;
-            range.threads = threads;
-        }
-
         // analysis: dfg + iomap + Algorithm 1 + classification. The
         // model is already flat, so the inner flatten span is a no-op
         // pass recorded alongside the real one above.
-        let analysis = Analysis::run_traced(flat, range, &jt).map_err(|e| JobError::Analysis {
-            job: name.clone(),
-            message: e.to_string(),
+        let analysis = Analysis::run_traced(flat, options.keyed.range, &jt).map_err(|e| {
+            JobError::Analysis {
+                job: name.clone(),
+                message: e.to_string(),
+            }
         })?;
 
         // lower + emit (each records its own span)
@@ -709,36 +649,25 @@ impl CompileService {
             }
         }
 
-        // analyze (opt-in): dataflow analyses over the lowered program.
-        // Warnings (F2xx) are recorded; error-severity schedule findings
-        // (F3xx) fail the job closed like a soundness defect.
+        // analyze (opt-in): dataflow analyses over the lowered program;
+        // their findings are warnings, recorded as counters
         if options.exec.analyze {
             let span = jt.span("analyze");
             let report = frodo_verify::analyze_compile(
                 &analysis,
                 &program,
-                &frodo_verify::AnalyzeOptions {
-                    emit_threads: threads,
-                    ..Default::default()
-                },
+                &frodo_verify::AnalyzeOptions::default(),
             );
             span.count("analyze_stmts", report.stmts as u64);
             span.count("analyze_diagnostics", report.diagnostics.len() as u64);
             span.count("analyze_residual_elements", report.residual_elements as u64);
-            span.count("analyze_schedule_units", report.schedule_units as u64);
             span.count(
                 "analyze_dead_store_elements",
                 report.lifetime.dead_store_elements as u64,
             );
-            if report.error_count() > 0 {
-                return Err(JobError::Verify {
-                    job: name.clone(),
-                    diagnostics: report.diagnostics,
-                });
-            }
         }
 
-        let code = emit_c_traced(&program, options.keyed.emit, threads, &jt);
+        let code = emit_c_traced(&program, options.keyed.emit, &jt);
 
         let metrics = JobMetrics::from_analysis(&analysis);
         if !self.config.no_cache {
@@ -792,8 +721,7 @@ fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
 }
 
 /// The cache key: a content digest over the flattened model's derived
-/// `Debug` form, the generator style, and every keyed option but the
-/// range engine. Taking [`KeyedOptions`] (not [`CompileOptions`]) makes
+/// `Debug` form, the generator style, and every keyed option. Taking [`KeyedOptions`] (not [`CompileOptions`]) makes
 /// it impossible for an execution-only knob to split the cache.
 ///
 /// The `Debug` form is streamed into the digest, never built as text.
@@ -984,7 +912,6 @@ mod tests {
         .unwrap();
         assert!(!out.code.is_empty());
         assert!(trace.counter_total("analyze_stmts") > 0);
-        assert!(trace.counter_total("analyze_schedule_units") > 0);
         assert_eq!(trace.counter_total("analyze_diagnostics"), 0);
         assert_eq!(trace.counter_total("analyze_residual_elements"), 0);
         assert!(trace.snapshot().spans.iter().any(|s| s.name == "analyze"));
@@ -1000,7 +927,6 @@ mod tests {
             .unwrap();
         let plain = CompileOptions::default();
         let exec_heavy = CompileOptions::builder()
-            .intra_threads(7)
             .verify(true)
             .timeout_ms(1234)
             .build();
@@ -1010,24 +936,8 @@ mod tests {
             cache_key(&base, GeneratorStyle::Frodo, &plain.keyed),
             cache_key(&base, GeneratorStyle::Frodo, &exec_heavy.keyed)
         );
-        // the range engines give identical ranges and C: one key
-        for engine in [
-            frodo_core::RangeEngine::Recursive,
-            frodo_core::RangeEngine::Iterative,
-            frodo_core::RangeEngine::Parallel,
-        ] {
-            let opts = CompileOptions::builder().engine(engine).build();
-            assert_eq!(
-                cache_key(&base, GeneratorStyle::Frodo, &plain.keyed),
-                cache_key(&base, GeneratorStyle::Frodo, &opts.keyed)
-            );
-        }
         // every ExecOptions field, one at a time
         for exec in [
-            ExecOptions {
-                intra_threads: 3,
-                ..ExecOptions::default()
-            },
             ExecOptions {
                 verify: true,
                 ..ExecOptions::default()

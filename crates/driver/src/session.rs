@@ -241,8 +241,7 @@ impl CompileSession {
             }
         }
 
-        let threads = self.options.resolved_intra_threads();
-        let code = emit_c_traced(&program, self.options.keyed.emit, threads, &jt);
+        let code = emit_c_traced(&program, self.options.keyed.emit, &jt);
 
         self.stats.compiles += 1;
         self.stats.last_region_total = inc.stats.regions;

@@ -151,7 +151,7 @@ impl Dfg {
 
     /// Dense index of an output port in `[0, num_out_ports())`: ports are
     /// numbered block by block in id order. Used to key flat per-port
-    /// tables (e.g. the parallel range engine's result slots).
+    /// tables (e.g. the consumer adjacency).
     pub fn out_port_index(&self, port: OutPort) -> usize {
         self.port_offsets[port.block.index()] + port.port
     }

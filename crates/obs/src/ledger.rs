@@ -70,12 +70,12 @@ pub struct LedgerEntry {
     pub ts_unix: u64,
     /// Short git revision of the working tree (or `unknown`).
     pub git_rev: String,
-    /// What ran: a model name, `batch:<n>`, or `bench:hotpath`.
+    /// What ran: a model name, `batch:<n>`, `serve`, or `calibrate`.
     pub label: String,
-    /// Range-analysis engine used (`dense`, `worklist`, `parallel`, or
-    /// `auto`).
+    /// Range-analysis engine (`recursive` for compiles; calibration
+    /// entries record their measurement source here).
     pub engine: String,
-    /// Intra-model analysis threads requested (0 = auto).
+    /// Intra-model threads per compile (`1`; `0` for calibration).
     pub threads: u64,
     /// Batch worker threads.
     pub workers: u64,

@@ -4,20 +4,26 @@
 use crate::client::{self, Client, Endpoint};
 use crate::proto::RequestOptions;
 use crate::server::{Server, ServerConfig};
-use frodo_core::{RangeEngine, RangeOptions};
 use frodo_obs::ndjson;
 use std::path::Path;
 
 /// The default unix socket, next to the default ledger.
 pub const DEFAULT_SOCKET: &str = ".frodo/serve.sock";
 
-fn flag_value<'a>(args: &'a [String], names: &[&str]) -> Option<&'a str> {
+/// The value after the first of `names` in `args`, if any.
+pub fn flag_value<'a>(args: &'a [String], names: &[&str]) -> Option<&'a str> {
     args.windows(2)
         .find(|w| names.contains(&w[0].as_str()))
         .map(|w| w[1].as_str())
 }
 
-fn positionals<'a>(args: &'a [String], value_flags: &[&str], bool_flags: &[&str]) -> Vec<&'a str> {
+/// Positional arguments: everything that is neither a listed flag nor a
+/// value-taking flag's value. Any other `-`-prefixed argument is an error.
+pub fn positionals<'a>(
+    args: &'a [String],
+    value_flags: &[&str],
+    bool_flags: &[&str],
+) -> Result<Vec<&'a str>, String> {
     let mut out = Vec::new();
     let mut skip = false;
     for arg in args {
@@ -25,11 +31,15 @@ fn positionals<'a>(args: &'a [String], value_flags: &[&str], bool_flags: &[&str]
             skip = false;
         } else if value_flags.contains(&arg.as_str()) {
             skip = true;
-        } else if !bool_flags.contains(&arg.as_str()) {
+        } else if bool_flags.contains(&arg.as_str()) {
+            continue;
+        } else if arg.len() > 1 && arg.starts_with('-') {
+            return Err(format!("unknown flag '{arg}'"));
+        } else {
             out.push(arg.as_str());
         }
     }
-    out
+    Ok(out)
 }
 
 fn parse_num<T: std::str::FromStr>(
@@ -89,9 +99,6 @@ pub fn cmd_client(args: &[String]) -> Result<(), String> {
         "-s",
         "--style",
         "--styles",
-        "--threads",
-        "-t",
-        "--engine",
         "--timeout",
         "--client",
         "--retries",
@@ -101,8 +108,8 @@ pub fn cmd_client(args: &[String]) -> Result<(), String> {
         "--region-max",
         "--vectorize",
     ];
-    let bool_flags = ["--verify", "--trace", "--window-reuse"];
-    let pos = positionals(args, &value_flags, &bool_flags);
+    let bool_flags = ["--verify", "--analyze", "--trace", "--window-reuse"];
+    let pos = positionals(args, &value_flags, &bool_flags)?;
     let kind = *pos.first().ok_or(
         "client: missing request kind (compile|recompile|lint|batch|status|metrics|shutdown)",
     )?;
@@ -174,27 +181,12 @@ pub fn cmd_client(args: &[String]) -> Result<(), String> {
 }
 
 fn request_options(args: &[String]) -> Result<RequestOptions, String> {
-    let engine = match flag_value(args, &["--engine"]) {
-        None | Some("recursive") => RangeEngine::Recursive,
-        Some("iterative") => RangeEngine::Iterative,
-        Some("parallel") => RangeEngine::Parallel,
-        Some(other) => {
-            return Err(format!(
-                "unknown engine '{other}' (expected recursive|iterative|parallel)"
-            ))
-        }
-    };
     // Bare `batch` widths resolve server-side; the label travels verbatim.
     let vectorize = match flag_value(args, &["--vectorize"]) {
         None => frodo_codegen::VectorMode::default(),
         Some(s) => frodo_codegen::VectorMode::parse(s, 8)?,
     };
     Ok(RequestOptions {
-        threads: parse_num(args, &["--threads", "-t"], "--threads")?.unwrap_or(0),
-        range: RangeOptions {
-            engine,
-            ..RangeOptions::default()
-        },
         verify: args.iter().any(|a| a == "--verify"),
         analyze: args.iter().any(|a| a == "--analyze"),
         trace: args.iter().any(|a| a == "--trace"),

@@ -262,18 +262,6 @@ pub fn simple_request(kind: &str, model: Option<&str>) -> String {
 }
 
 fn write_options(w: &mut ndjson::ObjWriter, options: &proto::RequestOptions, client: Option<u64>) {
-    if options.threads > 0 {
-        w.field_num("threads", options.threads as u64);
-    }
-    match options.range.engine {
-        frodo_core::RangeEngine::Recursive => {}
-        frodo_core::RangeEngine::Iterative => {
-            w.field_str("engine", "iterative");
-        }
-        frodo_core::RangeEngine::Parallel => {
-            w.field_str("engine", "parallel");
-        }
-    }
     if options.verify {
         w.field_num("verify", 1);
     }
@@ -314,7 +302,6 @@ mod tests {
     #[test]
     fn built_requests_parse_back() {
         let opts = proto::RequestOptions {
-            threads: 1,
             verify: true,
             analyze: true,
             timeout_ms: 250,
@@ -330,7 +317,6 @@ mod tests {
             } => {
                 assert_eq!(model, "models/a b.mdl");
                 assert_eq!(style, frodo_codegen::GeneratorStyle::Hcg);
-                assert_eq!(options.threads, 1);
                 assert!(options.verify);
                 assert!(options.analyze);
                 assert_eq!(options.timeout_ms, 250);

@@ -10,7 +10,7 @@
 //!
 //! | type | fields |
 //! |------|--------|
-//! | `compile` | `model`, optional `style`, `threads`, `engine`, `verify`, `analyze`, `trace`, `timeout_ms`, `vectorize`, `window_reuse`, `client` |
+//! | `compile` | `model`, optional `style`, `verify`, `analyze`, `trace`, `timeout_ms`, `vectorize`, `window_reuse`, `client` |
 //! | `lint` | `model` |
 //! | `batch` | `models` (array), optional `styles` (comma list or `all`), plus the `compile` options |
 //! | `recompile` | `session`, `model`, optional `style`, `region_max`, plus the `compile` options |
@@ -57,7 +57,6 @@
 //! extra field; the flat-NDJSON parser skips unknown keys by design.
 
 use frodo_codegen::{GeneratorStyle, VectorMode};
-use frodo_core::{RangeEngine, RangeOptions};
 use frodo_driver::{CacheStats, CompileOptions, JobError, JobOutput, PoolSnapshot, SessionStats};
 use frodo_obs::ndjson::{self, ObjWriter, Value};
 use frodo_obs::Histogram;
@@ -73,12 +72,8 @@ use frodo_obs::Histogram;
 pub const PROTO_VERSION: u64 = 4;
 
 /// Per-request compile options — the CLI surface, carried on the wire.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RequestOptions {
-    /// Intra-model thread budget (`threads`); `0` = auto.
-    pub threads: usize,
-    /// Range-determination options (`engine`).
-    pub range: RangeOptions,
     /// Run the range-soundness checker (`verify`, as 0/1).
     pub verify: bool,
     /// Run the dataflow analyses (`analyze`, as 0/1; protocol version 4).
@@ -97,8 +92,6 @@ impl RequestOptions {
     /// Lowers the wire options onto the driver's option set.
     pub fn compile_options(&self) -> CompileOptions {
         CompileOptions::builder()
-            .range(self.range)
-            .intra_threads(self.threads)
             .verify(self.verify)
             .analyze(self.analyze)
             .timeout_ms(self.timeout_ms)
@@ -183,16 +176,6 @@ pub fn parse_styles(s: &str) -> Result<Vec<GeneratorStyle>, String> {
 }
 
 fn options_from(fields: &[(String, Value)]) -> Result<RequestOptions, String> {
-    let engine = match ndjson::get_str(fields, "engine") {
-        None | Some("recursive") => RangeEngine::Recursive,
-        Some("iterative") => RangeEngine::Iterative,
-        Some("parallel") => RangeEngine::Parallel,
-        Some(other) => {
-            return Err(format!(
-                "unknown engine '{other}' (expected recursive|iterative|parallel)"
-            ))
-        }
-    };
     // Bare `batch` gets the x86 lane count; the daemon compiles for the
     // host it runs on, and clients wanting another width say `batch:W`.
     let vectorize = match ndjson::get_str(fields, "vectorize") {
@@ -201,11 +184,6 @@ fn options_from(fields: &[(String, Value)]) -> Result<RequestOptions, String> {
     };
     let num = |key: &str| ndjson::get_num(fields, key).unwrap_or(0.0);
     Ok(RequestOptions {
-        threads: num("threads") as usize,
-        range: RangeOptions {
-            engine,
-            ..RangeOptions::default()
-        },
         verify: num("verify") != 0.0,
         analyze: num("analyze") != 0.0,
         trace: num("trace") != 0.0,
@@ -545,7 +523,7 @@ mod tests {
     #[test]
     fn request_roundtrip_covers_every_kind() {
         let r = parse_request(
-            r#"{"type":"compile","model":"Kalman","style":"hcg","threads":2,"engine":"iterative","verify":1,"timeout_ms":500,"vectorize":"batch:4","window_reuse":1,"client":7}"#,
+            r#"{"type":"compile","model":"Kalman","style":"hcg","verify":1,"timeout_ms":500,"vectorize":"batch:4","window_reuse":1,"client":7}"#,
         )
         .unwrap();
         match r {
@@ -557,8 +535,6 @@ mod tests {
             } => {
                 assert_eq!(model, "Kalman");
                 assert_eq!(style, GeneratorStyle::Hcg);
-                assert_eq!(options.threads, 2);
-                assert_eq!(options.range.engine, RangeEngine::Iterative);
                 assert!(options.verify);
                 assert!(!options.trace);
                 assert_eq!(options.timeout_ms, 500);
@@ -566,9 +542,7 @@ mod tests {
                 assert_eq!(options.vectorize, VectorMode::Batch(4));
                 assert!(options.window_reuse);
                 let co = options.compile_options();
-                assert_eq!(co.exec.intra_threads, 2);
                 assert_eq!(co.exec.timeout_ms, 500);
-                assert_eq!(co.keyed.range.engine, RangeEngine::Iterative);
                 assert_eq!(co.keyed.emit.vectorize, VectorMode::Batch(4));
                 assert!(co.keyed.lower.window_reuse);
             }
@@ -602,6 +576,18 @@ mod tests {
             parse_request(r#"{"type":"shutdown"}"#).unwrap(),
             Request::Shutdown
         ));
+    }
+
+    #[test]
+    fn retired_threads_and_engine_fields_are_ignored() {
+        let options = |line: &str| match parse_request(line).unwrap() {
+            Request::Compile { options, .. } => options,
+            other => panic!("expected compile, got {other:?}"),
+        };
+        assert_eq!(
+            options(r#"{"type":"compile","model":"Kalman","threads":2,"engine":"parallel"}"#),
+            options(r#"{"type":"compile","model":"Kalman"}"#)
+        );
     }
 
     #[test]
@@ -674,11 +660,6 @@ mod tests {
             .unwrap_err()
             .contains("empty"));
         assert!(
-            parse_request(r#"{"type":"compile","model":"x","engine":"warp"}"#)
-                .unwrap_err()
-                .contains("unknown engine")
-        );
-        assert!(
             parse_request(r#"{"type":"compile","model":"x","vectorize":"warp"}"#)
                 .unwrap_err()
                 .contains("unknown vectorize mode")
@@ -689,7 +670,7 @@ mod tests {
                 .contains("out of range")
         );
         // parse errors carry the line/offset locator from frodo-obs
-        assert!(parse_request(r#"{"type":"compile","threads":x}"#)
+        assert!(parse_request(r#"{"type":"compile","timeout_ms":x}"#)
             .unwrap_err()
             .contains("at line 1"));
     }

@@ -615,7 +615,14 @@ fn flush_ledger(shared: &Shared) -> Option<String> {
     let snap = shared.trace.snapshot();
     let agg = aggregate(&snap);
     let wall_ns = shared.started.elapsed().as_nanos() as u64;
-    let mut entry = LedgerEntry::from_agg(&agg, "serve", "auto", 0, shared.workers as u64, wall_ns);
+    let mut entry = LedgerEntry::from_agg(
+        &agg,
+        "serve",
+        "recursive",
+        1,
+        shared.workers as u64,
+        wall_ns,
+    );
     let pool = shared.pool.snapshot();
     let cache = shared.service.cache_stats();
     let hist = |name: &str| {

@@ -1,7 +1,7 @@
 //! The `analyze` pipeline stage: dataflow client analyses over the
 //! lowered statement IR.
 //!
-//! Four analyses run over one [`Program`], all built on the
+//! Three analyses run over one [`Program`], all built on the
 //! [`dataflow`](crate::dataflow) engine and the shared element-access
 //! footprints of [`frodo_codegen::access`]:
 //!
@@ -15,28 +15,19 @@
 //!    slop (`F204`). On FRODO-style output this should be empty: it is the
 //!    dataflow restatement of the paper's redundancy-elimination claim.
 //!    Baseline styles report exactly their over-computation.
-//! 3. **Schedule races** — a happens-before check of parallel execution
-//!    schedules at statement granularity. The finest (most adversarial)
-//!    level schedule is derived from element-precise conflicts and then
-//!    *verified* against the conflict relation ([`check_schedule`]); any
-//!    same-unit cross-task overlap is a data race (`F301`), any coverage
-//!    or dependence-order defect is a malformed schedule (`F302`). The
-//!    threaded-emission chunk partition is validated the same way.
-//! 4. **Buffer lifetimes** — first-write/last-read spans, dead stores,
+//! 3. **Buffer lifetimes** — first-write/last-read spans, dead stores,
 //!    and a greedy slot packing of `Temp` buffers estimating reclaimable
 //!    storage. Report-only (no diagnostics).
 //!
 //! Everything here is deterministic: diagnostics depend only on the
-//! program and the options, never on engine choice or thread counts, and
-//! are emitted in statement order.
+//! program and the options, and are emitted in statement order.
 
 use std::collections::BTreeSet;
 
 use crate::dataflow::{run_one_pass, run_to_fixpoint, Direction, Transfer};
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::soundness::{output_demands, OutputDemand};
 use frodo_codegen::access::{stmt_access, Malformed, StmtAccess};
-use frodo_codegen::emission_chunks;
 use frodo_codegen::lir::{
     BinOp, BufId, BufferRole, Program, ReduceOp, Src, Stmt, UnOp, WindowScale,
 };
@@ -59,8 +50,6 @@ pub struct AnalyzeOptions {
     /// generator deliberately bridges demand gaps up to this size, and
     /// those bridge elements are not residual redundancy.
     pub demand_slop: usize,
-    /// Worker count whose threaded-emission chunk partition is validated.
-    pub emit_threads: usize,
 }
 
 impl Default for AnalyzeOptions {
@@ -70,7 +59,6 @@ impl Default for AnalyzeOptions {
             widen_bound: 1.0e12,
             max_passes: 8,
             demand_slop: 16,
-            emit_threads: 4,
         }
     }
 }
@@ -96,21 +84,6 @@ pub struct AnalyzeReport {
     pub residual_elements: usize,
     /// Statements with at least one residual element.
     pub residual_stmts: usize,
-    /// Units in the conflict-derived parallel schedule.
-    pub schedule_units: usize,
-    /// Maximum concurrent tasks in any unit (the schedule's width).
-    pub schedule_width: usize,
-    /// Element-conflicting statement pairs checked for happens-before.
-    pub schedule_pairs: usize,
-    /// Block-level analysis levels of the source model (0 when analyzed
-    /// without a model, e.g. via [`analyze_program`]). The statement
-    /// schedule refines these levels to statement granularity.
-    pub region_levels: usize,
-    /// Chunks in the validated threaded-emission partition.
-    pub chunk_count: usize,
-    /// Conflicting statement pairs that straddle a chunk boundary — a
-    /// statistic (emission workers produce text, not effects), not a race.
-    pub chunk_cross_conflicts: usize,
     /// Buffer lifetime / storage-reuse report.
     pub lifetime: LifetimeReport,
 }
@@ -119,31 +92,6 @@ impl AnalyzeReport {
     /// No findings at all.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
-    }
-
-    /// No `F301`/`F302` findings: every checked schedule is a proven
-    /// race-free partial order over the statements.
-    pub fn race_free(&self) -> bool {
-        !self
-            .diagnostics
-            .iter()
-            .any(|d| d.code == "F301" || d.code == "F302")
-    }
-
-    /// Error-severity findings.
-    pub fn error_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count()
-    }
-
-    /// Warning-severity findings.
-    pub fn warning_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .count()
     }
 }
 
@@ -920,257 +868,6 @@ fn demand_src(state: &mut [IndexSet], s: &Src, demanded: &IndexSet, dst_off: usi
 }
 
 // ---------------------------------------------------------------------------
-// parallel-schedule race checker (F301/F302)
-// ---------------------------------------------------------------------------
-
-/// One sequential strand of a parallel schedule: statements that run in
-/// program order on a single worker.
-#[derive(Debug, Clone)]
-pub struct Task {
-    /// Statement indices, ascending.
-    pub stmts: Vec<usize>,
-}
-
-/// One synchronization region: all tasks in a unit may run concurrently;
-/// units are separated by barriers and execute in order.
-#[derive(Debug, Clone)]
-pub struct Unit {
-    /// Concurrent tasks of this unit.
-    pub tasks: Vec<Task>,
-}
-
-/// A claimed parallel execution schedule over a program's statements.
-#[derive(Debug, Clone)]
-pub struct Schedule {
-    /// Barrier-separated units, in execution order.
-    pub units: Vec<Unit>,
-}
-
-impl Schedule {
-    /// Maximum number of concurrent tasks in any unit.
-    pub fn width(&self) -> usize {
-        self.units.iter().map(|u| u.tasks.len()).max().unwrap_or(0)
-    }
-}
-
-/// Pairs of statements whose element footprints conflict (write/write or
-/// read/write overlap on at least one element), with a cheap buffer-id
-/// prefilter. Malformed statements conflict with everything.
-pub fn conflict_pairs(accs: &[Result<StmtAccess, Malformed>]) -> Vec<(usize, usize)> {
-    let bufs: Vec<Option<Vec<usize>>> = accs
-        .iter()
-        .map(|a| {
-            a.as_ref().ok().map(|acc| {
-                let mut ids: Vec<usize> = acc
-                    .reads
-                    .iter()
-                    .chain(&acc.writes)
-                    .map(|x| x.buf.0)
-                    .collect();
-                ids.sort_unstable();
-                ids.dedup();
-                ids
-            })
-        })
-        .collect();
-    let mut pairs = Vec::new();
-    for j in 1..accs.len() {
-        for i in 0..j {
-            let touch_common = match (&bufs[i], &bufs[j]) {
-                (Some(a), Some(b)) => a.iter().any(|x| b.binary_search(x).is_ok()),
-                _ => true, // malformed: assume the worst
-            };
-            if !touch_common {
-                continue;
-            }
-            let conflicting = match (&accs[i], &accs[j]) {
-                (Ok(a), Ok(b)) => a.conflicts_with(b),
-                _ => true,
-            };
-            if conflicting {
-                pairs.push((i, j));
-            }
-        }
-    }
-    pairs
-}
-
-/// Derives the finest barrier schedule consistent with the element-level
-/// conflict relation: each statement is its own task, placed in the
-/// earliest unit after every conflicting predecessor. This refines the
-/// model's block-level `analysis_levels` to statement granularity — and
-/// because tasks are singletons it is the most adversarial concurrency
-/// claim: if this schedule verifies race-free, any coarser grouping of
-/// the same units does too.
-pub fn level_schedule(pairs: &[(usize, usize)], n: usize) -> Schedule {
-    let mut level = vec![0usize; n];
-    for &(i, j) in pairs {
-        level[j] = level[j].max(level[i] + 1);
-    }
-    let depth = level.iter().max().map_or(0, |&d| d + 1);
-    let mut units: Vec<Unit> = (0..depth).map(|_| Unit { tasks: vec![] }).collect();
-    for (s, &l) in level.iter().enumerate() {
-        units[l].tasks.push(Task { stmts: vec![s] });
-    }
-    Schedule { units }
-}
-
-/// Verifies a claimed schedule against the element-level conflict
-/// relation: exact coverage, program order within tasks, conflicting
-/// pairs never concurrent (same unit, different tasks → `F301`) and
-/// never reordered across units (`F302`). Returns the findings plus the
-/// number of conflicting pairs checked.
-pub fn check_schedule(
-    program: &Program,
-    schedule: &Schedule,
-    accs: &[Result<StmtAccess, Malformed>],
-    pairs: &[(usize, usize)],
-) -> (Vec<Diagnostic>, usize) {
-    let n = program.stmts.len();
-    let mut diags = Vec::new();
-    let mut unit_of = vec![usize::MAX; n];
-    let mut task_of = vec![usize::MAX; n];
-    let mut seen = vec![0usize; n];
-    for (ui, unit) in schedule.units.iter().enumerate() {
-        for (ti, task) in unit.tasks.iter().enumerate() {
-            if task.stmts.windows(2).any(|w| w[0] >= w[1]) {
-                diags.push(Diagnostic::new(
-                    "F302",
-                    format!(
-                        "malformed parallel schedule: task {ti} of unit {ui} does not keep program order"
-                    ),
-                ));
-            }
-            for &s in &task.stmts {
-                if s >= n {
-                    diags.push(Diagnostic::new(
-                        "F302",
-                        format!("malformed parallel schedule: task {ti} of unit {ui} schedules nonexistent stmt {s}"),
-                    ));
-                    continue;
-                }
-                seen[s] += 1;
-                unit_of[s] = ui;
-                task_of[s] = ti;
-            }
-        }
-    }
-    for (s, &c) in seen.iter().enumerate() {
-        if c != 1 {
-            diags.push(Diagnostic::new(
-                "F302",
-                format!(
-                    "malformed parallel schedule: stmt {s} is scheduled {c} times (want exactly 1)"
-                ),
-            ));
-        }
-    }
-    let mut checked = 0usize;
-    for &(i, j) in pairs {
-        if seen[i] != 1 || seen[j] != 1 {
-            continue; // already reported as a coverage defect
-        }
-        checked += 1;
-        if unit_of[i] == unit_of[j] {
-            if task_of[i] != task_of[j] {
-                let (buf, overlap) = first_overlap(program, accs, i, j);
-                diags.push(
-                    Diagnostic::new(
-                        "F301",
-                        format!(
-                            "data race: stmts {i} and {j} run concurrently in unit {} but both access `{buf}`{overlap}",
-                            unit_of[i]
-                        ),
-                    )
-                    .with_block(buf)
-                    .with_location(format!("unit {} tasks {} and {}", unit_of[i], task_of[i], task_of[j])),
-                );
-            }
-        } else if (unit_of[i] < unit_of[j]) != (i < j) {
-            diags.push(Diagnostic::new(
-                "F302",
-                format!(
-                    "malformed parallel schedule: dependent stmts {i} and {j} are barrier-ordered against their program order (units {} and {})",
-                    unit_of[i], unit_of[j]
-                ),
-            ));
-        }
-    }
-    (diags, checked)
-}
-
-/// Names the first buffer two conflicting statements overlap on, with
-/// the overlapping elements, for `F301` provenance.
-fn first_overlap(
-    program: &Program,
-    accs: &[Result<StmtAccess, Malformed>],
-    i: usize,
-    j: usize,
-) -> (String, String) {
-    if let (Ok(a), Ok(b)) = (&accs[i], &accs[j]) {
-        let sides = [
-            (&a.writes, &b.writes),
-            (&a.writes, &b.reads),
-            (&a.reads, &b.writes),
-        ];
-        for (xs, ys) in sides {
-            for x in xs {
-                for y in ys {
-                    if x.buf == y.buf {
-                        let ov = x.set.intersect(&y.set);
-                        if !ov.is_empty() {
-                            return (
-                                program.buffer(x.buf).name.clone(),
-                                format!(" {:?}", ov.intervals()),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    ("<unknown>".to_string(), String::new())
-}
-
-/// Validates the threaded-emission chunk partition (exact in-order
-/// coverage of the statement list) and counts conflicting pairs that
-/// straddle a chunk boundary. Chunked emission only partitions *text
-/// generation*, so straddling pairs are a statistic, not a race — but a
-/// broken partition would drop or duplicate statements (`F302`).
-pub fn check_emission_chunks(
-    n: usize,
-    threads: usize,
-    pairs: &[(usize, usize)],
-) -> (Vec<Diagnostic>, usize, usize) {
-    let chunks = emission_chunks(n, threads);
-    let mut diags = Vec::new();
-    let mut next = 0usize;
-    for &(lo, hi) in &chunks {
-        if lo != next || hi < lo {
-            diags.push(Diagnostic::new(
-                "F302",
-                format!(
-                    "malformed emission partition: chunk [{lo}, {hi}) does not continue at stmt {next}"
-                ),
-            ));
-        }
-        next = hi;
-    }
-    if next != n {
-        diags.push(Diagnostic::new(
-            "F302",
-            format!("malformed emission partition: chunks cover [0, {next}) of {n} stmts"),
-        ));
-    }
-    let chunk_of = |s: usize| chunks.iter().position(|&(lo, hi)| s >= lo && s < hi);
-    let cross = pairs
-        .iter()
-        .filter(|&&(i, j)| chunk_of(i) != chunk_of(j))
-        .count();
-    (diags, chunks.len(), cross)
-}
-
-// ---------------------------------------------------------------------------
 // buffer-lifetime analysis (report only)
 // ---------------------------------------------------------------------------
 
@@ -1298,24 +995,17 @@ fn lifetime_report(
 // orchestration
 // ---------------------------------------------------------------------------
 
-/// Runs all four analyses over a compiled model: output demands come
-/// from Algorithm 1's calculation ranges, and the race check's region
-/// statistic from the model's block-level analysis levels.
+/// Runs all three analyses over a compiled model: output demands come
+/// from Algorithm 1's calculation ranges.
 pub fn analyze_compile(
     analysis: &Analysis,
     program: &Program,
     opts: &AnalyzeOptions,
 ) -> AnalyzeReport {
-    let demands = output_demands(analysis, program);
-    let region_levels = analysis
-        .dfg()
-        .analysis_levels()
-        .map(|l| l.len())
-        .unwrap_or(0);
-    analyze_inner(program, &demands, region_levels, opts)
+    analyze_inner(program, &output_demands(analysis, program), opts)
 }
 
-/// Runs all four analyses over a bare program with explicit output
+/// Runs all three analyses over a bare program with explicit output
 /// demands (an empty slice demands every output's full extent).
 pub fn analyze_program(
     program: &Program,
@@ -1337,13 +1027,12 @@ pub fn analyze_program(
     } else {
         demands
     };
-    analyze_inner(program, demands, 0, opts)
+    analyze_inner(program, demands, opts)
 }
 
 fn analyze_inner(
     program: &Program,
     demands: &[OutputDemand],
-    region_levels: usize,
     opts: &AnalyzeOptions,
 ) -> AnalyzeReport {
     let accs: Vec<Result<StmtAccess, Malformed>> = program
@@ -1414,17 +1103,7 @@ fn analyze_inner(
     let residual_stmts = da.residual_stmts;
     diagnostics.extend(da.diags);
 
-    // 3. schedule races: derive the finest schedule, verify it, and
-    // validate the threaded-emission partition
-    let pairs = conflict_pairs(&accs);
-    let schedule = level_schedule(&pairs, program.stmts.len());
-    let (race_diags, schedule_pairs) = check_schedule(program, &schedule, &accs, &pairs);
-    diagnostics.extend(race_diags);
-    let (chunk_diags, chunk_count, chunk_cross_conflicts) =
-        check_emission_chunks(program.stmts.len(), opts.emit_threads, &pairs);
-    diagnostics.extend(chunk_diags);
-
-    // 4. lifetimes
+    // 3. lifetimes
     let lifetime = lifetime_report(program, demands, &accs, opts.demand_slop);
 
     AnalyzeReport {
@@ -1436,12 +1115,6 @@ fn analyze_inner(
         value_ranges,
         residual_elements,
         residual_stmts,
-        schedule_units: schedule.units.len(),
-        schedule_width: schedule.width(),
-        schedule_pairs,
-        region_levels,
-        chunk_count,
-        chunk_cross_conflicts,
         lifetime,
     }
 }
@@ -1501,7 +1174,6 @@ mod tests {
         );
         let r = analyze_program(&p, &[], &AnalyzeOptions::default());
         assert!(codes(&r).contains(&"F201"), "got {:?}", codes(&r));
-        assert!(r.race_free());
     }
 
     #[test]
@@ -1655,8 +1327,6 @@ mod tests {
             r.diagnostics
         );
         assert!(r.is_clean(), "unexpected findings: {:?}", r.diagnostics);
-        assert!(r.race_free());
-        assert!(r.region_levels > 0);
 
         let baseline = generate(
             &analysis,
@@ -1668,97 +1338,6 @@ mod tests {
             rb.residual_elements > 0,
             "baseline should over-compute the convolution tails"
         );
-        assert!(rb.race_free(), "over-computation is not a race");
-    }
-
-    #[test]
-    fn same_unit_overlapping_writes_are_a_race_f301() {
-        let p = program(
-            vec![
-                buf("in0", 8, BufferRole::Input(0)),
-                buf("out0", 8, BufferRole::Output(0)),
-            ],
-            vec![
-                Stmt::Fill {
-                    dst: Slice::new(BufId(1), 0),
-                    value: 1.0,
-                    len: 6,
-                },
-                Stmt::Fill {
-                    dst: Slice::new(BufId(1), 4),
-                    value: 2.0,
-                    len: 4,
-                },
-            ],
-        );
-        let accs: Vec<_> = p.stmts.iter().map(|s| stmt_access(&p, s)).collect();
-        let pairs = conflict_pairs(&accs);
-        assert_eq!(pairs, vec![(0, 1)]);
-        // claim both statements run concurrently: the checker must refute
-        let claimed = Schedule {
-            units: vec![Unit {
-                tasks: vec![Task { stmts: vec![0] }, Task { stmts: vec![1] }],
-            }],
-        };
-        let (diags, checked) = check_schedule(&p, &claimed, &accs, &pairs);
-        assert_eq!(checked, 1);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "F301");
-        assert!(diags[0].message.contains("out0"), "{}", diags[0].message);
-        // the derived schedule serializes them and verifies race-free
-        let derived = level_schedule(&pairs, p.stmts.len());
-        assert_eq!(derived.units.len(), 2);
-        let (diags, _) = check_schedule(&p, &derived, &accs, &pairs);
-        assert!(diags.is_empty());
-        // and the full analysis concurs
-        let r = analyze_program(&p, &[], &AnalyzeOptions::default());
-        assert!(r.race_free());
-    }
-
-    #[test]
-    fn incomplete_or_reordered_schedules_are_f302() {
-        let p = program(
-            vec![
-                buf("in0", 4, BufferRole::Input(0)),
-                buf("out0", 4, BufferRole::Output(0)),
-            ],
-            vec![
-                Stmt::Copy {
-                    dst: Slice::new(BufId(1), 0),
-                    src: Slice::new(BufId(0), 0),
-                    len: 4,
-                },
-                Stmt::Unary {
-                    op: UnOp::Gain(2.0),
-                    dst: Slice::new(BufId(1), 0),
-                    src: Src::Run(Slice::new(BufId(1), 0)),
-                    len: 4,
-                },
-            ],
-        );
-        let accs: Vec<_> = p.stmts.iter().map(|s| stmt_access(&p, s)).collect();
-        let pairs = conflict_pairs(&accs);
-        // missing stmt 1
-        let missing = Schedule {
-            units: vec![Unit {
-                tasks: vec![Task { stmts: vec![0] }],
-            }],
-        };
-        let (diags, _) = check_schedule(&p, &missing, &accs, &pairs);
-        assert!(diags.iter().any(|d| d.code == "F302"));
-        // dependence order inverted across units
-        let inverted = Schedule {
-            units: vec![
-                Unit {
-                    tasks: vec![Task { stmts: vec![1] }],
-                },
-                Unit {
-                    tasks: vec![Task { stmts: vec![0] }],
-                },
-            ],
-        };
-        let (diags, _) = check_schedule(&p, &inverted, &accs, &pairs);
-        assert!(diags.iter().any(|d| d.code == "F302"));
     }
 
     #[test]

@@ -116,8 +116,8 @@ pub struct Rule {
 }
 
 /// Every rule the linter (`F0xx`), the soundness checker (`F1xx`), and
-/// the dataflow analyses (`F2xx` numeric safety / residual redundancy,
-/// `F3xx` schedule races) can emit, in code order.
+/// the dataflow analyses (`F2xx` numeric safety / residual redundancy)
+/// can emit, in code order.
 pub const RULES: &[Rule] = &[
     Rule {
         code: "F001",
@@ -220,18 +220,6 @@ pub const RULES: &[Rule] = &[
         severity: Severity::Warning,
         summary: "residual redundancy: elements written but never demanded",
         example: "a full-range Conv writing [0, 60) when the Selector demands only [5, 55)",
-    },
-    Rule {
-        code: "F301",
-        severity: Severity::Error,
-        summary: "data race: concurrent statements access overlapping elements",
-        example: "two statements in one schedule unit both writing buf[4..8]",
-    },
-    Rule {
-        code: "F302",
-        severity: Severity::Error,
-        summary: "malformed parallel schedule (coverage or dependence order)",
-        example: "a schedule placing a reader in an earlier unit than its writer",
     },
 ];
 

@@ -1,7 +1,7 @@
 //! Static analysis and translation validation for the FRODO pipeline.
 //!
 //! Three layers, all producing structured [`Diagnostic`]s with stable
-//! `F0xx`–`F3xx` codes (see [`RULES`]) and human / JSON / SARIF renderers:
+//! `F0xx`–`F2xx` codes (see [`RULES`]) and human / JSON / SARIF renderers:
 //!
 //! 1. **Model lint** ([`lint`]) — structural checks over the flattened
 //!    model and its dataflow graph: unconnected or multiply-driven inputs,
@@ -17,11 +17,10 @@
 //!    redundancy elimination did not change observable outputs.
 //! 3. **Dataflow analyses** ([`analyze_compile`] / [`analyze_program`],
 //!    the opt-in `analyze` pipeline stage) — a generic forward/backward
-//!    [`dataflow`] engine with four clients: per-buffer value intervals
+//!    [`dataflow`] engine with three clients: per-buffer value intervals
 //!    flagging numeric hazards (`F201`–`F203`), a backward-demand
-//!    residual-redundancy detector (`F204`), a parallel-schedule race
-//!    checker proving or refuting race freedom at element granularity
-//!    (`F301`/`F302`), and a buffer-lifetime / storage-reuse report.
+//!    residual-redundancy detector (`F204`), and a buffer-lifetime /
+//!    storage-reuse report.
 //!
 //! # Example
 //!
@@ -59,9 +58,7 @@ mod lint;
 mod soundness;
 
 pub use analyze::{
-    analyze_compile, analyze_program, check_emission_chunks, check_schedule, conflict_pairs,
-    level_schedule, AnalyzeOptions, AnalyzeReport, BufferLifetime, LifetimeReport, Schedule, Task,
-    Unit,
+    analyze_compile, analyze_program, AnalyzeOptions, AnalyzeReport, BufferLifetime, LifetimeReport,
 };
 pub use diag::{
     from_model_error, render_human, render_json, render_sarif, rule, Diagnostic, Rule, Severity,

@@ -4,10 +4,10 @@
 //! frodo analyze  <model.{slx,mdl}>                 redundancy-elimination report
 //! frodo lint     <model> [--format human|json|sarif]  static model diagnostics
 //! frodo build    <model> [-s STYLE] [--shared-helper] [--vectorize M] [-o out.c]
-//! frodo compile  <model> [-s STYLE] [--threads N] [--engine E] [--verify] [--cache-dir D]
+//! frodo compile  <model> [-s STYLE] [--verify] [--cache-dir D]
 //!                [--vectorize M] [--window-reuse]
 //!                [--trace out.ndjson] [--ledger | --ledger-out F] [-o out.c]
-//! frodo batch    <models...> [--workers N] [--threads N] [--verify] [--cache-dir D]
+//! frodo batch    <models...> [--workers N] [--verify] [--cache-dir D]
 //!                [-s STYLES] [-o DIR] [--vectorize M] [--window-reuse]
 //!                [--trace] [--trace-out out.ndjson]
 //!                [--ledger | --ledger-out F] [--incremental [--region-max N]]
@@ -25,7 +25,7 @@
 //! ```
 //!
 //! `compile` and `batch` go through the [`frodo::driver`] service: jobs run
-//! on a worker pool, artifacts are content-addressed (optionally persisted
+//! on a worker pool, one thread per job, artifacts are content-addressed (optionally persisted
 //! under `--cache-dir`), and every job reports per-stage timings and
 //! redundancy counters. `batch --incremental` instead feeds the jobs
 //! sequentially through a [`frodo::driver::CompileSession`] per style, so a
@@ -34,6 +34,7 @@
 //! (`frodo list`), or `random:<seed>:<size>[:edit:<k>]` synthetic specs.
 
 use frodo::prelude::*;
+use frodo::serve::cli::{flag_value, positionals};
 use frodo::sim::{native, workload};
 use frodo::slx::{read_mdl, read_slx, write_mdl, write_slx};
 use std::path::Path;
@@ -77,19 +78,20 @@ fn print_usage() {
         "frodo — redundancy-eliminating code generation for Simulink models\n\
          \n\
          USAGE:\n\
-         \x20 frodo analyze  <model> [-s STYLE] [--engine E] [--vectorize M] [--window-reuse] [--threads N]\n\
-         \x20                [--format human|json|sarif] [-o out] [--gate] [--trace] | analyze --selftest\n\
+         \x20 frodo analyze  <model> [-s STYLE] [--window-reuse] [--format human|json|sarif] [-o out]\n\
+         \x20                [--gate] [--trace] | analyze --selftest\n\
          \x20 frodo lint     <model> [--format human|json|sarif] | lint --explain CODE\n\
          \x20 frodo build    <model> [-s simulink|dfsynth|hcg|frodo] [--shared-helper] [--vectorize M] [--profile]\n\
          \x20                [--harness ITERS] [-o out.c]\n\
-         \x20 frodo compile  <model> [-s STYLE] [--threads N] [--engine recursive|iterative|parallel]\n\
-         \x20                [--vectorize auto|off|hints|batch[:W]] [--window-reuse] [--profile]\n\
-         \x20                [--verify] [--analyze] [--cache-dir DIR] [--no-cache] [--trace out.ndjson] [-o out.c]\n\
-         \x20 frodo batch    <models...> [--workers N] [--threads N] [--verify] [--analyze] [--cache-dir DIR] [-s STYLES|all] [-o DIR] [--machine]\n\
-         \x20                [--vectorize M] [--window-reuse] [--trace] [--trace-out out.ndjson] [--incremental [--region-max N]]\n\
+         \x20 frodo compile  <model> [-s STYLE] [--vectorize auto|off|hints|batch[:W]] [--window-reuse] [--profile]\n\
+         \x20                [--verify] [--analyze] [--cache-dir DIR] [--cache-cap BYTES] [--no-cache]\n\
+         \x20                [--trace out.ndjson] [--ledger | --ledger-out F] [-o out.c]\n\
+         \x20 frodo batch    <models...> [--workers N] [--verify] [--analyze] [--cache-dir DIR] [-s STYLES|all] [-o DIR] [--machine]\n\
+         \x20                [--vectorize M] [--window-reuse] [--profile] [--cache-cap BYTES] [--no-cache] [--trace]\n\
+         \x20                [--trace-out out.ndjson] [--ledger | --ledger-out F] [--incremental [--region-max N]]\n\
          \x20 frodo serve    [--socket PATH|--tcp ADDR] [--workers N] [--queue-cap N] [--cache-cap BYTES]\n\
          \x20                [--cache-dir DIR] [--ledger | --ledger-out F]\n\
-         \x20 frodo client   [--socket PATH|--tcp ADDR] compile <model> [-s STYLE] [--threads N] [--verify] [--timeout MS] [-o out.c]\n\
+         \x20 frodo client   [--socket PATH|--tcp ADDR] compile <model> [-s STYLE] [--verify] [--analyze] [--timeout MS] [-o out.c]\n\
          \x20 frodo client   [--socket PATH|--tcp ADDR] batch <models...> [-s STYLES|all] [-o DIR]\n\
          \x20 frodo client   [--socket PATH|--tcp ADDR] lint <model> | status | metrics | shutdown\n\
          \x20 frodo simulate <model> [--seed N] [--steps N]\n\
@@ -115,11 +117,12 @@ fn print_usage() {
          lint --explain CODE prints any rule's registry entry and a minimal\n\
          trigger. frodo analyze adds the dataflow analyses over the lowered\n\
          IR: value-range numeric safety (F201-F203), residual-redundancy\n\
-         detection (F204), parallel-schedule race checking (F301/F302), and\n\
-         buffer lifetimes; --gate exits nonzero on any finding, --selftest\n\
-         runs the injected-defect detector checks. compile/batch/serve take\n\
-         --analyze to run the same stage in the pipeline (fails closed on\n\
-         F3xx). build --harness ITERS emits the self-checking native harness\n\
+         detection (F204), and buffer lifetimes; --gate exits nonzero on any\n\
+         finding, --selftest runs the injected-defect detector check.\n\
+         compile/batch/serve take --analyze to run the same stage in the\n\
+         pipeline (its findings are warnings). Every model compiles on one\n\
+         thread; batch --workers N compiles N models at once. An unknown\n\
+         flag is an error. build --harness ITERS emits the self-checking native harness\n\
          (the ASan/UBSan CI lane compiles it with the sanitizers on).\n\
          --vectorize shapes loops for SIMD (hints adds restrict/alignment,\n\
          batch[:W] emits W-wide bodies); --window-reuse rewrites sliding-\n\
@@ -171,53 +174,19 @@ fn parse_style(s: &str) -> Result<GeneratorStyle, String> {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], names: &[&str]) -> Option<&'a str> {
-    args.windows(2)
-        .find(|w| names.contains(&w[0].as_str()))
-        .map(|w| w[1].as_str())
-}
-
-/// Positional arguments: everything that is neither a flag nor a
-/// value-taking flag's value.
-fn positionals<'a>(args: &'a [String], value_flags: &[&str], bool_flags: &[&str]) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for arg in args {
-        if skip {
-            skip = false;
-        } else if value_flags.contains(&arg.as_str()) {
-            skip = true;
-        } else if !bool_flags.contains(&arg.as_str()) {
-            out.push(arg.as_str());
-        }
-    }
-    out
-}
-
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--selftest") {
         return analyze_selftest();
     }
     let pos = positionals(
         args,
-        &[
-            "--engine",
-            "-s",
-            "--style",
-            "--vectorize",
-            "--threads",
-            "-t",
-            "--format",
-            "-f",
-            "-o",
-            "--output",
-        ],
+        &["-s", "--style", "--format", "-f", "-o", "--output"],
         &["--trace", "--window-reuse", "--gate"],
-    );
+    )?;
     let model_ref = pos.first().ok_or("analyze: missing model path or name")?;
     let want_trace = args.iter().any(|a| a == "--trace");
     let model = resolve_model(model_ref)?;
-    let analysis = Analysis::run_with(model, range_options(args)?).map_err(|e| e.to_string())?;
+    let analysis = Analysis::run(model).map_err(|e| e.to_string())?;
     if want_trace {
         print!("{}", frodo::core::explain::trace(&analysis));
         return Ok(());
@@ -248,18 +217,16 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         Some(s) => parse_style(s)?,
         None => GeneratorStyle::Frodo,
     };
-    vector_mode(args)?; // validated for CLI-matrix symmetry; access sets are emission-invariant
     let lower = frodo::codegen::LowerOptions {
         window_reuse: args.iter().any(|a| a == "--window-reuse"),
         ..Default::default()
     };
     let program = frodo::codegen::generate_with(&analysis, style, lower, &frodo_obs::Trace::noop());
-    let threads = intra_threads(args)?;
-    let opts = frodo::verify::AnalyzeOptions {
-        emit_threads: if threads == 0 { 4 } else { threads },
-        ..Default::default()
-    };
-    let report = frodo::verify::analyze_compile(&analysis, &program, &opts);
+    let report = frodo::verify::analyze_compile(
+        &analysis,
+        &program,
+        &frodo::verify::AnalyzeOptions::default(),
+    );
     println!(
         "\nstatic analysis ({style}, {} statements, {} buffers):",
         report.stmts, report.buffers
@@ -289,25 +256,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         },
         report.residual_stmts,
         if report.residual_stmts == 1 { "" } else { "s" }
-    );
-    println!(
-        "  schedule: {} unit{} (width {}), {} conflicting pair{} checked, race-free: {}",
-        report.schedule_units,
-        if report.schedule_units == 1 { "" } else { "s" },
-        report.schedule_width,
-        report.schedule_pairs,
-        if report.schedule_pairs == 1 { "" } else { "s" },
-        if report.race_free() { "yes" } else { "NO" }
-    );
-    println!(
-        "  emission chunks: {} ({} cross-chunk conflicting pair{})",
-        report.chunk_count,
-        report.chunk_cross_conflicts,
-        if report.chunk_cross_conflicts == 1 {
-            ""
-        } else {
-            "s"
-        }
     );
     println!(
         "  lifetimes: {} dead-store element{}, {} temp buffer{} -> {} slot{} ({} elements reclaimable)",
@@ -340,15 +288,13 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     }
     if args.iter().any(|a| a == "--gate") && !report.is_clean() {
         return Err(format!(
-            "analyze gate: {} finding{} ({} error{}, {} residual element{}) in '{model_ref}'",
+            "analyze gate: {} finding{} ({} residual element{}) in '{model_ref}'",
             report.diagnostics.len(),
             if report.diagnostics.len() == 1 {
                 ""
             } else {
                 "s"
             },
-            report.error_count(),
-            if report.error_count() == 1 { "" } else { "s" },
             report.residual_elements,
             if report.residual_elements == 1 {
                 ""
@@ -360,10 +306,9 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Injected-defect self-test of the `analyze` detectors: a known
-/// over-computing program must trip the residual detector (F204) and a
-/// claimed concurrent schedule with overlapping writes must be refuted
-/// (F301). Exits non-zero if either detector goes blind.
+/// Injected-defect self-test of the `analyze` stage: a known
+/// over-computing program must trip the residual detector (F204). Exits
+/// non-zero if the detector goes blind.
 fn analyze_selftest() -> Result<(), String> {
     use frodo::codegen::lir::{BufId, Buffer, BufferRole, ConvStyle, Program, Slice, Stmt};
     use frodo::codegen::GeneratorStyle;
@@ -425,56 +370,6 @@ fn analyze_selftest() -> Result<(), String> {
         "selftest residual: PASS ({} residual elements flagged F204)",
         report.residual_elements
     );
-
-    // overlapping writes claimed concurrent: the race checker must refute
-    let racy = Program {
-        name: "selftest_race".into(),
-        style: GeneratorStyle::Frodo,
-        buffers: vec![Buffer {
-            name: "out0".into(),
-            len: 8,
-            role: BufferRole::Output(0),
-        }],
-        stmts: vec![
-            Stmt::Fill {
-                dst: Slice::new(BufId(0), 0),
-                value: 1.0,
-                len: 6,
-            },
-            Stmt::Fill {
-                dst: Slice::new(BufId(0), 4),
-                value: 2.0,
-                len: 4,
-            },
-        ],
-    };
-    let accs: Vec<_> = racy
-        .stmts
-        .iter()
-        .map(|s| frodo::codegen::access::stmt_access(&racy, s))
-        .collect();
-    let pairs = frodo::verify::conflict_pairs(&accs);
-    let claimed = frodo::verify::Schedule {
-        units: vec![frodo::verify::Unit {
-            tasks: vec![
-                frodo::verify::Task { stmts: vec![0] },
-                frodo::verify::Task { stmts: vec![1] },
-            ],
-        }],
-    };
-    let (diags, checked) = frodo::verify::check_schedule(&racy, &claimed, &accs, &pairs);
-    if !diags.iter().any(|d| d.code == "F301") {
-        return Err("analyze selftest: race checker accepted an overlapping-write schedule".into());
-    }
-    println!("selftest race: PASS (injected overlap refuted F301, {checked} pair checked)");
-
-    // and the derived schedule for the same program must verify race-free
-    let derived = frodo::verify::level_schedule(&pairs, racy.stmts.len());
-    let (diags, _) = frodo::verify::check_schedule(&racy, &derived, &accs, &pairs);
-    if !diags.is_empty() {
-        return Err("analyze selftest: derived schedule failed its own verification".into());
-    }
-    println!("selftest schedule: PASS (derived level schedule verifies race-free)");
     Ok(())
 }
 
@@ -500,7 +395,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     if let Some(code) = flag_value(args, &["--explain"]) {
         return lint_explain(code);
     }
-    let pos = positionals(args, &["--format", "-f", "-o", "--output"], &[]);
+    let pos = positionals(args, &["--format", "-f", "-o", "--output"], &[])?;
     let model_ref = pos.first().ok_or("lint: missing model path or name")?;
     let model = resolve_model(model_ref)?;
     let diags = frodo::verify::lint(&model);
@@ -629,36 +524,6 @@ fn job_spec_for(model_ref: &str, style: GeneratorStyle) -> Result<JobSpec, Strin
     }
 }
 
-/// Parses `--threads N` (`0` or absent means auto: one per available core,
-/// split across batch workers).
-fn intra_threads(args: &[String]) -> Result<usize, String> {
-    flag_value(args, &["--threads", "-t"])
-        .map(|s| s.parse().map_err(|_| "bad --threads".to_string()))
-        .transpose()
-        .map(|v| v.unwrap_or(0))
-}
-
-/// Parses `--engine` into range options. The explicit engine is respected
-/// as long as the resolved intra-model thread budget stays at one; with
-/// more threads the driver swaps in the parallel engine (byte-identical
-/// results either way).
-fn range_options(args: &[String]) -> Result<RangeOptions, String> {
-    let engine = match flag_value(args, &["--engine"]) {
-        None | Some("recursive") => RangeEngine::Recursive,
-        Some("iterative") => RangeEngine::Iterative,
-        Some("parallel") => RangeEngine::Parallel,
-        Some(other) => {
-            return Err(format!(
-                "unknown engine '{other}' (expected recursive|iterative|parallel)"
-            ))
-        }
-    };
-    Ok(RangeOptions {
-        engine,
-        ..Default::default()
-    })
-}
-
 /// The service configuration shared by `compile` and `batch`.
 fn service_config(args: &[String]) -> Result<ServiceConfig, String> {
     Ok(ServiceConfig {
@@ -681,10 +546,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         &[
             "-s",
             "--style",
-            "--threads",
-            "-t",
-            "--engine",
             "--cache-dir",
+            "--cache-cap",
             "--workers",
             "-j",
             "--trace",
@@ -701,7 +564,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
             "--window-reuse",
             "--profile",
         ],
-    );
+    )?;
     let model_ref = pos.first().ok_or("compile: missing model path or name")?;
     let style = match flag_value(args, &["-s", "--style"]) {
         Some(s) => parse_style(s)?,
@@ -711,11 +574,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     let ledger = ledger_path(args);
     // the ledger is derived from a trace, so --ledger implies tracing
     let trace = (trace_out.is_some() || ledger.is_some()).then(Trace::new);
-    let intra = intra_threads(args)?;
     let mut spec = job_spec_for(model_ref, style)?.with_options(
         CompileOptions::builder()
-            .range(range_options(args)?)
-            .intra_threads(intra)
             .verify(args.iter().any(|a| a == "--verify"))
             .analyze(args.iter().any(|a| a == "--analyze"))
             .vectorize(vector_mode(args)?)
@@ -764,8 +624,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         let entry = frodo::obs::LedgerEntry::from_agg(
             &agg,
             &r.job,
-            engine_label(intra),
-            intra as u64,
+            LEDGER_ENGINE,
+            1,
             1,
             r.timings.total().as_nanos() as u64,
         );
@@ -781,16 +641,9 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The engine label a run is recorded under in the perf ledger, from its
-/// `--threads` request (the driver swaps in the parallel engine when the
-/// resolved budget exceeds one thread).
-fn engine_label(intra_threads: usize) -> &'static str {
-    match intra_threads {
-        0 => "auto",
-        1 => "recursive",
-        _ => "parallel",
-    }
-}
+/// The range engine every perf-ledger entry of a compile records, next to
+/// its one intra-model thread.
+const LEDGER_ENGINE: &str = "recursive";
 
 /// Resolves the perf-ledger destination: `--ledger-out FILE` for an
 /// explicit path, bare `--ledger` for the default `.frodo/ledger.ndjson`.
@@ -821,10 +674,8 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         &[
             "--workers",
             "-j",
-            "--threads",
-            "-t",
-            "--engine",
             "--cache-dir",
+            "--cache-cap",
             "-s",
             "--styles",
             "--style",
@@ -846,15 +697,12 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
             "--window-reuse",
             "--profile",
         ],
-    );
+    )?;
     if model_refs.is_empty() {
         return Err("batch: no models given (paths or benchmark names; see 'frodo list')".into());
     }
 
-    let intra = intra_threads(args)?;
     let options = CompileOptions::builder()
-        .range(range_options(args)?)
-        .intra_threads(intra)
         .verify(args.iter().any(|a| a == "--verify"))
         .analyze(args.iter().any(|a| a == "--analyze"))
         .vectorize(vector_mode(args)?)
@@ -893,7 +741,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     if let Some(path) = &ledger {
         let label = format!("batch:{}", model_refs.len());
         let entry = report
-            .ledger_entry(&label, engine_label(intra), intra as u64)
+            .ledger_entry(&label, LEDGER_ENGINE, 1)
             .ok_or("batch: ledger requested but no trace was recorded")?;
         frodo::obs::append_entry(path, &entry)?;
         eprintln!("appended ledger entry to {}", path.display());
@@ -941,7 +789,6 @@ fn cmd_batch_incremental(
     let want_tree = args.iter().any(|a| a == "--trace");
     let trace_out = flag_value(args, &["--trace-out"]);
     let ledger = ledger_path(args);
-    let intra = intra_threads(args)?;
     let region_max: usize = flag_value(args, &["--region-max"])
         .map(|s| s.parse().map_err(|_| "bad --region-max".to_string()))
         .transpose()?
@@ -1001,8 +848,8 @@ fn cmd_batch_incremental(
                 let entry = frodo::obs::LedgerEntry::from_agg(
                     &agg,
                     &r.job,
-                    engine_label(intra),
-                    intra as u64,
+                    LEDGER_ENGINE,
+                    1,
                     1,
                     r.timings.total().as_nanos() as u64,
                 );
@@ -1281,7 +1128,7 @@ fn cmd_obs(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_obs_export(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args, &["--format", "-f", "-o", "--output"], &[]);
+    let pos = positionals(args, &["--format", "-f", "-o", "--output"], &[])?;
     let input = pos.first().ok_or("obs export: missing trace file")?;
     let text = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
     let snap = frodo::obs::ndjson::snapshot(&text).map_err(|e| format!("{input}: {e}"))?;
@@ -1334,7 +1181,7 @@ fn diff_side(path: &str) -> Result<frodo::obs::LedgerEntry, String> {
 }
 
 fn cmd_obs_diff(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args, &["--fail-over"], &[]);
+    let pos = positionals(args, &["--fail-over"], &[])?;
     let (old_path, new_path) = match pos.as_slice() {
         [a, b, ..] => (*a, *b),
         _ => return Err("obs diff: need <OLD> and <NEW> (ledger files or raw traces)".into()),
@@ -1360,7 +1207,7 @@ fn cmd_obs_diff(args: &[String]) -> Result<(), String> {
 
 fn cmd_obs_report(args: &[String]) -> Result<(), String> {
     let strict = args.iter().any(|a| a == "--strict");
-    let pos = positionals(args, &[], &["--strict"]);
+    let pos = positionals(args, &[], &["--strict"])?;
     let path = *pos.first().ok_or("obs report: missing ledger file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     // Parse line by line so one corrupt line (a truncated write, a

@@ -67,7 +67,7 @@ pub use frodo_verify as verify;
 /// One-stop imports for the common pipeline.
 pub mod prelude {
     pub use frodo_codegen::{emit_c, emit_c_harness, generate, GeneratorStyle};
-    pub use frodo_core::{Analysis, RangeEngine, RangeOptions};
+    pub use frodo_core::{Analysis, RangeOptions};
     pub use frodo_driver::{CompileOptions, CompileService, JobSpec, ServiceConfig};
     pub use frodo_graph::Dfg;
     pub use frodo_model::{

@@ -1,80 +1,46 @@
-//! Acceptance suite for the `analyze` dataflow stage: the race checker
-//! proves every bundled benchmark race-free under every engine and
-//! lowering mode, the residual-redundancy detector is zero on FRODO
-//! output and nonzero on the Simulink-style baseline, injected defects
-//! are caught, and the combined diagnostic stream is byte-identical
-//! across engines and thread counts.
+//! Acceptance suite for the `analyze` dataflow stage: every bundled
+//! benchmark comes out clean under every lowering mode, the
+//! residual-redundancy detector is zero on FRODO output and nonzero on
+//! the Simulink-style baseline, injected defects are caught, and the
+//! combined diagnostic stream is byte-identical from run to run.
 
-use frodo::codegen::access::stmt_access;
 use frodo::codegen::lir::{BufId, Buffer, BufferRole, ConvStyle, Program, Slice, Stmt};
 use frodo::codegen::{generate_with, LowerOptions};
 use frodo::prelude::*;
-use frodo::verify::{
-    analyze_compile, analyze_program, check_schedule, conflict_pairs, level_schedule,
-    AnalyzeOptions, Schedule, Task, Unit,
-};
+use frodo::verify::{analyze_compile, analyze_program, AnalyzeOptions};
 
-fn engines() -> [(&'static str, RangeEngine); 3] {
-    [
-        ("recursive", RangeEngine::Recursive),
-        ("iterative", RangeEngine::Iterative),
-        ("parallel", RangeEngine::Parallel),
-    ]
-}
-
-/// The headline gate: every bundled benchmark, under every range engine,
-/// with and without window-reuse lowering, produces a program the
-/// analyzer proves race-free with zero residual redundancy, zero numeric
-/// findings, and zero dead stores. (SIMD vector modes shape emission,
-/// not the statement IR the analyses run over, so lowering modes are the
-/// axis that matters here.)
+/// The headline gate: every bundled benchmark, with and without
+/// window-reuse lowering, produces a program with zero residual
+/// redundancy, zero numeric findings, and zero dead stores. (SIMD vector
+/// modes shape emission, not the statement IR the analyses run over, so
+/// lowering modes are the axis that matters here.)
 #[test]
 fn all_benchmarks_are_clean_under_every_engine_and_lowering_mode() {
     for bench in frodo::benchmodels::all() {
-        for (ename, engine) in engines() {
-            for window_reuse in [false, true] {
-                let analysis = Analysis::run_with(
-                    bench.model.clone(),
-                    RangeOptions {
-                        engine,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let program = generate_with(
-                    &analysis,
-                    GeneratorStyle::Frodo,
-                    LowerOptions {
-                        window_reuse,
-                        ..Default::default()
-                    },
-                    &frodo::obs::Trace::noop(),
-                );
-                for threads in 1..=4 {
-                    let report = analyze_compile(
-                        &analysis,
-                        &program,
-                        &AnalyzeOptions {
-                            emit_threads: threads,
-                            ..Default::default()
-                        },
-                    );
-                    assert!(
-                        report.is_clean(),
-                        "{}/{ename}/window_reuse={window_reuse}/threads={threads}: {:?}",
-                        bench.name,
-                        report.diagnostics
-                    );
-                    assert!(report.race_free(), "{}/{ename}: not race-free", bench.name);
-                    assert_eq!(
-                        report.residual_elements, 0,
-                        "{}/{ename}: residual redundancy in FRODO output",
-                        bench.name
-                    );
-                    assert_eq!(report.lifetime.dead_store_elements, 0);
-                    assert!(report.schedule_units > 0);
-                }
-            }
+        let analysis = Analysis::run(bench.model).unwrap();
+        for window_reuse in [false, true] {
+            let program = generate_with(
+                &analysis,
+                GeneratorStyle::Frodo,
+                LowerOptions {
+                    window_reuse,
+                    ..Default::default()
+                },
+                &frodo::obs::Trace::noop(),
+            );
+            let report = analyze_compile(&analysis, &program, &AnalyzeOptions::default());
+            assert!(
+                report.is_clean(),
+                "{}/window_reuse={window_reuse}: {:?}",
+                bench.name,
+                report.diagnostics
+            );
+            assert_eq!(
+                report.residual_elements, 0,
+                "{}: residual redundancy in FRODO output",
+                bench.name
+            );
+            assert_eq!(report.lifetime.dead_store_elements, 0);
         }
     }
 }
@@ -103,59 +69,7 @@ fn simulink_style_baseline_shows_residual_redundancy_on_every_benchmark() {
             "{}: residual must surface as F204",
             bench.name
         );
-        // over-computation is waste, not a race
-        assert!(report.race_free(), "{}: baseline races?", bench.name);
     }
-}
-
-fn racy_program() -> Program {
-    Program {
-        name: "racy".into(),
-        style: GeneratorStyle::Frodo,
-        buffers: vec![Buffer {
-            name: "out0".into(),
-            len: 8,
-            role: BufferRole::Output(0),
-        }],
-        stmts: vec![
-            Stmt::Fill {
-                dst: Slice::new(BufId(0), 0),
-                value: 1.0,
-                len: 6,
-            },
-            Stmt::Fill {
-                dst: Slice::new(BufId(0), 4),
-                value: 2.0,
-                len: 4,
-            },
-        ],
-    }
-}
-
-/// Injected defect: overlapping writes claimed concurrent must be refuted
-/// with F301 naming the buffer, while the derived level schedule for the
-/// same program verifies race-free.
-#[test]
-fn injected_overlapping_writes_are_refuted_f301() {
-    let p = racy_program();
-    let accs: Vec<_> = p.stmts.iter().map(|s| stmt_access(&p, s)).collect();
-    let pairs = conflict_pairs(&accs);
-    let claimed = Schedule {
-        units: vec![Unit {
-            tasks: vec![Task { stmts: vec![0] }, Task { stmts: vec![1] }],
-        }],
-    };
-    let (diags, _) = check_schedule(&p, &claimed, &accs, &pairs);
-    let race = diags
-        .iter()
-        .find(|d| d.code == "F301")
-        .expect("overlap refuted");
-    assert!(race.message.contains("out0"), "{}", race.message);
-
-    let derived = level_schedule(&pairs, p.stmts.len());
-    let (diags, _) = check_schedule(&p, &derived, &accs, &pairs);
-    assert!(diags.is_empty(), "derived schedule must verify: {diags:?}");
-    assert_eq!(derived.units.len(), 2, "conflict forces two units");
 }
 
 /// Injected defect: a Figure-1-style full-range Conv feeding a Selector
@@ -212,60 +126,35 @@ fn injected_overcomputing_conv_is_residual_f204() {
 
 /// Determinism satellite: the complete diagnostic stream — model lint,
 /// range soundness, and the analyze stage — rendered as JSON must be
-/// byte-identical across range engines and analyzer thread counts.
+/// byte-identical from one run to the next (no hash-order leaks).
 #[test]
-fn diagnostic_streams_are_byte_identical_across_engines_and_threads() {
+fn diagnostic_streams_are_byte_identical_across_runs() {
     for bench in frodo::benchmodels::all() {
-        let mut golden: Option<String> = None;
-        for (ename, engine) in engines() {
-            for threads in 1..=4 {
-                let lint = frodo::verify::render_json(&frodo::verify::lint(&bench.model));
-                let analysis = Analysis::run_with(
-                    bench.model.clone(),
-                    RangeOptions {
-                        engine,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let program = generate_with(
-                    &analysis,
-                    GeneratorStyle::Frodo,
-                    LowerOptions::default(),
-                    &frodo::obs::Trace::noop(),
-                );
-                let sound = frodo::verify::check_compile(&analysis, &program);
-                let report = analyze_compile(
-                    &analysis,
-                    &program,
-                    &AnalyzeOptions {
-                        emit_threads: threads,
-                        ..Default::default()
-                    },
-                );
-                let stream = format!(
-                    "{lint}{}{}",
-                    frodo::verify::render_json(&sound.diagnostics),
-                    frodo::verify::render_json(&report.diagnostics)
-                );
-                match &golden {
-                    None => golden = Some(stream),
-                    Some(g) => assert_eq!(
-                        g, &stream,
-                        "{}: diagnostics diverge at {ename}/threads={threads}",
-                        bench.name
-                    ),
-                }
-            }
-        }
+        let stream = || {
+            let lint = frodo::verify::render_json(&frodo::verify::lint(&bench.model));
+            let analysis = Analysis::run(bench.model.clone()).unwrap();
+            let program = generate_with(
+                &analysis,
+                GeneratorStyle::Frodo,
+                LowerOptions::default(),
+                &frodo::obs::Trace::noop(),
+            );
+            let sound = frodo::verify::check_compile(&analysis, &program);
+            let report = analyze_compile(&analysis, &program, &AnalyzeOptions::default());
+            format!(
+                "{lint}{}{}",
+                frodo::verify::render_json(&sound.diagnostics),
+                frodo::verify::render_json(&report.diagnostics)
+            )
+        };
+        assert_eq!(stream(), stream(), "{}: diagnostics diverge", bench.name);
     }
 }
 
-/// SARIF golden extended to the new rule families: an F2xx numeric
-/// finding and an F3xx race finding render with the minimal schema every
-/// SARIF consumer greps for.
+/// SARIF golden extended to the analyze rule family: an F2xx numeric
+/// finding renders with the minimal schema every SARIF consumer greps for.
 #[test]
-fn sarif_golden_covers_f2xx_and_f3xx() {
+fn sarif_golden_covers_f2xx() {
     // F201: divisor straddles zero
     let div = Program {
         name: "divz".into(),
@@ -300,20 +189,6 @@ fn sarif_golden_covers_f2xx_and_f3xx() {
     assert!(sarif.contains("\"ruleId\":\"F201\""), "{sarif}");
     assert!(sarif.contains("\"fullyQualifiedName\""));
     assert!(sarif.contains("\"version\":\"2.1.0\""));
-
-    // F301: the racy fixture's claimed-concurrent schedule
-    let p = racy_program();
-    let accs: Vec<_> = p.stmts.iter().map(|s| stmt_access(&p, s)).collect();
-    let pairs = conflict_pairs(&accs);
-    let claimed = Schedule {
-        units: vec![Unit {
-            tasks: vec![Task { stmts: vec![0] }, Task { stmts: vec![1] }],
-        }],
-    };
-    let (diags, _) = check_schedule(&p, &claimed, &accs, &pairs);
-    let sarif = frodo::verify::render_sarif(&diags);
-    assert!(sarif.contains("\"ruleId\":\"F301\""), "{sarif}");
-    assert!(sarif.contains("\"level\":\"error\""));
 }
 
 /// Cross-check against the analysis-level redundancy counters: the
@@ -357,11 +232,11 @@ fn residual_detector_is_bounded_by_the_elimination_counters() {
     }
 }
 
-/// Every `F2xx`/`F3xx` rule is registered with a severity, summary, and a
+/// Every `F2xx` rule is registered with a severity, summary, and a
 /// minimal triggering example (the `lint --explain` surface).
 #[test]
 fn analyze_rules_are_registered_with_examples() {
-    for code in ["F201", "F202", "F203", "F204", "F301", "F302"] {
+    for code in ["F201", "F202", "F203", "F204"] {
         let r = frodo::verify::rule(code).unwrap_or_else(|| panic!("{code} registered"));
         assert!(!r.summary.is_empty());
         assert!(!r.example.is_empty(), "{code} needs a minimal trigger");

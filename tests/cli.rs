@@ -197,6 +197,53 @@ fn unknown_command_fails_with_message() {
 }
 
 #[test]
+fn unknown_flags_fail_and_every_read_flag_is_accepted() {
+    for (args, flag) in [
+        (&["compile", "Kalman", "--bogus", "2"][..], "--bogus"),
+        (&["batch", "Kalman", "-x"], "-x"),
+        (
+            &["analyze", "Kalman", "--vectorize", "batch:8"],
+            "--vectorize",
+        ),
+        (
+            &[
+                "client",
+                "--socket",
+                "/nonexistent.sock",
+                "--bogus",
+                "status",
+            ],
+            "--bogus",
+        ),
+    ] {
+        let out = frodo().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag '{flag}'")),
+            "{args:?}: {err}"
+        );
+    }
+
+    // compile reads --cache-cap through the service configuration
+    let c_out = temp_path("cache-cap.c");
+    let out = frodo()
+        .args(["compile", "--cache-cap", "100000", "Kalman", "-o"])
+        .arg(&c_out)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(std::fs::read_to_string(&c_out)
+        .unwrap()
+        .contains("Kalman_step"));
+    let _ = std::fs::remove_file(c_out);
+}
+
+#[test]
 fn bad_model_path_fails_cleanly() {
     let out = frodo()
         .args(["analyze", "/nonexistent/model.slx"])
@@ -241,8 +288,6 @@ fn obs_diff_proves_counter_determinism_of_two_compiles() {
             .args([
                 "compile",
                 "Kalman",
-                "--threads",
-                "1",
                 "--trace",
                 path.to_str().unwrap(),
                 "-o",
@@ -288,8 +333,6 @@ fn obs_diff_catches_injected_drift() {
         .args([
             "compile",
             "HT",
-            "--threads",
-            "1",
             "--trace",
             a.to_str().unwrap(),
             "-o",
@@ -403,8 +446,6 @@ fn batch_ledger_entries_diff_clean_across_runs() {
                 "Kalman",
                 "HT",
                 "Simpson",
-                "--threads",
-                "1",
                 "--workers",
                 "1",
                 "--ledger-out",
@@ -537,7 +578,6 @@ fn analyze_gates_benchmarks_and_runs_the_selftest() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("static analysis"), "{text}");
-    assert!(text.contains("race-free: yes"), "{text}");
     assert!(text.contains("residual redundancy: 0 elements"), "{text}");
 
     // the Simulink-style baseline over-computes: --gate must fail with F204
@@ -548,7 +588,7 @@ fn analyze_gates_benchmarks_and_runs_the_selftest() {
     assert!(!out.status.success(), "baseline should trip the gate");
     assert!(String::from_utf8_lossy(&out.stdout).contains("F204"));
 
-    // injected-defect selftest: all detectors must report PASS
+    // injected-defect selftest: the detector must report PASS
     let out = frodo()
         .args(["analyze", "--selftest"])
         .output()
@@ -560,8 +600,6 @@ fn analyze_gates_benchmarks_and_runs_the_selftest() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("selftest residual: PASS"), "{text}");
-    assert!(text.contains("selftest race: PASS"), "{text}");
-    assert!(text.contains("selftest schedule: PASS"), "{text}");
 }
 
 #[test]
@@ -577,11 +615,11 @@ fn lint_explain_prints_rules_and_rejects_unknown_ids() {
 
     // lower-case ids are normalized
     let out = frodo()
-        .args(["lint", "--explain", "f301"])
+        .args(["lint", "--explain", "f204"])
         .output()
         .expect("runs");
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).starts_with("F301"));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("F204"));
 
     let out = frodo()
         .args(["lint", "--explain", "F999"])

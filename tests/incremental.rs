@@ -1,7 +1,7 @@
 //! Integration tests of incremental recompilation (`CompileSession`):
 //! an edit followed by a warm recompile must stitch C that is
 //! byte-identical to a cold compile of the edited model, across the whole
-//! Table-1 suite and all three range engines, and demand changes must
+//! Table-1 suite, and demand changes must
 //! propagate past regions whose content did not change.
 
 use frodo::codegen::GeneratorStyle;
@@ -45,59 +45,44 @@ fn edit_one_block(m: &mut Model) -> bool {
 
 #[test]
 fn edit_then_recompile_is_byte_identical_to_cold_across_suite_and_engines() {
-    for engine in [
-        RangeEngine::Recursive,
-        RangeEngine::Iterative,
-        RangeEngine::Parallel,
-    ] {
-        let options = CompileOptions::builder()
-            .range(RangeOptions {
-                engine,
-                threads: 1,
-                ..RangeOptions::default()
-            })
-            .intra_threads(1)
+    for bench in frodo::benchmodels::all() {
+        let flat = bench
+            .model
+            .flattened(&Trace::noop())
+            .expect("suite flattens");
+        let mut edited = flat.clone();
+        let changed = edit_one_block(&mut edited);
+
+        let mut session = CompileSession::builder(GeneratorStyle::Frodo)
+            .region_max(8)
             .build();
-        for bench in frodo::benchmodels::all() {
-            let flat = bench
-                .model
-                .flattened(&Trace::noop())
-                .expect("suite flattens");
-            let mut edited = flat.clone();
-            let changed = edit_one_block(&mut edited);
+        session
+            .compile(bench.name, flat, &Trace::noop())
+            .expect("cold session compile succeeds");
+        let warm = session
+            .compile(bench.name, edited.clone(), &Trace::noop())
+            .expect("warm session compile succeeds");
 
-            let mut session = CompileSession::builder(GeneratorStyle::Frodo)
-                .options(options)
-                .region_max(8)
-                .build();
-            session
-                .compile(bench.name, flat, &Trace::noop())
-                .expect("cold session compile succeeds");
-            let warm = session
-                .compile(bench.name, edited.clone(), &Trace::noop())
-                .expect("warm session compile succeeds");
+        let reference = cold_reference(bench.name, edited, GeneratorStyle::Frodo);
+        assert_eq!(
+            warm.code, reference,
+            "{}: incremental recompile differs from cold",
+            bench.name
+        );
 
-            let reference = cold_reference(bench.name, edited, GeneratorStyle::Frodo);
-            assert_eq!(
-                warm.code, reference,
-                "{}/{engine:?}: incremental recompile differs from cold",
-                bench.name
-            );
-
-            let stats = session.stats();
-            assert_eq!(stats.compiles, 2);
+        let stats = session.stats();
+        assert_eq!(stats.compiles, 2);
+        assert!(
+            stats.last_region_total > 0,
+            "{}: model must partition into regions",
+            bench.name
+        );
+        if changed && stats.last_region_total > 1 {
             assert!(
-                stats.last_region_total > 0,
-                "{}: model must partition into regions",
+                stats.last_dirty_blocks > 0,
+                "{}: an edit must dirty at least one block",
                 bench.name
             );
-            if changed && stats.last_region_total > 1 {
-                assert!(
-                    stats.last_dirty_blocks > 0,
-                    "{}/{engine:?}: an edit must dirty at least one block",
-                    bench.name
-                );
-            }
         }
     }
 }
@@ -135,7 +120,6 @@ fn demand_changes_propagate_past_unchanged_regions_end_to_end() {
     };
 
     let mut session = CompileSession::builder(GeneratorStyle::Frodo)
-        .options(CompileOptions::builder().intra_threads(1).build())
         .region_max(1)
         .build();
     session

@@ -1,13 +1,12 @@
-//! Determinism contract of the intra-model parallel hot path: every range
-//! engine computes identical `Ranges`, and the threaded emitter produces
-//! byte-identical C, on every bundled benchmark model and on large random
-//! models — for any thread count.
+//! Engine agreement on every bundled benchmark model and on two larger
+//! random models: the production recursion (Algorithm 1), the reference
+//! reverse-topological sweep, and the region-incremental engine compute
+//! identical `Ranges`, with dead-end elimination off and on.
 
-use frodo::codegen::{emit_c_threaded, emit_c_with, generate, CEmitOptions, GeneratorStyle};
-use frodo::core::{determine_ranges, IoMappings, RangeEngine, RangeOptions};
+use frodo::core::incremental::{analyze_incremental, RegionCache};
+use frodo::core::{determine_ranges, reference_ranges, IoMappings, RangeOptions};
 use frodo::graph::Dfg;
 use frodo::model::Model;
-use frodo::prelude::{Analysis, CompileOptions, CompileService, JobSpec, ServiceConfig};
 
 fn subjects() -> Vec<(String, Model)> {
     let mut out: Vec<(String, Model)> = frodo::benchmodels::all()
@@ -32,96 +31,32 @@ fn all_three_engines_agree_on_every_benchmark_model() {
         )
         .unwrap();
         let maps = IoMappings::derive(&dfg);
-        for dead_ends in [false, true] {
-            let base = RangeOptions {
-                engine: RangeEngine::Recursive,
-                eliminate_dead_ends: dead_ends,
-                threads: 0,
+        for eliminate_dead_ends in [false, true] {
+            let options = RangeOptions {
+                eliminate_dead_ends,
             };
-            let reference = determine_ranges(&dfg, &maps, base);
-            let iterative = determine_ranges(
-                &dfg,
-                &maps,
-                RangeOptions {
-                    engine: RangeEngine::Iterative,
-                    ..base
-                },
+            let production = determine_ranges(&dfg, &maps, options);
+            let reference = reference_ranges(&dfg, &maps, options);
+            assert_eq!(
+                production, reference,
+                "{name}: reference sweep diverged (dead_ends = {eliminate_dead_ends})"
             );
-            assert_eq!(reference, iterative, "{name}: iterative diverged");
-            for threads in [1, 2, 4, 7] {
-                let parallel = determine_ranges(
-                    &dfg,
-                    &maps,
-                    RangeOptions {
-                        engine: RangeEngine::Parallel,
-                        threads,
-                        ..base
-                    },
-                );
+            for region_max in [1, 24, 0] {
+                let incremental = analyze_incremental(
+                    model.clone(),
+                    options,
+                    region_max,
+                    &mut RegionCache::new(),
+                    &frodo_obs::Trace::noop(),
+                )
+                .unwrap();
                 assert_eq!(
-                    reference, parallel,
-                    "{name}: parallel engine diverged at {threads} threads \
-                     (dead_ends = {dead_ends})"
+                    incremental.analysis.ranges(),
+                    &production,
+                    "{name}: incremental engine diverged at region_max = {region_max} \
+                     (dead_ends = {eliminate_dead_ends})"
                 );
             }
         }
-    }
-}
-
-#[test]
-fn threaded_emission_is_byte_identical_on_every_benchmark_model() {
-    for (name, model) in subjects() {
-        let analysis = Analysis::run(model).unwrap();
-        for style in GeneratorStyle::ALL {
-            let program = generate(&analysis, style, &frodo_obs::Trace::noop());
-            for opts in [
-                CEmitOptions::default(),
-                CEmitOptions {
-                    shared_conv_helper: true,
-                    ..Default::default()
-                },
-                CEmitOptions {
-                    vectorize: frodo::codegen::VectorMode::Batch(8),
-                    ..Default::default()
-                },
-            ] {
-                let sequential = emit_c_with(&program, opts);
-                for threads in [1, 2, 4, 7] {
-                    let threaded = emit_c_threaded(&program, opts, threads);
-                    assert_eq!(
-                        threaded,
-                        sequential,
-                        "{name}/{}: emission diverged at {threads} threads",
-                        style.label()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn compile_service_output_is_invariant_under_intra_threads() {
-    let service = CompileService::new(ServiceConfig {
-        no_cache: true,
-        ..Default::default()
-    });
-    for (name, model) in subjects().into_iter().take(4) {
-        let mut outputs = Vec::new();
-        for intra_threads in [1, 4] {
-            let spec = JobSpec::from_model(&name, model.clone(), GeneratorStyle::Frodo)
-                .with_options(
-                    CompileOptions::builder()
-                        .intra_threads(intra_threads)
-                        .build(),
-                );
-            outputs.push(service.compile(spec).unwrap());
-        }
-        assert_eq!(
-            outputs[0].code, outputs[1].code,
-            "{name}: driver output changed with intra_threads"
-        );
-        // the thread budget must not split the artifact cache
-        assert_eq!(outputs[0].report.digest, outputs[1].report.digest);
     }
 }

@@ -1,6 +1,7 @@
 //! Structure-level random testing: arbitrary valid models from the fuzzer
 //! in `frodo_benchmodels::random`, checked for cross-generator agreement,
-//! Algorithm-1 engine agreement, and format-roundtrip stability.
+//! agreement of Algorithm 1 with its reference engine, and
+//! format-roundtrip stability.
 
 use frodo::benchmodels::random::random_model;
 use frodo::prelude::*;
@@ -45,27 +46,27 @@ fn all_styles_match_simulation_on_random_models() {
     }
 }
 
+/// The production engine (the paper's recursion) against the reference
+/// reverse-topological sweep, with dead-end elimination off and on, on the
+/// random structures (the benchmark models are covered in `tests/parallel.rs`).
 #[test]
 fn engines_agree_on_random_models() {
     for seed in MODEL_SEEDS {
         let model = random_model(seed, 30);
-        let rec = Analysis::run_with(
-            model.clone(),
-            RangeOptions {
-                engine: RangeEngine::Recursive,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let it = Analysis::run_with(
-            model,
-            RangeOptions {
-                engine: RangeEngine::Iterative,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert_eq!(rec.ranges(), it.ranges(), "seed {seed}: engines disagree");
+        for eliminate_dead_ends in [false, true] {
+            let options = RangeOptions {
+                eliminate_dead_ends,
+            };
+            let analysis = Analysis::run_with(model.clone(), options)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let reference =
+                frodo::core::reference_ranges(analysis.dfg(), analysis.mappings(), options);
+            assert_eq!(
+                analysis.ranges(),
+                &reference,
+                "seed {seed}: engines disagree (dead_ends = {eliminate_dead_ends})"
+            );
+        }
     }
 }
 

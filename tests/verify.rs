@@ -2,8 +2,8 @@
 //! range-soundness checker's verdicts are a stable interface, so the
 //! exact code / block / buffer / interval named by each diagnostic is
 //! pinned here. Also proves the headline acceptance criterion: every
-//! bundled benchmark model, under every range engine, compiles to a
-//! program the checker proves sound.
+//! bundled benchmark model compiles to a program the checker proves
+//! sound.
 
 use frodo::codegen::lir::{BufId, Buffer, BufferRole, Program, Slice, Src, Stmt, UnOp};
 use frodo::prelude::*;
@@ -136,36 +136,24 @@ fn under_covered_output_is_f103_naming_block_buffer_interval() {
     assert!(d.message.contains("[6, 8)"), "{}", d.message);
 }
 
-/// The headline guarantee: for every committed benchmark model, under all
-/// three range engines, the lowered program has no uninitialized reads,
-/// no out-of-bounds accesses, and writes exactly Algorithm 1's demanded
-/// output ranges.
+/// The headline guarantee: for every committed benchmark model, the
+/// lowered program has no uninitialized reads, no out-of-bounds accesses,
+/// and writes exactly Algorithm 1's demanded output ranges.
 #[test]
 fn every_benchmark_is_sound_under_every_engine() {
-    let engines = [
-        RangeEngine::Recursive,
-        RangeEngine::Iterative,
-        RangeEngine::Parallel,
-    ];
     for bench in frodo::benchmodels::all() {
-        for engine in engines {
-            let options = RangeOptions {
-                engine,
-                ..Default::default()
-            };
-            let analysis = Analysis::run_with(bench.model.clone(), options)
-                .unwrap_or_else(|e| panic!("{} analyzes under {engine:?}: {e}", bench.name));
-            let program = generate(&analysis, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
-            let report = check_compile(&analysis, &program);
-            assert!(
-                report.is_sound(),
-                "{} under {engine:?} is unsound:\n{}",
-                bench.name,
-                frodo::verify::render_human(&report.diagnostics)
-            );
-            assert!(report.stmts_checked > 0);
-            assert!(report.outputs_checked > 0);
-        }
+        let analysis =
+            Analysis::run(bench.model).unwrap_or_else(|e| panic!("{} analyzes: {e}", bench.name));
+        let program = generate(&analysis, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
+        let report = check_compile(&analysis, &program);
+        assert!(
+            report.is_sound(),
+            "{} is unsound:\n{}",
+            bench.name,
+            frodo::verify::render_human(&report.diagnostics)
+        );
+        assert!(report.stmts_checked > 0);
+        assert!(report.outputs_checked > 0);
     }
 }
 
@@ -200,5 +188,6 @@ fn sarif_export_of_real_findings_keeps_the_minimal_schema() {
     assert!(doc.iter().any(|(k, _)| k == "version"));
     assert!(doc.iter().any(|(k, _)| k == "$schema"));
     assert!(sarif.contains("\"ruleId\":\"F001\""));
+    assert!(sarif.contains("\"level\":\"error\""));
     assert!(sarif.contains("\"fullyQualifiedName\""));
 }
