@@ -47,17 +47,25 @@ grep -q '"traceEvents"' "$chrome_out"
 ./target/release/frodo obs export "$trace_out" --format collapsed | grep -q '^job:Kalman;ranges '
 rm -f "$trace_out" "$trace_out2" "$chrome_out"
 
-# perf-ledger regression gate: a fresh one-worker batch of the
-# Table-1 suite must be counter-identical to the committed baseline
-# (LEDGER.ndjson); counters are model/code-derived, so this holds across
-# hosts — wall times are informational only at --fail-over 0
-ledger_out="$(mktemp)"
+# perf-ledger regression gate: fresh one-worker batches must be
+# counter-identical to the committed baselines (LEDGER.ndjson, one entry
+# per batch label): the Table-1 suite (batch:10) and the 2000-block
+# synthetic (batch:1); counters are model/code-derived, so this holds
+# across hosts — wall times are informational only at --fail-over 0
+ledger_dir="$(mktemp -d)"
+grep '"label":"batch:10"' LEDGER.ndjson > "$ledger_dir/table1-base.ndjson"
+grep '"label":"batch:1"' LEDGER.ndjson > "$ledger_dir/random-base.ndjson"
 ./target/release/frodo batch AudioProcess Decryption HighPass HT Kalman Back \
     Maintenance Maunfacture RunningDiff Simpson \
-    --workers 1 --ledger-out "$ledger_out" >/dev/null
-./target/release/frodo obs diff LEDGER.ndjson "$ledger_out" --fail-over 0
-./target/release/frodo obs report "$ledger_out" >/dev/null
-rm -f "$ledger_out"
+    --workers 1 --ledger-out "$ledger_dir/table1.ndjson" >/dev/null
+./target/release/frodo obs diff "$ledger_dir/table1-base.ndjson" \
+    "$ledger_dir/table1.ndjson" --fail-over 0
+./target/release/frodo obs report "$ledger_dir/table1.ndjson" >/dev/null
+./target/release/frodo batch random:7:2000 \
+    --workers 1 --ledger-out "$ledger_dir/random.ndjson" >/dev/null
+./target/release/frodo obs diff "$ledger_dir/random-base.ndjson" \
+    "$ledger_dir/random.ndjson" --fail-over 0
+rm -rf "$ledger_dir"
 
 # static verification gate: every benchmark model must lint clean of
 # errors, and every compile must pass the range-soundness checker (no

@@ -580,7 +580,7 @@ impl CompileService {
         };
 
         // flatten: the canonical, cache-keyable form (records its own span)
-        let flat = model.flattened(&jt).map_err(|e| JobError::Analysis {
+        let flat = model.into_flattened(&jt).map_err(|e| JobError::Analysis {
             job: name.clone(),
             message: e.to_string(),
         })?;
@@ -620,8 +620,8 @@ impl CompileService {
         }
 
         // analysis: dfg + iomap + Algorithm 1 + classification. The
-        // model is already flat, so the inner flatten span is a no-op
-        // pass recorded alongside the real one above.
+        // model is already flat, so the inner flatten span moves it
+        // through without a copy, recorded alongside the real one above.
         let analysis = Analysis::run_traced(flat, options.keyed.range, &jt).map_err(|e| {
             JobError::Analysis {
                 job: name.clone(),

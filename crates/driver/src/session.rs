@@ -193,7 +193,7 @@ impl CompileSession {
         let job_id = job_span.id();
         let jt = job_span.trace();
 
-        let flat = model.flattened(&jt).map_err(|e| JobError::Analysis {
+        let flat = model.into_flattened(&jt).map_err(|e| JobError::Analysis {
             job: name.to_string(),
             message: e.to_string(),
         })?;

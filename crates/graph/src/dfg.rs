@@ -1,52 +1,62 @@
 //! The analyzed dataflow graph.
 
 use crate::{analysis_levels, topo_levels, toposort};
-use frodo_model::{BlockId, BlockKind, InPort, Model, ModelError, OutPort, ShapeTable};
+use frodo_model::{BlockId, BlockKind, InPort, Model, ModelError, OutPort, PortTable, ShapeTable};
 
 /// A flattened model together with its inferred shapes and adjacency
 /// structure — the artifact FRODO's *model analysis* stage hands to
 /// redundancy elimination and code synthesis.
 ///
 /// Construction flattens subsystems, validates connectivity, and runs shape
-/// inference; a `Dfg` is therefore always well-formed.
+/// inference; a `Dfg` is therefore always well-formed. Port queries are
+/// answered from dense tables built once, in time linear in the model.
 #[derive(Debug, Clone)]
 pub struct Dfg {
     model: Model,
     shapes: ShapeTable,
     children: Vec<Vec<BlockId>>,
     parents: Vec<Vec<BlockId>>,
-    /// Offset of each block's first output port in the dense port index
-    /// space (prefix sums of `num_outputs`); the final entry is the total.
-    port_offsets: Vec<usize>,
-    /// Consumer input ports of every output port, indexed by
-    /// [`Dfg::out_port_index`] — the reverse adjacency that makes
-    /// [`Dfg::consumers_of`] an O(1) lookup instead of a connection scan.
-    port_consumers: Vec<Vec<InPort>>,
+    /// The driver of every input port and the dense numbering of the
+    /// output ports ([`Dfg::out_port_index`]).
+    ports: PortTable,
+    /// Consumer input ports of every output port, in connection order:
+    /// those of output port `o` (dense index) are
+    /// `consumers[consumer_starts[o]..consumer_starts[o + 1]]` — the
+    /// reverse adjacency that makes [`Dfg::consumers_of`] an O(1) lookup
+    /// instead of a connection scan.
+    consumer_starts: Vec<usize>,
+    consumers: Vec<InPort>,
 }
 
 impl Dfg {
     /// Analyzes a model: flatten, validate, infer shapes, build adjacency.
     /// Recorded on the given trace: a `flatten` span for subsystem
-    /// flattening and a `dfg` span (with nested `validate` and
-    /// `shape_infer` child spans and block/connection counters) for graph
-    /// construction proper. Pass `&Trace::noop()` when no instrumentation
-    /// is wanted.
+    /// flattening (a model without subsystems is moved through, not
+    /// copied) and a `dfg` span with block/connection counters for graph
+    /// construction proper. Inside `dfg`, a `validate` child span covers
+    /// the port tables (one pass over the connections) and the structural
+    /// checks of [`Model::validate_structure`]; a `shape_infer` child span
+    /// covers the one shape-inference pass, whose table the graph keeps.
+    /// Pass `&Trace::noop()` when no instrumentation is wanted.
     ///
     /// # Errors
     ///
     /// Propagates any [`ModelError`] from flattening, validation, or shape
-    /// inference.
+    /// inference, in that order: the error [`Model::validate`] reports for
+    /// the flattened model.
     pub fn new(model: Model, trace: &frodo_obs::Trace) -> Result<Self, ModelError> {
-        let flat = model.flattened(trace)?;
+        let flat = model.into_flattened(trace)?;
         let span = trace.span("dfg");
         let inner = span.trace();
-        {
+        let ports = {
             let _v = inner.span("validate");
-            flat.validate()?;
-        }
+            let ports = PortTable::new(&flat);
+            flat.validate_structure(&ports)?;
+            ports
+        };
         let shapes = {
             let _s = inner.span("shape_infer");
-            flat.infer_shapes()?
+            flat.infer_shapes_with(&ports)?
         };
         let n = flat.len();
         let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
@@ -60,16 +70,25 @@ impl Dfg {
                 parents[d.index()].push(s);
             }
         }
-        let mut port_offsets = Vec::with_capacity(n + 1);
-        let mut total = 0usize;
-        for (_, block) in flat.iter() {
-            port_offsets.push(total);
-            total += block.kind.num_outputs();
-        }
-        port_offsets.push(total);
-        let mut port_consumers: Vec<Vec<InPort>> = vec![Vec::new(); total];
+        // counting sort of the connections by source port
+        let out_index = |c: &frodo_model::Connection| {
+            ports
+                .output_index(c.from)
+                .expect("validated connections leave existing ports")
+        };
+        let mut consumer_starts = vec![0usize; ports.num_outputs() + 1];
         for c in flat.connections() {
-            port_consumers[port_offsets[c.from.block.index()] + c.from.port].push(c.to);
+            consumer_starts[out_index(c) + 1] += 1;
+        }
+        for o in 0..ports.num_outputs() {
+            consumer_starts[o + 1] += consumer_starts[o];
+        }
+        let mut fill = consumer_starts.clone();
+        let mut consumers = vec![InPort::new(BlockId::from_index(0), 0); flat.connections().len()];
+        for c in flat.connections() {
+            let slot = &mut fill[out_index(c)];
+            consumers[*slot] = c.to;
+            *slot += 1;
         }
         span.count("blocks", n as u64);
         span.count("connections", flat.connections().len() as u64);
@@ -78,8 +97,9 @@ impl Dfg {
             shapes,
             children,
             parents,
-            port_offsets,
-            port_consumers,
+            ports,
+            consumer_starts,
+            consumers,
         })
     }
 
@@ -138,30 +158,34 @@ impl Dfg {
     /// Panics if the port does not exist — validation guarantees every real
     /// input port is connected.
     pub fn source_of(&self, port: InPort) -> OutPort {
-        self.model
-            .source_of(port)
+        self.ports
+            .source(port)
             .expect("validated models have fully connected inputs")
     }
 
     /// All consumer input ports of an output port — a precomputed O(1)
     /// lookup (connection order, like `Model::consumers_of`).
     pub fn consumers_of(&self, port: OutPort) -> &[InPort] {
-        &self.port_consumers[self.out_port_index(port)]
+        let o = self.out_port_index(port);
+        &self.consumers[self.consumer_starts[o]..self.consumer_starts[o + 1]]
     }
 
     /// Dense index of an output port in `[0, num_out_ports())`: ports are
     /// numbered block by block in id order. Used to key flat per-port
     /// tables (e.g. the consumer adjacency).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port does not exist.
     pub fn out_port_index(&self, port: OutPort) -> usize {
-        self.port_offsets[port.block.index()] + port.port
+        self.ports
+            .output_index(port)
+            .unwrap_or_else(|| panic!("output port {port} does not exist"))
     }
 
     /// Total number of output ports in the graph.
     pub fn num_out_ports(&self) -> usize {
-        *self
-            .port_offsets
-            .last()
-            .expect("offsets always has a total")
+        self.ports.num_outputs()
     }
 
     /// The blocks grouped into topological levels (see

@@ -1,6 +1,8 @@
 //! Topological scheduling of blocks.
 
 use frodo_model::{BlockId, BlockKind, Model, ModelError};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Computes a deterministic topological translation order of the blocks.
 ///
@@ -30,18 +32,18 @@ pub fn toposort(model: &Model) -> Result<Vec<BlockId>, ModelError> {
 
     let mut order = Vec::with_capacity(n);
     let mut placed = vec![false; n];
-    loop {
-        // deterministic: smallest ready id first
-        let next = (0..n).find(|&i| !placed[i] && indegree[i] == 0);
-        match next {
-            Some(i) => {
-                placed[i] = true;
-                order.push(BlockId::from_index(i));
-                for &d in &succs[i] {
-                    indegree[d] -= 1;
-                }
+    // deterministic: smallest ready id first, from a min-heap of the ready
+    // blocks
+    let mut ready: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| indegree[i] == 0).map(Reverse).collect();
+    while let Some(Reverse(i)) = ready.pop() {
+        placed[i] = true;
+        order.push(BlockId::from_index(i));
+        for &d in &succs[i] {
+            indegree[d] -= 1;
+            if indegree[d] == 0 {
+                ready.push(Reverse(d));
             }
-            None => break,
         }
     }
 

@@ -29,11 +29,7 @@ enum Placement {
 /// `Inport`/`Outport` blocks its arity promises, when a boundary port is
 /// unconnected, or when a chain of pass-through subsystems forms a cycle.
 pub fn flatten(model: &Model) -> Result<Model, ModelError> {
-    if !model
-        .blocks()
-        .iter()
-        .any(|b| matches!(b.kind, BlockKind::Subsystem(_)))
-    {
+    if model.is_flat() {
         return Ok(model.clone());
     }
 

@@ -2,8 +2,9 @@
 //!
 //! This crate defines the in-memory form of a Simulink model as FRODO's
 //! *model parse* stage produces it: blocks ([`Block`], [`BlockKind`]) with
-//! typed parameters, port-accurate connections ([`Connection`]), hierarchical
-//! subsystems with flattening ([`Model::flattened`]), and the **block property
+//! typed parameters, port-accurate connections ([`Connection`]) indexed per
+//! port in one pass ([`PortTable`]), hierarchical subsystems with
+//! flattening ([`Model::flattened`]), and the **block property
 //! library** ([`proplib`]) that records, per block type and parameters, the
 //! output-shape rules and the I/O mappings used by redundancy elimination.
 //!
@@ -45,6 +46,7 @@ mod block;
 mod error;
 mod flatten;
 mod port;
+mod ports;
 pub mod proplib;
 mod system;
 mod tensor;
@@ -53,5 +55,6 @@ mod validate;
 pub use block::{Block, BlockKind, LogicOp, RelOp, RoundMode, SelectorMode};
 pub use error::ModelError;
 pub use port::{BlockId, InPort, OutPort};
-pub use system::{Connection, Model, ShapeTable};
+pub use ports::PortTable;
+pub use system::{Connection, Connector, Model, ShapeTable};
 pub use tensor::Tensor;

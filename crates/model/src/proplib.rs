@@ -10,8 +10,8 @@
 //! over a whole model.
 
 use crate::{
-    Block, BlockId, BlockKind, InPort, LogicOp, Model, ModelError, OutPort, SelectorMode,
-    ShapeTable,
+    Block, BlockId, BlockKind, InPort, LogicOp, Model, ModelError, OutPort, PortTable,
+    SelectorMode, ShapeTable,
 };
 use frodo_ranges::{PortMap, Shape};
 
@@ -460,23 +460,25 @@ pub fn io_map(
     }
 }
 
-/// Runs shape inference over a (flattened) model.
+/// Runs shape inference over a (flattened) model, reading each input's
+/// driver from the model's port table.
 ///
-/// Uses a worklist: a block's outputs are computed once all of its input
-/// shapes are known; source blocks seed the process.
+/// Sweeps the blocks in id order until a fixpoint: a block's outputs are
+/// computed once all of its input shapes are known; source blocks seed the
+/// process.
 ///
 /// # Errors
 ///
 /// Propagates shape-rule failures as [`ModelError::ShapeMismatch`] or
 /// [`ModelError::BadParameter`], reports unconnected inputs, and reports an
 /// [`ModelError::AlgebraicLoop`] when inference cannot complete.
-pub fn infer_shapes(model: &Model) -> Result<ShapeTable, ModelError> {
-    let mut table = ShapeTable::new();
+pub fn infer_shapes(model: &Model, ports: &PortTable) -> Result<ShapeTable, ModelError> {
+    let mut table = ShapeTable::new(ports.index.clone());
     // Pre-check connectivity so the fixpoint cannot stall on missing wires.
     for (id, block) in model.iter() {
         for p in 0..block.kind.num_inputs() {
             let port = InPort::new(id, p);
-            if model.source_of(port).is_none() {
+            if ports.source(port).is_none() {
                 return Err(ModelError::UnconnectedInput(port));
             }
         }
@@ -502,7 +504,7 @@ pub fn infer_shapes(model: &Model) -> Result<ShapeTable, ModelError> {
             let mut in_shapes = Vec::with_capacity(n_in);
             let mut ready = true;
             for p in 0..n_in {
-                let src = model.source_of(InPort::new(id, p)).expect("checked above");
+                let src = ports.source(InPort::new(id, p)).expect("checked above");
                 match table.try_output(src.block, src.port) {
                     Some(s) => in_shapes.push(s),
                     None => {

@@ -1,8 +1,8 @@
 //! The [`Model`] container: blocks + port-accurate connections.
 
-use crate::{Block, BlockId, BlockKind, InPort, ModelError, OutPort};
+use crate::ports::PortIndex;
+use crate::{Block, BlockId, BlockKind, InPort, ModelError, OutPort, PortTable};
 use frodo_ranges::Shape;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A directed, port-accurate connection between two blocks.
@@ -65,6 +65,41 @@ impl Model {
         dst: BlockId,
         dst_port: usize,
     ) -> Result<(), ModelError> {
+        let (from, to) = self.endpoints(src, src_port, dst, dst_port)?;
+        if self.connections.iter().any(|c| c.to == to) {
+            return Err(ModelError::DuplicateInput(to));
+        }
+        self.connections.push(Connection { from, to });
+        Ok(())
+    }
+
+    /// A bulk connector for model readers: its
+    /// [`connect`](Connector::connect) checks each connection exactly like
+    /// [`Model::connect`], but finds a second driver of an input port in a
+    /// dense per-port table instead of scanning every connection.
+    pub fn connector(&mut self) -> Connector<'_> {
+        let index = PortIndex::new(self);
+        let mut driven = vec![false; index.num_inputs()];
+        for c in &self.connections {
+            if let Some(i) = index.input(c.to.block, c.to.port) {
+                driven[i] = true;
+            }
+        }
+        Connector {
+            model: self,
+            index,
+            driven,
+        }
+    }
+
+    /// Checks both endpoints of a prospective connection, source first.
+    fn endpoints(
+        &self,
+        src: BlockId,
+        src_port: usize,
+        dst: BlockId,
+        dst_port: usize,
+    ) -> Result<(OutPort, InPort), ModelError> {
         let from = OutPort::new(src, src_port);
         let to = InPort::new(dst, dst_port);
         let src_block = self
@@ -87,11 +122,7 @@ impl Model {
                 available: dst_block.kind.num_inputs(),
             });
         }
-        if self.connections.iter().any(|c| c.to == to) {
-            return Err(ModelError::DuplicateInput(to));
-        }
-        self.connections.push(Connection { from, to });
-        Ok(())
+        Ok((from, to))
     }
 
     /// All blocks, indexable by [`BlockId::index`].
@@ -142,7 +173,8 @@ impl Model {
         &self.connections
     }
 
-    /// The producer feeding an input port, if connected.
+    /// The producer feeding an input port, if connected. Scans the
+    /// connection list: repeated queries belong on a [`PortTable`].
     pub fn source_of(&self, port: InPort) -> Option<OutPort> {
         self.connections
             .iter()
@@ -150,7 +182,7 @@ impl Model {
             .map(|c| c.from)
     }
 
-    /// All consumers of an output port.
+    /// All consumers of an output port. Scans the connection list.
     pub fn consumers_of(&self, port: OutPort) -> Vec<InPort> {
         self.connections
             .iter()
@@ -217,16 +249,40 @@ impl Model {
     /// invalid, an input is unconnected, or an algebraic loop prevents
     /// inference from completing.
     pub fn infer_shapes(&self) -> Result<ShapeTable, ModelError> {
-        crate::proplib::infer_shapes(self)
+        crate::proplib::infer_shapes(self, &PortTable::new(self))
     }
 
-    /// Validates structural well-formedness (ports, connectivity, shapes).
+    /// [`Model::infer_shapes`] over the port table of this model, built
+    /// once by the caller.
+    ///
+    /// # Errors
+    ///
+    /// As [`Model::infer_shapes`].
+    pub fn infer_shapes_with(&self, ports: &PortTable) -> Result<ShapeTable, ModelError> {
+        crate::proplib::infer_shapes(self, ports)
+    }
+
+    /// Validates structural well-formedness (ports, connectivity, shapes):
+    /// [`Model::validate_structure`], then shape inference of the
+    /// flattened model.
     ///
     /// # Errors
     ///
     /// Returns the first problem found; see [`ModelError`].
     pub fn validate(&self) -> Result<(), ModelError> {
         crate::validate::validate(self)
+    }
+
+    /// The structural half of [`Model::validate`], over the port table of
+    /// this model: every input driven exactly once, `Inport`/`Outport`
+    /// indices contiguous from zero, and every subsystem valid on its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation found, in the order
+    /// [`Model::validate`] finds it.
+    pub fn validate_structure(&self, ports: &PortTable) -> Result<(), ModelError> {
+        crate::validate::validate_structure(self, ports)
     }
 
     /// Returns a copy with every [`BlockKind::Subsystem`] flattened away,
@@ -244,6 +300,29 @@ impl Model {
         Ok(flat)
     }
 
+    /// [`Model::flattened`] by value: a model without subsystems is moved
+    /// through, not copied. Records the same span and counter.
+    ///
+    /// # Errors
+    ///
+    /// As [`Model::flattened`].
+    pub fn into_flattened(self, trace: &frodo_obs::Trace) -> Result<Model, ModelError> {
+        if !self.is_flat() {
+            return self.flattened(trace);
+        }
+        let span = trace.span("flatten");
+        span.count("blocks_flattened", self.len() as u64);
+        Ok(self)
+    }
+
+    /// Whether the model has no [`BlockKind::Subsystem`] blocks.
+    pub(crate) fn is_flat(&self) -> bool {
+        !self
+            .blocks
+            .iter()
+            .any(|b| matches!(b.kind, BlockKind::Subsystem(_)))
+    }
+
     #[allow(dead_code)]
     pub(crate) fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
@@ -251,6 +330,41 @@ impl Model {
 
     pub(crate) fn push_connection(&mut self, c: Connection) {
         self.connections.push(c);
+    }
+}
+
+/// Wires a model one connection at a time with O(1) duplicate checks;
+/// see [`Model::connector`].
+pub struct Connector<'m> {
+    model: &'m mut Model,
+    index: PortIndex,
+    /// Whether each input port (dense index) already has a driver.
+    driven: Vec<bool>,
+}
+
+impl Connector<'_> {
+    /// Connects output `src_port` of `src` to input `dst_port` of `dst`.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Model::connect`], found in the same order.
+    pub fn connect(
+        &mut self,
+        src: BlockId,
+        src_port: usize,
+        dst: BlockId,
+        dst_port: usize,
+    ) -> Result<(), ModelError> {
+        let (from, to) = self.model.endpoints(src, src_port, dst, dst_port)?;
+        let i = self
+            .index
+            .input(dst, dst_port)
+            .expect("endpoints checked the port");
+        if std::mem::replace(&mut self.driven[i], true) {
+            return Err(ModelError::DuplicateInput(to));
+        }
+        self.model.connections.push(Connection { from, to });
+        Ok(())
     }
 }
 
@@ -267,24 +381,34 @@ impl fmt::Display for Model {
     }
 }
 
-/// Inferred signal shapes for every port of every block in a model.
+/// Inferred signal shapes for every port of every block in a model, in
+/// flat vectors indexed like the model's [`PortTable`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShapeTable {
-    outputs: BTreeMap<OutPort, Shape>,
-    inputs: BTreeMap<InPort, Shape>,
+    index: PortIndex,
+    outputs: Vec<Option<Shape>>,
+    inputs: Vec<Option<Shape>>,
 }
 
 impl ShapeTable {
-    pub(crate) fn new() -> Self {
-        ShapeTable::default()
+    pub(crate) fn new(index: PortIndex) -> Self {
+        ShapeTable {
+            outputs: vec![None; index.num_outputs()],
+            inputs: vec![None; index.num_inputs()],
+            index,
+        }
     }
 
+    /// Records the shape of an existing output port.
     pub(crate) fn set_output(&mut self, port: OutPort, shape: Shape) {
-        self.outputs.insert(port, shape);
+        let o = self.index.output(port.block, port.port);
+        self.outputs[o.expect("shape of an existing port")] = Some(shape);
     }
 
+    /// Records the shape of an existing input port.
     pub(crate) fn set_input(&mut self, port: InPort, shape: Shape) {
-        self.inputs.insert(port, shape);
+        let i = self.index.input(port.block, port.port);
+        self.inputs[i.expect("shape of an existing port")] = Some(shape);
     }
 
     /// Shape of an output port.
@@ -293,12 +417,13 @@ impl ShapeTable {
     ///
     /// Panics if the port is not in the table (inference did not cover it).
     pub fn output(&self, block: BlockId, port: usize) -> Shape {
-        self.outputs[&OutPort::new(block, port)]
+        self.try_output(block, port)
+            .unwrap_or_else(|| panic!("no shape for output port {}", OutPort::new(block, port)))
     }
 
     /// Shape of an output port, if known.
     pub fn try_output(&self, block: BlockId, port: usize) -> Option<Shape> {
-        self.outputs.get(&OutPort::new(block, port)).copied()
+        self.outputs[self.index.output(block, port)?]
     }
 
     /// Shape of an input port.
@@ -307,12 +432,13 @@ impl ShapeTable {
     ///
     /// Panics if the port is not in the table.
     pub fn input(&self, block: BlockId, port: usize) -> Shape {
-        self.inputs[&InPort::new(block, port)]
+        self.try_input(block, port)
+            .unwrap_or_else(|| panic!("no shape for input port {}", InPort::new(block, port)))
     }
 
     /// Shape of an input port, if known.
     pub fn try_input(&self, block: BlockId, port: usize) -> Option<Shape> {
-        self.inputs.get(&InPort::new(block, port)).copied()
+        self.inputs[self.index.input(block, port)?]
     }
 
     /// Shapes of all inputs of a block, in port order.
@@ -430,6 +556,78 @@ mod tests {
         outer.add(Block::new("sub", BlockKind::Subsystem(Box::new(inner))));
         assert_eq!(outer.len(), 1);
         assert_eq!(outer.deep_len(), 3);
+    }
+
+    #[test]
+    fn connector_reports_what_connect_reports() {
+        let mut built = Model::new("t");
+        let c = built.add(Block::new(
+            "c",
+            BlockKind::Constant {
+                value: Tensor::scalar(1.0),
+            },
+        ));
+        let add = built.add(Block::new("add", BlockKind::Add));
+        let o = built.add(Block::new("o", BlockKind::Outport { index: 0 }));
+        built.connect(c, 0, add, 0).unwrap();
+        let mut bulk = built.clone();
+        let ghost = BlockId::from_index(9);
+        let attempts = [
+            (c, 0, add, 0), // already driven before the connector
+            (c, 0, add, 1),
+            (c, 1, add, 1),
+            (ghost, 0, add, 1),
+            (c, 0, ghost, 0),
+            (c, 0, o, 1),
+            (add, 0, o, 0),
+            (c, 0, add, 1),
+            (add, 0, o, 0),
+        ];
+        let mut wires = bulk.connector();
+        for (src, sp, dst, dp) in attempts {
+            assert_eq!(
+                wires.connect(src, sp, dst, dp),
+                built.connect(src, sp, dst, dp),
+                "{src}:{sp} -> {dst}:{dp}"
+            );
+        }
+        assert_eq!(bulk, built);
+    }
+
+    #[test]
+    fn into_flattened_moves_a_flat_model_and_records_it() {
+        let (mut m, a, b) = two_block_model();
+        m.connect(a, 0, b, 0).unwrap();
+        let trace = frodo_obs::Trace::new();
+        assert_eq!(m.clone().into_flattened(&trace).unwrap(), m);
+        assert_eq!(trace.counter_total("blocks_flattened"), 2);
+        assert_eq!(trace.span_count(), 1);
+    }
+
+    #[test]
+    fn shape_lookups_past_the_table_are_none() {
+        let (mut m, a, b) = two_block_model();
+        m.connect(a, 0, b, 0).unwrap();
+        let shapes = m.infer_shapes().unwrap();
+        assert_eq!(shapes.try_output(a, 0), Some(Shape::Vector(4)));
+        assert_eq!(shapes.try_input(b, 0), Some(Shape::Vector(4)));
+        let ghost = BlockId::from_index(99);
+        for (block, port) in [(a, 1), (b, 0), (ghost, 0), (ghost, 7)] {
+            assert_eq!(shapes.try_output(block, port), None, "{block}:out{port}");
+        }
+        for (block, port) in [(a, 0), (b, 1), (ghost, 0)] {
+            assert_eq!(shapes.try_input(block, port), None, "{block}:in{port}");
+        }
+        assert_eq!(ShapeTable::default().try_output(a, 0), None);
+        assert_eq!(ShapeTable::default().try_input(b, 0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "no shape for output port b0:out1")]
+    fn shape_of_a_missing_port_panics() {
+        let (mut m, a, b) = two_block_model();
+        m.connect(a, 0, b, 0).unwrap();
+        m.infer_shapes().unwrap().output(a, 1);
     }
 
     #[test]

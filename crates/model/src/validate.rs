@@ -1,6 +1,6 @@
 //! Structural model validation.
 
-use crate::{BlockKind, InPort, Model, ModelError};
+use crate::{BlockKind, InPort, Model, ModelError, PortTable};
 
 /// Validates a model's structural well-formedness:
 ///
@@ -9,17 +9,30 @@ use crate::{BlockKind, InPort, Model, ModelError};
 /// 3. each subsystem's inner port blocks match its declared arity, and
 /// 4. shape inference succeeds on the flattened model.
 ///
+/// (1)–(3) are [`validate_structure`].
+///
 /// # Errors
 ///
 /// Returns the first violation found.
 pub fn validate(model: &Model) -> Result<(), ModelError> {
+    validate_structure(model, &PortTable::new(model))?;
+    // (4) the whole model must type-check
+    crate::flatten::flatten(model)?.infer_shapes()?;
+    Ok(())
+}
+
+/// Checks (1)–(3) of [`validate`] over the model's port table.
+///
+/// # Errors
+///
+/// Returns the first violation found.
+pub fn validate_structure(model: &Model, ports: &PortTable) -> Result<(), ModelError> {
     // (1) connectivity — duplicate inputs are rejected at connect() time for
     // builder-constructed models but can arrive via file formats.
     for (id, block) in model.iter() {
         for p in 0..block.kind.num_inputs() {
             let port = InPort::new(id, p);
-            let n = model.connections().iter().filter(|c| c.to == port).count();
-            match n {
+            match ports.drivers(port) {
                 0 => return Err(ModelError::UnconnectedInput(port)),
                 1 => {}
                 _ => return Err(ModelError::DuplicateInput(port)),
@@ -43,9 +56,6 @@ pub fn validate(model: &Model) -> Result<(), ModelError> {
             })?;
         }
     }
-
-    // (4) the whole model must type-check
-    model.flattened(&frodo_obs::Trace::noop())?.infer_shapes()?;
     Ok(())
 }
 

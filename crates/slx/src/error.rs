@@ -9,6 +9,12 @@ pub enum FormatError {
     Zip(String),
     /// A DEFLATE stream is malformed.
     Deflate(String),
+    /// A DEFLATE stream inflates past its bound: a ZIP entry's declared
+    /// size, capped by [`crate::zip::MAX_ENTRY_BYTES`].
+    TooLarge {
+        /// The most bytes the stream was allowed to produce.
+        limit: usize,
+    },
     /// A stored CRC-32 does not match the decompressed data.
     CrcMismatch {
         /// Entry name whose checksum failed.
@@ -39,6 +45,9 @@ impl fmt::Display for FormatError {
         match self {
             FormatError::Zip(r) => write!(f, "invalid zip archive: {r}"),
             FormatError::Deflate(r) => write!(f, "invalid deflate stream: {r}"),
+            FormatError::TooLarge { limit } => {
+                write!(f, "deflate stream inflates past its {limit}-byte limit")
+            }
             FormatError::CrcMismatch { entry } => {
                 write!(f, "crc mismatch in zip entry '{entry}'")
             }

@@ -4,15 +4,19 @@
 //! The decompressor supports all three block types — stored, fixed-Huffman,
 //! and dynamic-Huffman — which covers every `.slx` ZIP entry a real tool
 //! produces. It reads through a 64-bit bit buffer and decodes each Huffman
-//! code with one lookup in a [`TABLE_BITS`]-bit table; longer codes, bad
+//! code with one lookup in a [`TABLE_BITS`]-bit table; after each refill,
+//! a run of such literals goes straight to the output. Longer codes, bad
 //! codes and codes cut by the end of the input take the canonical
-//! bit-by-bit walk, which keeps every error of that walk.
+//! bit-by-bit walk, which keeps every error of that walk. The output is
+//! bounded: the caller passes the most bytes the stream may produce, and
+//! decoding stops with [`FormatError::TooLarge`] before it passes them.
 //!
 //! The compressor emits literal-only fixed-Huffman blocks: always valid
 //! DEFLATE, adequate for writing test archives, and an independent
 //! roundtrip oracle for the decompressor.
 
 use crate::FormatError;
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // bit I/O
@@ -230,6 +234,19 @@ impl Huffman {
         })
     }
 
+    /// The next symbol if it is a literal byte whose code the table
+    /// resolves from the buffered bits; consumes nothing otherwise.
+    fn table_literal(&self, r: &mut BitReader<'_>) -> Option<u8> {
+        let entry = self.table[(r.buf & ((1 << TABLE_BITS) - 1)) as usize];
+        let len = u32::from(entry & 0xF);
+        let sym = entry >> 4;
+        if len == 0 || len > r.bits || sym > 255 {
+            return None;
+        }
+        r.consume(len);
+        Some(sym as u8)
+    }
+
     fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, FormatError> {
         if r.bits < 15 {
             r.refill();
@@ -284,32 +301,45 @@ const DIST_EXTRA: [u8; 30] = [
     13,
 ];
 
-fn fixed_literal_lengths() -> Vec<u8> {
-    let mut l = vec![8u8; 288];
-    for x in l.iter_mut().take(256).skip(144) {
-        *x = 9;
+/// The fixed-Huffman literal/length and distance decoders (RFC 1951
+/// §3.2.6), built on first use.
+fn fixed_tables() -> &'static (Huffman, Huffman) {
+    static FIXED: OnceLock<(Huffman, Huffman)> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        let mut lengths = [8u8; 288];
+        lengths[144..256].fill(9);
+        lengths[256..280].fill(7);
+        let lit = Huffman::from_lengths(&lengths).expect("the fixed code is complete");
+        let dist = Huffman::from_lengths(&[5u8; 30]).expect("the fixed code is complete");
+        (lit, dist)
+    })
+}
+
+/// Fails unless `n` more bytes fit in `out` under `limit`.
+fn reserve(out: &[u8], n: usize, limit: usize) -> Result<(), FormatError> {
+    if n > limit - out.len() {
+        return Err(FormatError::TooLarge { limit });
     }
-    for x in l.iter_mut().take(280).skip(256) {
-        *x = 7;
-    }
-    l
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // inflate
 // ---------------------------------------------------------------------------
 
-/// Decompresses a raw DEFLATE stream.
+/// Decompresses a raw DEFLATE stream into at most `limit` bytes. The
+/// output buffer is sized from `limit` (up to
+/// [`crate::zip::MAX_ENTRY_BYTES`]): the ZIP reader passes an entry's
+/// declared size, capped by that constant.
 ///
 /// # Errors
 ///
 /// Returns [`FormatError::Deflate`] on any malformed input (truncation,
-/// invalid codes, out-of-window distances).
-pub fn inflate(data: &[u8]) -> Result<Vec<u8>, FormatError> {
+/// invalid codes, out-of-window distances), and [`FormatError::TooLarge`]
+/// as soon as the output would pass `limit` bytes.
+pub fn inflate(data: &[u8], limit: usize) -> Result<Vec<u8>, FormatError> {
     let mut r = BitReader::new(data);
-    // sized from the input alone, never from a header's claim; the
-    // literal-only streams `deflate_fixed` writes inflate to about this
-    let mut out = Vec::with_capacity(data.len());
+    let mut out = Vec::with_capacity(limit.min(crate::zip::MAX_ENTRY_BYTES));
     loop {
         let bfinal = r.read_bits(1)?;
         let btype = r.read_bits(2)?;
@@ -323,17 +353,17 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, FormatError> {
                 if r.pos + len > r.data.len() {
                     return Err(FormatError::Deflate("truncated stored block".into()));
                 }
+                reserve(&out, len, limit)?;
                 out.extend_from_slice(&r.data[r.pos..r.pos + len]);
                 r.pos += len;
             }
             1 => {
-                let lit = Huffman::from_lengths(&fixed_literal_lengths())?;
-                let dist = Huffman::from_lengths(&[5u8; 30])?;
-                inflate_block(&mut r, &lit, &dist, &mut out)?;
+                let (lit, dist) = fixed_tables();
+                inflate_block(&mut r, lit, dist, &mut out, limit)?;
             }
             2 => {
                 let (lit, dist) = read_dynamic_tables(&mut r)?;
-                inflate_block(&mut r, &lit, &dist, &mut out)?;
+                inflate_block(&mut r, &lit, &dist, &mut out, limit)?;
             }
             _ => return Err(FormatError::Deflate("reserved block type".into())),
         }
@@ -391,11 +421,25 @@ fn inflate_block(
     lit: &Huffman,
     dist: &Huffman,
     out: &mut Vec<u8>,
+    limit: usize,
 ) -> Result<(), FormatError> {
     loop {
+        // the literal run: straight from the buffer to the output, refilled
+        // whenever it may hold less than one table-resolved code
+        r.refill();
+        while let Some(byte) = lit.table_literal(r) {
+            reserve(out, 1, limit)?;
+            out.push(byte);
+            if r.bits < TABLE_BITS {
+                r.refill();
+            }
+        }
         let sym = lit.decode(r)?;
         match sym {
-            0..=255 => out.push(sym as u8),
+            0..=255 => {
+                reserve(out, 1, limit)?;
+                out.push(sym as u8);
+            }
             256 => return Ok(()),
             257..=285 => {
                 let li = (sym - 257) as usize;
@@ -408,6 +452,7 @@ fn inflate_block(
                 if d > out.len() {
                     return Err(FormatError::Deflate("distance beyond window".into()));
                 }
+                reserve(out, len, limit)?;
                 let start = out.len() - d;
                 for i in 0..len {
                     let b = out[start + i];
@@ -450,9 +495,32 @@ fn fixed_literal_code(sym: u16) -> (u32, u32) {
     }
 }
 
+/// A fixed-Huffman stream of one `a` and then `pairs` length-258,
+/// distance-1 back-references: `1 + 258 * pairs` bytes of `a` from about
+/// two bytes per pair.
+#[cfg(test)]
+pub(crate) fn repeat_stream(pairs: usize) -> Vec<u8> {
+    let mut w = BitWriter::new();
+    w.write_bits(1, 1); // BFINAL
+    w.write_bits(1, 2); // fixed Huffman
+    let (c, l) = fixed_literal_code(u16::from(b'a'));
+    w.write_code(c, l);
+    for _ in 0..pairs {
+        let (c, l) = fixed_literal_code(285); // length 258, no extra bits
+        w.write_code(c, l);
+        w.write_code(0, 5); // distance 1
+    }
+    let (c, l) = fixed_literal_code(256);
+    w.write_code(c, l);
+    w.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An output bound no test stream comes near.
+    const ROOM: usize = 1 << 16;
 
     #[test]
     fn stored_block_roundtrip() {
@@ -462,25 +530,25 @@ mod tests {
         raw.extend_from_slice(&(payload.len() as u16).to_le_bytes());
         raw.extend_from_slice(&(!(payload.len() as u16)).to_le_bytes());
         raw.extend_from_slice(payload);
-        assert_eq!(inflate(&raw).unwrap(), payload);
+        assert_eq!(inflate(&raw, ROOM).unwrap(), payload);
     }
 
     #[test]
     fn fixed_huffman_roundtrip() {
         let data = b"the paper proposes FRODO, an efficient code generator";
         let compressed = deflate_fixed(data);
-        assert_eq!(inflate(&compressed).unwrap(), data);
+        assert_eq!(inflate(&compressed, ROOM).unwrap(), data);
     }
 
     #[test]
     fn fixed_huffman_all_byte_values() {
         let data: Vec<u8> = (0..=255u8).collect();
-        assert_eq!(inflate(&deflate_fixed(&data)).unwrap(), data);
+        assert_eq!(inflate(&deflate_fixed(&data), ROOM).unwrap(), data);
     }
 
     #[test]
     fn empty_input_roundtrip() {
-        assert_eq!(inflate(&deflate_fixed(b"")).unwrap(), b"");
+        assert_eq!(inflate(&deflate_fixed(b""), ROOM).unwrap(), b"");
     }
 
     #[test]
@@ -500,7 +568,7 @@ mod tests {
         w.write_code(1, 5);
         let (c, l) = fixed_literal_code(256);
         w.write_code(c, l);
-        assert_eq!(inflate(&w.finish()).unwrap(), b"ababa");
+        assert_eq!(inflate(&w.finish(), ROOM).unwrap(), b"ababa");
     }
 
     #[test]
@@ -516,26 +584,66 @@ mod tests {
         w.write_code(0, 5); // distance 1
         let (c, l) = fixed_literal_code(256);
         w.write_code(c, l);
-        assert_eq!(inflate(&w.finish()).unwrap(), b"aaaaa");
+        assert_eq!(inflate(&w.finish(), ROOM).unwrap(), b"aaaaa");
+    }
+
+    #[test]
+    fn output_past_the_limit_is_an_error() {
+        let stream = repeat_stream(100);
+        let n = 1 + 258 * 100;
+        assert_eq!(inflate(&stream, n).unwrap(), vec![b'a'; n]);
+        for limit in [0, 1, 258, n - 1] {
+            assert_eq!(
+                inflate(&stream, limit),
+                Err(FormatError::TooLarge { limit }),
+                "limit {limit}"
+            );
+        }
+    }
+
+    #[test]
+    fn literals_past_the_limit_are_an_error() {
+        let data = b"literal-only fixed-Huffman stream";
+        let stream = deflate_fixed(data);
+        assert_eq!(inflate(&stream, data.len()).unwrap(), data);
+        assert_eq!(
+            inflate(&stream, data.len() - 1),
+            Err(FormatError::TooLarge {
+                limit: data.len() - 1
+            })
+        );
+    }
+
+    #[test]
+    fn stored_block_past_the_limit_is_an_error() {
+        let mut raw = vec![0x01];
+        raw.extend_from_slice(&4u16.to_le_bytes());
+        raw.extend_from_slice(&(!4u16).to_le_bytes());
+        raw.extend_from_slice(b"abcd");
+        assert_eq!(inflate(&raw, 4).unwrap(), b"abcd");
+        assert_eq!(inflate(&raw, 3), Err(FormatError::TooLarge { limit: 3 }));
     }
 
     #[test]
     fn truncated_stream_is_rejected() {
         let compressed = deflate_fixed(b"some data");
         let truncated = &compressed[..compressed.len() - 2];
-        assert!(inflate(truncated).is_err());
+        assert!(inflate(truncated, ROOM).is_err());
     }
 
     #[test]
     fn reserved_block_type_is_rejected() {
         // bfinal=1, btype=11
-        assert!(matches!(inflate(&[0x07]), Err(FormatError::Deflate(_))));
+        assert!(matches!(
+            inflate(&[0x07], ROOM),
+            Err(FormatError::Deflate(_))
+        ));
     }
 
     #[test]
     fn stored_len_mismatch_is_rejected() {
         let raw = [0x01, 0x05, 0x00, 0x00, 0x00, b'x'];
-        assert!(inflate(&raw).is_err());
+        assert!(inflate(&raw, ROOM).is_err());
     }
 
     #[test]
@@ -549,7 +657,7 @@ mod tests {
         w.write_code(0, 5);
         let (c, l) = fixed_literal_code(256);
         w.write_code(c, l);
-        assert!(inflate(&w.finish()).is_err());
+        assert!(inflate(&w.finish(), ROOM).is_err());
     }
 
     #[test]
@@ -563,7 +671,7 @@ mod tests {
         raw.extend_from_slice(&2u16.to_le_bytes());
         raw.extend_from_slice(&(!2u16).to_le_bytes());
         raw.extend_from_slice(b"cd");
-        assert_eq!(inflate(&raw).unwrap(), b"abcd");
+        assert_eq!(inflate(&raw, ROOM).unwrap(), b"abcd");
     }
 
     #[test]
@@ -608,7 +716,7 @@ mod tests {
         w.write_code(0, 1); // 'a'
         w.write_code(2, 2); // 'b'
         w.write_code(3, 2); // EOB
-        assert_eq!(inflate(&w.finish()).unwrap(), b"aab");
+        assert_eq!(inflate(&w.finish(), ROOM).unwrap(), b"aab");
     }
 
     #[test]
@@ -631,7 +739,7 @@ mod tests {
         proptest! {
             #[test]
             fn prop_fixed_roundtrip(data in prop::collection::vec(any::<u8>(), 0..600)) {
-                prop_assert_eq!(inflate(&deflate_fixed(&data)).unwrap(), data);
+                prop_assert_eq!(inflate(&deflate_fixed(&data), ROOM).unwrap(), data);
             }
         }
     }

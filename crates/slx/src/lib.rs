@@ -13,8 +13,11 @@
 //! - [`inflate`] — a raw-DEFLATE (RFC 1951) decompressor (stored, fixed-
 //!   and dynamic-Huffman blocks) plus a fixed-Huffman compressor. It is
 //!   table-driven: a 64-bit bit buffer and one 10-bit lookup per Huffman
-//!   code, with a canonical slow path for longer ones;
+//!   code, with a canonical slow path for longer ones. Its output is
+//!   bounded by the caller;
 //! - [`zip`] — ZIP archive reader/writer (methods *stored* and *deflate*);
+//!   an entry inflates to at most its declared size, and never past
+//!   [`zip::MAX_ENTRY_BYTES`];
 //! - [`xml`] — a minimal XML pull reader and tree writer;
 //! - [`slx`] — the Simulink-model ⇄ XML-in-ZIP mapping
 //!   ([`read_slx`], [`write_slx`]). Reading is one pass: the model is

@@ -308,6 +308,7 @@ fn system_to_model(name: &str, system: &Section) -> Result<Model, FormatError> {
         insert_sid(&mut id_of_sid, sid, id)?;
     }
     let lookup = |sid: usize| sid_lookup(&id_of_sid, sid);
+    let mut wires = model.connector();
     for line in system.subs_named("Line") {
         let endpoint = |key: &str| -> Result<(usize, usize), FormatError> {
             let raw = line
@@ -328,9 +329,7 @@ fn system_to_model(name: &str, system: &Section) -> Result<Model, FormatError> {
         };
         let (sb, sp) = endpoint("Src")?;
         let (db, dp) = endpoint("Dst")?;
-        model
-            .connect(lookup(sb)?, sp, lookup(db)?, dp)
-            .map_err(|e| FormatError::Model(e.to_string()))?;
+        wires.connect(lookup(sb)?, sp, lookup(db)?, dp)?;
     }
     Ok(model)
 }

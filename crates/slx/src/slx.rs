@@ -204,15 +204,14 @@ fn read_system(r: &mut Reader<'_>, name: &str) -> Result<Model, FormatError> {
         }
     }
     let lookup = |sid: usize| sid_lookup(&id_of_sid, sid);
+    let mut wires = model.connector();
     for line in &lines {
         let get = |key: &str| {
             param(line, key).ok_or_else(|| FormatError::Schema(format!("<Line> missing {key}")))
         };
         let (src_block, src_port) = parse_endpoint(get("Src")?, "out")?;
         let (dst_block, dst_port) = parse_endpoint(get("Dst")?, "in")?;
-        model
-            .connect(lookup(src_block)?, src_port, lookup(dst_block)?, dst_port)
-            .map_err(|e| FormatError::Model(e.to_string()))?;
+        wires.connect(lookup(src_block)?, src_port, lookup(dst_block)?, dst_port)?;
     }
     Ok(model)
 }
@@ -479,6 +478,28 @@ mod tests {
             <Block BlockType="terminator" Name="b" SID="7"/>
         </System></Model>"#;
         assert_eq!(read_diagram(text), schema("duplicate SID 7"));
+    }
+
+    #[test]
+    fn the_first_doubly_driven_line_is_reported() {
+        // c drives t:0 and t:1, then t:1 and t:0 again: the third line is
+        // the first bad one, and the fourth is never reached
+        let text = r#"<Model Name="m"><System>
+            <Block BlockType="constant" Name="c" SID="0"><P Name="Shape">scalar</P><P Name="Value">[1.0]</P></Block>
+            <Block BlockType="add" Name="t" SID="1"/>
+            <Line><P Name="Src">0#out:0</P><P Name="Dst">1#in:0</P></Line>
+            <Line><P Name="Src">0#out:0</P><P Name="Dst">1#in:1</P></Line>
+            <Line><P Name="Src">0#out:0</P><P Name="Dst">1#in:1</P></Line>
+            <Line><P Name="Src">0#out:0</P><P Name="Dst">1#in:0</P></Line>
+        </System></Model>"#;
+        let t = frodo_model::BlockId::from_index(1);
+        assert_eq!(
+            read_diagram(text),
+            Err(frodo_model::ModelError::DuplicateInput(frodo_model::InPort::new(t, 1)).into())
+        );
+        // a schema fault on an earlier line still comes first
+        let text = text.replacen("1#in:1", "1#in:x", 1);
+        assert_eq!(read_diagram(&text), schema("bad endpoint '1#in:x'"));
     }
 
     #[test]

@@ -8,6 +8,12 @@ use crate::crc32::crc32;
 use crate::inflate::{deflate_fixed, inflate};
 use crate::FormatError;
 
+/// The most bytes one archive entry may inflate to, whatever size it
+/// declares. The Table-1 block diagrams inflate to 5–37 KB; the cap keeps
+/// an entry that declares (or inflates to) gigabytes from being
+/// allocated, which matters where a daemon reads files for its clients.
+pub const MAX_ENTRY_BYTES: usize = 64 << 20;
+
 const LOCAL_SIG: u32 = 0x0403_4B50;
 const CENTRAL_SIG: u32 = 0x0201_4B50;
 const EOCD_SIG: u32 = 0x0605_4B50;
@@ -166,8 +172,10 @@ impl Archive {
     /// # Errors
     ///
     /// Returns [`FormatError::Zip`] for structural problems,
-    /// [`FormatError::Deflate`] for bad streams, and
-    /// [`FormatError::CrcMismatch`] when a checksum fails.
+    /// [`FormatError::Deflate`] for bad streams, [`FormatError::TooLarge`]
+    /// as soon as an entry inflates past its declared size (or
+    /// [`MAX_ENTRY_BYTES`]), and [`FormatError::CrcMismatch`] when a
+    /// checksum fails.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
         // find EOCD by scanning backwards (comments make it float)
         let eocd = (0..=bytes.len().saturating_sub(22))
@@ -211,7 +219,7 @@ impl Archive {
 
             let data = match method_id {
                 0 => payload.to_vec(),
-                8 => inflate(payload)?,
+                8 => inflate(payload, raw_len.min(MAX_ENTRY_BYTES))?,
                 m => return Err(FormatError::Zip(format!("unsupported method {m}"))),
             };
             if data.len() != raw_len {
@@ -312,17 +320,38 @@ mod tests {
         assert!(Archive::from_bytes(&bad).is_err());
     }
 
+    /// The offset of the (first) central directory record.
+    fn central_record(bytes: &[u8]) -> usize {
+        let sig = CENTRAL_SIG.to_le_bytes();
+        bytes
+            .windows(4)
+            .position(|w| w == sig)
+            .expect("central record present")
+    }
+
+    #[test]
+    fn entry_inflating_past_its_declared_size_is_an_error() {
+        // 258 001 bytes from about 2 KB of DEFLATE, declared as 1 000
+        let stream = crate::inflate::repeat_stream(1000);
+        let mut ar = Archive::new();
+        ar.add("bomb", stream, Method::Stored);
+        let mut bytes = ar.to_bytes();
+        let pos = central_record(&bytes);
+        bytes[pos + 10..pos + 12].copy_from_slice(&8u16.to_le_bytes());
+        bytes[pos + 24..pos + 28].copy_from_slice(&1000u32.to_le_bytes());
+        assert_eq!(
+            Archive::from_bytes(&bytes),
+            Err(FormatError::TooLarge { limit: 1000 })
+        );
+    }
+
     #[test]
     fn unsupported_method_is_reported() {
         let mut ar = Archive::new();
         ar.add("f", b"data".to_vec(), Method::Stored);
         let mut bytes = ar.to_bytes();
-        // method field of the central record: find central sig and patch +10
-        let sig = CENTRAL_SIG.to_le_bytes();
-        let pos = bytes
-            .windows(4)
-            .position(|w| w == sig)
-            .expect("central record present");
+        // method field of the central record
+        let pos = central_record(&bytes);
         bytes[pos + 10] = 99;
         match Archive::from_bytes(&bytes) {
             Err(FormatError::Zip(msg)) => assert!(msg.contains("99"), "{msg}"),

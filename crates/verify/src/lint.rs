@@ -9,7 +9,7 @@
 use crate::diag::{from_model_error, Diagnostic, Severity};
 use frodo_core::Analysis;
 use frodo_graph::Dfg;
-use frodo_model::{BlockKind, InPort, Model, OutPort, SelectorMode, ShapeTable};
+use frodo_model::{BlockKind, InPort, Model, OutPort, PortTable, SelectorMode, ShapeTable};
 
 /// Lints a model and returns every finding, errors first, in block order
 /// within each severity.
@@ -19,8 +19,9 @@ pub fn lint(model: &Model) -> Vec<Diagnostic> {
         Err(e) => return vec![from_model_error(Some(model), &e)],
     };
     let mut diags = Vec::new();
-    lint_connectivity(&flat, &mut diags);
-    match flat.infer_shapes() {
+    let ports = PortTable::new(&flat);
+    lint_connectivity(&flat, &ports, &mut diags);
+    match flat.infer_shapes_with(&ports) {
         Err(e) => diags.push(from_model_error(Some(&flat), &e)),
         Ok(shapes) => {
             lint_truncation_params(&flat, &shapes, &mut diags);
@@ -34,12 +35,13 @@ pub fn lint(model: &Model) -> Vec<Diagnostic> {
 }
 
 /// Unconnected inputs (F001), multiply-driven inputs (F002), dangling
-/// outputs (F007).
-fn lint_connectivity(flat: &Model, diags: &mut Vec<Diagnostic>) {
+/// outputs (F007), from the drivers and consumers the port table counted
+/// in one pass over the connections.
+fn lint_connectivity(flat: &Model, ports: &PortTable, diags: &mut Vec<Diagnostic>) {
     for (id, block) in flat.iter() {
         for port in 0..block.kind.num_inputs() {
             let p = InPort::new(id, port);
-            let driving = flat.connections().iter().filter(|c| c.to == p).count();
+            let driving = ports.drivers(p);
             if driving == 0 {
                 diags.push(
                     Diagnostic::new(
@@ -69,7 +71,7 @@ fn lint_connectivity(flat: &Model, diags: &mut Vec<Diagnostic>) {
         }
         for port in 0..block.kind.num_outputs() {
             let p = OutPort::new(id, port);
-            if flat.consumers_of(p).is_empty() {
+            if ports.consumers(p) == 0 {
                 diags.push(
                     Diagnostic::new(
                         "F007",
@@ -251,6 +253,53 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.code == "F001" && d.block.as_deref() == Some("abs")));
+    }
+
+    #[test]
+    fn connectivity_findings_keep_their_order() {
+        // in -> a:0 (a's input 1 undriven), in -> b, a -> out; b's output
+        // and in2's output drive nothing, and t's input is undriven
+        let mut m = Model::new("wiring");
+        let i = m.add(Block::new(
+            "in",
+            BlockKind::Inport {
+                index: 0,
+                shape: Shape::Vector(4),
+            },
+        ));
+        let a = m.add(Block::new("a", BlockKind::Add));
+        let b = m.add(Block::new("b", BlockKind::Abs));
+        let o = m.add(Block::new("out", BlockKind::Outport { index: 0 }));
+        m.add(Block::new(
+            "in2",
+            BlockKind::Inport {
+                index: 1,
+                shape: Shape::Vector(4),
+            },
+        ));
+        m.add(Block::new("t", BlockKind::Terminator));
+        m.connect(i, 0, a, 0).unwrap();
+        m.connect(i, 0, b, 0).unwrap();
+        m.connect(a, 0, o, 0).unwrap();
+        let found: Vec<(&str, Option<String>)> = lint(&m)
+            .iter()
+            .map(|d| (d.code, d.location.clone()))
+            .collect();
+        let at = |code, port: &str| (code, Some(port.to_string()));
+        // errors first, each severity in block order; the second b1:in1 is
+        // shape inference stopping at the first undriven input. F002 has no
+        // case here: `Model::connect` and both readers refuse a second
+        // driver, so no model can carry one.
+        assert_eq!(
+            found,
+            vec![
+                at("F001", "b1:in1"),
+                at("F001", "b5:in0"),
+                at("F001", "b1:in1"),
+                at("F007", "b2:out0"),
+                at("F007", "b4:out0"),
+            ]
+        );
     }
 
     #[test]
