@@ -8,7 +8,6 @@ cargo fmt --all -- --check
 cargo build --release --offline
 cargo test -q --offline
 cargo test -q --workspace --offline
-# --all-targets keeps the harness-less bench targets compiling too
 cargo clippy --all-targets --offline -- -D warnings
 
 # the benchmark package (its own workspace) must build against the changed
@@ -109,7 +108,7 @@ if command -v gcc >/dev/null 2>&1; then
     if gcc -fsanitize=address,undefined -g -O1 -o "$san_dir/probe" \
         "$san_dir/probe.c" >/dev/null 2>&1 && "$san_dir/probe"; then
         for model in HT AudioProcess; do
-            ./target/release/frodo build "$model" --profile --harness 5 \
+            ./target/release/frodo compile "$model" --profile --harness 5 \
                 -o "$san_dir/harness.c"
             gcc -fsanitize=address,undefined -fno-sanitize-recover=all \
                 -g -O1 -o "$san_dir/harness" "$san_dir/harness.c" -lm
@@ -190,7 +189,7 @@ rm -rf "$simd_dir"
 # FLOPs on the convolution-heavy benchmarks (ablation study 7, columns:
 # model, rewritten, FLOPs scalar, FLOPs reuse, est. before, est. after)
 ablation_out="$(mktemp)"
-./target/release/ablation > "$ablation_out"
+cargo run --release --offline --quiet -p frodo-bench --bin ablation > "$ablation_out"
 for model in AudioProcess HighPass; do
     line="$(sed -n '/Ablation 7/,$p' "$ablation_out" | grep "^$model ")"
     rewritten="$(echo "$line" | awk '{print $2}')"
@@ -308,7 +307,7 @@ rm -f "$calib_ledger"
 slx_dir="$(mktemp -d)"
 for model in AudioProcess Decryption HighPass HT Kalman Back \
     Maintenance Maunfacture RunningDiff Simpson; do
-    ./target/release/frodo demo "$model" "$slx_dir/$model.slx" >/dev/null
+    ./target/release/frodo convert "$model" "$slx_dir/$model.slx" >/dev/null
     ./target/release/frodo compile --no-cache "$model" \
         -o "$slx_dir/$model.c" 2>/dev/null
 done

@@ -1,20 +1,19 @@
 //! Regenerates the paper's Table 2: execution duration on x86 with GCC and
 //! Clang profiles, for all four generators.
 //!
-//! By default the durations come from the deterministic cost model (see
-//! `frodo_sim::CostModel` for the substitution rationale). With `--native`,
-//! a real `gcc -O3` compile-and-run pass is added for the x86/GCC column —
-//! the configuration this host can actually measure.
+//! The durations come from the deterministic cost model (see
+//! `frodo_sim::CostModel` for the substitution rationale). Measured native
+//! step times come from `perfbench/`'s traced run, which times all four
+//! styles in interleaved rounds in thread CPU time.
 
 use frodo_bench::{duration_seconds, fmt_seconds, programs_via_service_traced, PAPER_ITERS};
 use frodo_codegen::GeneratorStyle;
 use frodo_driver::CompileService;
 use frodo_obs::{fmt_duration, StageTimings, Trace};
-use frodo_sim::{native, CostModel};
+use frodo_sim::CostModel;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let native_requested = args.iter().any(|a| a == "--native");
     let ledger_path = args
         .windows(2)
         .find(|w| w[0] == "--ledger")
@@ -93,42 +92,5 @@ fn main() {
         frodo_obs::append_entry(std::path::Path::new(&path), &entry)
             .expect("append --ledger entry");
         println!("appended ledger entry to {path}");
-    }
-
-    if native_requested {
-        if !native::gcc_available() {
-            eprintln!("\n--native requested but gcc is not available on this host");
-            return;
-        }
-        println!();
-        println!("Native x86 gcc -O3 wall-clock (ns per iteration, {PAPER_ITERS} reps):");
-        println!(
-            "{:<14} {:>12} {:>12} {:>12} {:>12} {:>10}",
-            "Model", "Simulink", "DFSynth", "HCG", "Frodo", "speedup"
-        );
-        println!("{}", "-".repeat(78));
-        for entry in &suite {
-            let mut row = Vec::new();
-            for (style, program) in &entry.programs {
-                match native::compile_and_run(program, *style, PAPER_ITERS) {
-                    Ok(r) => row.push(r.ns_per_iter),
-                    Err(e) => {
-                        eprintln!("{}/{style}: {e}", entry.name);
-                        row.push(f64::NAN);
-                    }
-                }
-            }
-            // GeneratorStyle::ALL order: Simulink, DFSynth, HCG, Frodo
-            let best_other = row[..3].iter().cloned().fold(f64::MAX, f64::min);
-            println!(
-                "{:<14} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>9.2}x",
-                entry.name,
-                row[0],
-                row[1],
-                row[2],
-                row[3],
-                best_other / row[3]
-            );
-        }
     }
 }

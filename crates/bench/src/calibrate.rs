@@ -190,35 +190,23 @@ pub fn calibrate_vm(steps: usize) -> CalibrationReport {
 /// emission and run for `iters` harness iterations; the dumped NDJSON
 /// profile is joined back onto the statements by index.
 ///
-/// # Errors
-///
-/// [`NativeError::CompilerUnavailable`] on hosts without `gcc`, plus any
-/// compile/run failure. A profile that fails to parse back through
-/// [`frodo_obs::ndjson::snapshot`] is reported as
-/// [`NativeError::RunFailed`] — that would be a bug in the emitted
-/// profiling runtime.
-pub fn calibrate_native(iters: usize) -> Result<CalibrationReport, NativeError> {
-    calibrate_native_opts(iters, false)
-}
-
-/// [`calibrate_native`] with an ASan/UBSan toggle: with `sanitize` the
-/// harness binaries are built with [`native::SANITIZE_FLAGS`] instead of
-/// `-O3`, so every benchmark's generated step function and profiling
-/// runtime execute under dynamic memory/UB checking — the runtime
-/// counterpart of the static `analyze` stage. Timing ratios from a
-/// sanitized run are not comparable to the committed bands (shadow-memory
-/// instrumentation dominates); the `source` field is `"native-sanitized"`
-/// so downstream consumers can tell.
+/// With `sanitize` the harness binaries are built with
+/// [`native::SANITIZE_FLAGS`] instead of `-O3`, so every benchmark's
+/// generated step function and profiling runtime execute under dynamic
+/// memory/UB checking — the runtime counterpart of the static `analyze`
+/// stage. Timing ratios from a sanitized run are not comparable to the
+/// committed bands (shadow-memory instrumentation dominates); the `source`
+/// field is `"native-sanitized"` so downstream consumers can tell.
 ///
 /// # Errors
 ///
-/// Same as [`calibrate_native`]; additionally
-/// [`NativeError::CompilerUnavailable`] when `gcc` lacks sanitizer
-/// runtimes (probe with [`native::sanitizer_available`]).
-pub fn calibrate_native_opts(
-    iters: usize,
-    sanitize: bool,
-) -> Result<CalibrationReport, NativeError> {
+/// [`NativeError::CompilerUnavailable`] on hosts without `gcc`, or when
+/// `sanitize` is set and `gcc` lacks sanitizer runtimes (probe with
+/// [`native::sanitizer_available`]), plus any compile/run failure. A
+/// profile that fails to parse back through [`frodo_obs::ndjson::snapshot`]
+/// is reported as [`NativeError::RunFailed`] — that would be a bug in the
+/// emitted profiling runtime.
+pub fn calibrate_native(iters: usize, sanitize: bool) -> Result<CalibrationReport, NativeError> {
     let cm = CostModel::x86_gcc();
     let mut acc = Accum::default();
     let suite = build_suite();
@@ -468,7 +456,7 @@ mod tests {
             eprintln!("skipping: gcc not available");
             return;
         }
-        let report = calibrate_native(5).expect("native calibration");
+        let report = calibrate_native(5, false).expect("native calibration");
         assert_eq!(report.source, "native");
         assert!(!report.kinds.is_empty());
         for k in &report.kinds {

@@ -4,24 +4,23 @@
 //!
 //! - `table1` — the benchmark inventory (paper Table 1);
 //! - `table2` — x86 execution durations for Simulink/DFSynth/HCG/FRODO under
-//!   GCC-like and Clang-like profiles (paper Table 2); `--native` adds real
-//!   `gcc -O3` wall-clock measurements when a compiler is available;
+//!   GCC-like and Clang-like profiles (paper Table 2), from the cost model;
 //! - `figure6` — ARM improvement ratios (paper Figure 6);
 //! - `memory` — static memory parity across generators (paper §5);
-//! - `calibrate` — measured-vs-predicted cost-model ratios per statement
-//!   kind (see [`calibrate`]); `--native` joins self-profiling `gcc -O3`
-//!   binaries instead of the VM.
+//! - `ablation` — the ablation studies of EXPERIMENTS.md.
 //!
-//! The library surface exposes the measurement primitives the binaries and
-//! the bench targets share, plus [`programs_via_service`] which routes
-//! suite compilation through the batch [`CompileService`] so the benches
-//! exercise the artifact cache.
+//! Measured native step times come from `perfbench/` (interleaved rounds in
+//! thread CPU time), not from here. The cost-model calibration behind
+//! `frodo calibrate` lives in [`calibrate`].
+//!
+//! The library surface exposes the measurement primitives the binaries
+//! share, plus [`programs_via_service`] which routes suite compilation
+//! through the batch [`CompileService`] so the artifact cache is exercised.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calibrate;
-pub mod harness;
 
 use frodo_codegen::lir::Program;
 use frodo_codegen::{generate, GeneratorStyle};

@@ -704,8 +704,14 @@ impl CompileService {
 }
 
 /// Reads a `.slx` or `.mdl` model file, recording parse sub-spans on
-/// `trace`.
-fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
+/// `trace`. The worker's `parse` stage reads [`JobSource::Path`] jobs
+/// through it, and so does every front end that loads a model file.
+///
+/// # Errors
+///
+/// The path, prefixed to an I/O or format error, or to the note that the
+/// extension is neither `.slx` nor `.mdl`.
+pub fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
     match path.extension().and_then(|e| e.to_str()) {
         Some("slx") => {
             let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;

@@ -1,5 +1,6 @@
-//! Trace renderings: the human span tree and the machine NDJSON / JSON
-//! exports. All JSON is emitted by hand — this crate depends on nothing.
+//! Trace renderings: the human span tree, the machine NDJSON export, and
+//! the profile-viewer formats. All JSON is emitted by hand — this crate
+//! depends on nothing.
 
 use crate::stage::fmt_duration;
 use crate::trace::{CounterRecord, SpanId, SpanRecord, Trace, TraceSnapshot, NO_PARENT};
@@ -79,39 +80,6 @@ pub fn ndjson_export(snap: &TraceSnapshot) -> String {
         );
     }
     out
-}
-
-impl Trace {
-    /// Exports the whole trace as one JSON object with `spans`,
-    /// `counters`, and `histograms` arrays (same records as the NDJSON
-    /// form, for consumers that prefer a single document).
-    pub fn to_json(&self) -> String {
-        let ndjson = self.to_ndjson();
-        let mut spans = Vec::new();
-        let mut counters = Vec::new();
-        let mut hists = Vec::new();
-        for line in ndjson.lines() {
-            // the NDJSON lines are already valid JSON objects; sort them
-            // into arrays by their type tag
-            let stripped: String = line
-                .replacen("\"type\":\"span\",", "", 1)
-                .replacen("\"type\":\"counter\",", "", 1)
-                .replacen("\"type\":\"hist\",", "", 1);
-            if line.contains("\"type\":\"span\"") {
-                spans.push(stripped);
-            } else if line.contains("\"type\":\"counter\"") {
-                counters.push(stripped);
-            } else {
-                hists.push(stripped);
-            }
-        }
-        format!(
-            "{{\"spans\":[{}],\"counters\":[{}],\"histograms\":[{}]}}",
-            spans.join(","),
-            counters.join(","),
-            hists.join(",")
-        )
-    }
 }
 
 /// Renders a snapshot as a span tree (see [`Trace::render_tree`]).
@@ -404,15 +372,6 @@ mod tests {
         assert!(text.contains("\"type\":\"counter\""));
         assert!(text.contains("\"value\":128"));
         assert!(text.contains("\"type\":\"hist\""));
-    }
-
-    #[test]
-    fn json_document_wraps_the_same_records() {
-        let doc = sample_trace().to_json();
-        assert!(doc.starts_with("{\"spans\":["));
-        assert!(doc.contains("\"counters\":["));
-        assert!(doc.contains("\"histograms\":["));
-        assert!(doc.contains("\"name\":\"emit\""));
     }
 
     #[test]

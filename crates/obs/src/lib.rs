@@ -15,9 +15,8 @@
 //!   canonical stage name ([`STAGE_NAMES`]). Every crate that used to
 //!   keep its own clocks (core's analysis timings, the driver's report
 //!   counters, the bench harness) reads this type instead.
-//! - **Exports** — [`Trace::render_tree`] for humans,
-//!   [`Trace::to_ndjson`] / [`Trace::to_json`] for machines,
-//!   [`Trace::to_chrome_trace`] (chrome://tracing / Perfetto
+//! - **Exports** — [`Trace::render_tree`] for humans, [`Trace::to_ndjson`]
+//!   for machines, [`Trace::to_chrome_trace`] (chrome://tracing / Perfetto
 //!   `trace_event` JSON) and [`Trace::to_collapsed`] (flamegraph
 //!   collapsed stacks) for profile viewers, and [`ndjson`] with a
 //!   dependency-free validator/parser for the export format (used by the

@@ -1,11 +1,13 @@
 //! The `frodo serve` and `frodo client` verb implementations, called
-//! from the binary's dispatcher.
+//! from the binary's dispatcher, and the argument parsing every `frodo`
+//! verb shares: each verb lists exactly the flags it reads, and any other
+//! `-`-prefixed argument is an error wherever it appears.
 
 use crate::client::{self, Client, Endpoint};
 use crate::proto::RequestOptions;
 use crate::server::{Server, ServerConfig};
 use frodo_obs::ndjson;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The default unix socket, next to the default ledger.
 pub const DEFAULT_SOCKET: &str = ".frodo/serve.sock";
@@ -18,19 +20,20 @@ pub fn flag_value<'a>(args: &'a [String], names: &[&str]) -> Option<&'a str> {
 }
 
 /// Positional arguments: everything that is neither a listed flag nor a
-/// value-taking flag's value. Any other `-`-prefixed argument is an error.
+/// value-taking flag's value. Any other `-`-prefixed argument is an error,
+/// and so is a value-taking flag with nothing after it.
 pub fn positionals<'a>(
     args: &'a [String],
     value_flags: &[&str],
     bool_flags: &[&str],
 ) -> Result<Vec<&'a str>, String> {
     let mut out = Vec::new();
-    let mut skip = false;
+    let mut awaiting_value: Option<&str> = None;
     for arg in args {
-        if skip {
-            skip = false;
+        if awaiting_value.take().is_some() {
+            continue;
         } else if value_flags.contains(&arg.as_str()) {
-            skip = true;
+            awaiting_value = Some(arg);
         } else if bool_flags.contains(&arg.as_str()) {
             continue;
         } else if arg.len() > 1 && arg.starts_with('-') {
@@ -39,10 +42,28 @@ pub fn positionals<'a>(
             out.push(arg.as_str());
         }
     }
-    Ok(out)
+    match awaiting_value {
+        Some(flag) => Err(format!("flag '{flag}' needs a value")),
+        None => Ok(out),
+    }
 }
 
-fn parse_num<T: std::str::FromStr>(
+/// [`positionals`] for a verb that takes none: a stray positional is an
+/// error too.
+pub fn no_positionals(
+    args: &[String],
+    value_flags: &[&str],
+    bool_flags: &[&str],
+) -> Result<(), String> {
+    match positionals(args, value_flags, bool_flags)?.first() {
+        Some(arg) => Err(format!("unexpected argument '{arg}'")),
+        None => Ok(()),
+    }
+}
+
+/// The value after the first of `names`, parsed; `bad {what}` when it
+/// does not parse.
+pub fn parse_num<T: std::str::FromStr>(
     args: &[String],
     names: &[&str],
     what: &str,
@@ -66,23 +87,41 @@ fn endpoint(args: &[String]) -> Result<Endpoint, String> {
     }
 }
 
+/// The perf-ledger destination: `--ledger-out FILE` for an explicit
+/// path, bare `--ledger` for the default `.frodo/ledger.ndjson`.
+pub fn ledger_path(args: &[String]) -> Option<PathBuf> {
+    if let Some(path) = flag_value(args, &["--ledger-out"]) {
+        return Some(path.into());
+    }
+    args.iter()
+        .any(|a| a == "--ledger")
+        .then(|| Path::new(".frodo").join("ledger.ndjson"))
+}
+
 /// `frodo serve`: run the daemon in the foreground until a client sends
-/// `shutdown`.
+/// `shutdown`. Arguments are checked before anything binds.
 pub fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let ledger_out = if let Some(path) = flag_value(args, &["--ledger-out"]) {
-        Some(path.into())
-    } else {
-        args.iter()
-            .any(|a| a == "--ledger")
-            .then(|| Path::new(".frodo").join("ledger.ndjson"))
-    };
+    no_positionals(
+        args,
+        &[
+            "--socket",
+            "--tcp",
+            "--workers",
+            "-j",
+            "--queue-cap",
+            "--cache-dir",
+            "--cache-cap",
+            "--ledger-out",
+        ],
+        &["--ledger"],
+    )?;
     let config = ServerConfig {
         endpoint: endpoint(args)?,
         workers: parse_num(args, &["--workers", "-j"], "--workers")?.unwrap_or(0),
         queue_cap: parse_num(args, &["--queue-cap"], "--queue-cap")?.unwrap_or(256),
         cache_dir: flag_value(args, &["--cache-dir"]).map(Into::into),
         cache_cap_bytes: parse_num(args, &["--cache-cap"], "--cache-cap")?.unwrap_or(0),
-        ledger_out,
+        ledger_out: ledger_path(args),
     };
     let server = Server::start(config)?;
     eprintln!("frodo serve: listening on {}", server.endpoint());

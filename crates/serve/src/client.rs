@@ -171,8 +171,7 @@ pub fn response_type(line: &str) -> Result<String, String> {
 }
 
 /// Starts a request object: `type` plus the protocol version this build
-/// speaks, so a newer daemon knows exactly what it is talking to and an
-/// older one (which ignores unknown fields) is unaffected.
+/// speaks.
 fn request(kind: &str) -> ndjson::ObjWriter {
     let mut w = ndjson::ObjWriter::new();
     w.field_str("type", kind)
@@ -180,15 +179,15 @@ fn request(kind: &str) -> ndjson::ObjWriter {
     w
 }
 
-/// Checks a response's `proto_version` against this build's. Responses
-/// without one (a version-1 daemon) pass; a version this client does not
-/// speak is a clean error instead of a misread line.
+/// Checks that a response states this build's `proto_version`. A
+/// response stating another version, or none, is a clean error instead of
+/// a misread line.
 pub fn check_proto(fields: &[(String, ndjson::Value)]) -> Result<(), String> {
-    match ndjson::get_num(fields, "proto_version").map(|v| v as u64) {
-        None => Ok(()),
-        Some(v) if (1..=proto::PROTO_VERSION).contains(&v) => Ok(()),
-        Some(v) => Err(format!(
-            "daemon speaks proto_version {v}; this client speaks 1..={} — upgrade the client",
+    match ndjson::get_num(fields, "proto_version") {
+        Some(v) if v == proto::PROTO_VERSION as f64 => Ok(()),
+        v => Err(format!(
+            "daemon speaks proto_version {}; this client speaks {}",
+            v.map_or_else(|| "none".to_string(), |v| v.to_string()),
             proto::PROTO_VERSION
         )),
     }
@@ -369,8 +368,9 @@ mod tests {
             Some(proto::PROTO_VERSION as f64)
         );
 
+        // a response stating no version is a pre-v4 daemon's: refused
         let v1 = ndjson::parse_line(r#"{"type":"status","ok":1}"#).unwrap();
-        assert!(check_proto(&v1).is_ok());
+        assert!(check_proto(&v1).unwrap_err().contains("proto_version none"));
         let current = ndjson::parse_line(&format!(
             r#"{{"type":"status","proto_version":{}}}"#,
             proto::PROTO_VERSION

@@ -14,12 +14,15 @@
 //! - [`proto`] — the NDJSON wire protocol (`compile`, `lint`, `batch`,
 //!   `recompile`, `status`, `metrics`, `shutdown`), written and parsed
 //!   with [`frodo_obs::ndjson`] so the daemon speaks the same dialect as
-//!   the trace/ledger tooling. Since protocol version 3 every response
-//!   carries a `request_id` stamp, and `metrics` reports rolling-window
-//!   per-verb latency histograms.
+//!   the trace/ledger tooling. Every response carries a `request_id`
+//!   stamp, and `metrics` reports rolling-window per-verb latency
+//!   histograms.
 //! - [`client`] — a line-oriented client with backpressure-aware retry,
 //!   used by `frodo client` and the integration tests.
-//! - [`cli`] — the `frodo serve` / `frodo client` verb implementations.
+//! - [`resolve`] — model references (paths, bundled benchmark names,
+//!   `random:` specs), resolved one way for the CLI and the daemon.
+//! - [`cli`] — the `frodo serve` / `frodo client` verb implementations
+//!   and the argument parsing every `frodo` verb shares.
 //!
 //! # Example
 //!
@@ -40,8 +43,10 @@
 pub mod cli;
 pub mod client;
 pub mod proto;
+pub mod resolve;
 pub mod server;
 
 pub use client::{Client, Endpoint};
 pub use proto::{Request, RequestOptions, PROTO_VERSION};
+pub use resolve::{job_spec_for, resolve_model};
 pub use server::{Server, ServerConfig};

@@ -37,38 +37,30 @@
 //!
 //! # Versioning
 //!
-//! Every request and response may carry a `proto_version` number; this
-//! build speaks [`PROTO_VERSION`], and every response states it. A
-//! request without one is treated as version 1 (the pre-versioned wire
-//! format, which this build still accepts). A request with a version this
-//! daemon does not speak gets a structured `error` response naming the
-//! supported range — it is never silently misparsed.
+//! This build speaks one wire-protocol version, [`PROTO_VERSION`], and
+//! every response states it. A request may state it too; one without the
+//! field is read as this version. A request stating any other version
+//! gets a structured `error` response naming the one spoken — it is never
+//! silently misparsed.
 //!
 //! # Request correlation
 //!
-//! Since version 3 the server stamps a `request_id` onto every response
-//! line: the client-supplied `request_id` field when the request carried
-//! one, a server-assigned sequence number otherwise. Every line a request
+//! The server stamps a `request_id` onto every response line: the
+//! client-supplied `request_id` field when the request carried one, a
+//! server-assigned sequence number otherwise. Every line a request
 //! produces (a batch's whole `result` stream and its `batch-done`
 //! terminator included) carries the same id, so clients multiplexing one
 //! connection can correlate responses without counting lines. The stamp
 //! is prepended by the connection loop, not the renderers here — the
-//! renderers stay request-agnostic. Version 1 and 2 clients ignore the
-//! extra field; the flat-NDJSON parser skips unknown keys by design.
+//! renderers stay request-agnostic.
 
 use frodo_codegen::{GeneratorStyle, VectorMode};
 use frodo_driver::{CacheStats, CompileOptions, JobError, JobOutput, PoolSnapshot, SessionStats};
 use frodo_obs::ndjson::{self, ObjWriter, Value};
 use frodo_obs::Histogram;
 
-/// The wire-protocol version this build speaks. Version 1 is the
-/// pre-versioned NDJSON format (still accepted when a request carries no
-/// `proto_version`); version 2 added the field itself and the
-/// `recompile` request; version 3 added the `metrics` request and the
-/// `request_id` stamp on every response; version 4 added the `analyze`
-/// compile option (dataflow analyses over the lowered program). Versions
-/// 1 through 3 remain fully accepted — each bump only adds fields or
-/// verbs, it changes none.
+/// The wire-protocol version this build speaks, and the only one it
+/// accepts.
 pub const PROTO_VERSION: u64 = 4;
 
 /// Per-request compile options — the CLI surface, carried on the wire.
@@ -76,7 +68,7 @@ pub const PROTO_VERSION: u64 = 4;
 pub struct RequestOptions {
     /// Run the range-soundness checker (`verify`, as 0/1).
     pub verify: bool,
-    /// Run the dataflow analyses (`analyze`, as 0/1; protocol version 4).
+    /// Run the dataflow analyses (`analyze`, as 0/1).
     pub analyze: bool,
     /// Include per-stage timings in each `result` line (`trace`, as 0/1).
     pub trace: bool,
@@ -148,7 +140,7 @@ pub enum Request {
     /// Report queue, cache, and worker metrics.
     Status,
     /// Report rolling-window per-verb request rates and latency
-    /// histograms plus per-session stats (protocol version 3).
+    /// histograms plus per-session stats.
     Metrics,
     /// Drain in-flight jobs, flush the final ledger entry, and stop.
     Shutdown,
@@ -193,17 +185,18 @@ fn options_from(fields: &[(String, Value)]) -> Result<RequestOptions, String> {
     })
 }
 
-/// Parses one request line. A `proto_version` this build does not speak
-/// is a structured error before the `type` is even looked at.
+/// Parses one request line. A `proto_version` other than
+/// [`PROTO_VERSION`] is a structured error before the `type` is even
+/// looked at.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let fields = ndjson::parse_line(line)?;
-    if let Some(v) = ndjson::get_num(&fields, "proto_version") {
-        let v = v as u64;
-        if v == 0 || v > PROTO_VERSION {
+    match ndjson::get_num(&fields, "proto_version") {
+        Some(v) if v != PROTO_VERSION as f64 => {
             return Err(format!(
-                "unsupported proto_version {v} (this daemon speaks 1..={PROTO_VERSION})"
-            ));
+                "unsupported proto_version {v} (this daemon speaks {PROTO_VERSION})"
+            ))
         }
+        _ => {}
     }
     let typ = ndjson::get_str(&fields, "type").ok_or("request has no \"type\" field")?;
     let model = || -> Result<String, String> {
@@ -456,8 +449,7 @@ pub struct VerbMetrics {
     pub window: Histogram,
 }
 
-/// Renders the `metrics` response (protocol version 3): one entry per
-/// verb with window count, latency percentiles, and the full log2 bucket
+/// Renders the `metrics` response: one entry per verb with window count, latency percentiles, and the full log2 bucket
 /// arrays (the same `bucket_upper`/`bucket_count` shape the trace
 /// exporter's `hist` lines use, so one parser reads both), plus one
 /// entry per live compile session.
@@ -593,7 +585,7 @@ mod tests {
     #[test]
     fn recompile_requests_parse_with_session_and_region_max() {
         let r = parse_request(
-            r#"{"type":"recompile","proto_version":2,"session":"edit-loop","model":"random:42:60","style":"frodo","region_max":8}"#,
+            r#"{"type":"recompile","proto_version":4,"session":"edit-loop","model":"random:42:60","style":"frodo","region_max":8}"#,
         )
         .unwrap();
         match r {
@@ -618,17 +610,22 @@ mod tests {
 
     #[test]
     fn unknown_proto_versions_are_rejected_and_stated() {
-        // absent = version 1; the current version passes
+        // absent = the current version, which passes
         assert!(parse_request(r#"{"type":"status"}"#).is_ok());
         assert!(parse_request(&format!(
             r#"{{"type":"status","proto_version":{PROTO_VERSION}}}"#
         ))
         .is_ok());
-        // a future (or zero) version is a structured refusal
-        let err = parse_request(r#"{"type":"status","proto_version":99}"#).unwrap_err();
-        assert!(err.contains("unsupported proto_version 99"), "{err}");
-        assert!(err.contains(&format!("1..={PROTO_VERSION}")), "{err}");
-        assert!(parse_request(r#"{"type":"status","proto_version":0}"#).is_err());
+        // a retired, future, or zero version is a structured refusal
+        for v in [0, 1, 2, 3, 99] {
+            let err =
+                parse_request(&format!(r#"{{"type":"status","proto_version":{v}}}"#)).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported proto_version {v}")),
+                "{err}"
+            );
+            assert!(err.contains(&format!("speaks {PROTO_VERSION}")), "{err}");
+        }
         // every response states the version it speaks
         for line in [
             render_error("nope"),

@@ -3,11 +3,12 @@
 //!
 //! One accept thread takes connections off the unix (or TCP) listener
 //! and hands each to its own handler thread; handlers parse NDJSON
-//! request lines and answer on the same connection. All compile work
-//! funnels through one [`JobPool`] over one [`CompileService`], so every
-//! connection shares the artifact cache, the admission queue, and the
-//! fairness ring. Jobs record into one server-wide [`Trace`] — the
-//! `status` endpoint and the final ledger entry are projections of it.
+//! request lines, each at most [`MAX_REQUEST_LINE`] bytes, and answer on
+//! the same connection. All compile work funnels through one [`JobPool`]
+//! over one [`CompileService`], so every connection shares the artifact
+//! cache, the admission queue, and the fairness ring. Jobs record into one
+//! server-wide [`Trace`] — the `status` endpoint and the final ledger
+//! entry are projections of it.
 //!
 //! Shutdown (the `shutdown` request) drains the pool — in-flight and
 //! queued jobs complete, new submissions are rejected with `draining` —
@@ -17,17 +18,17 @@
 
 use crate::client::{Endpoint, Stream};
 use crate::proto::{self, Request, RequestOptions};
+use crate::resolve::{job_spec_for, resolve_model};
 use frodo_codegen::GeneratorStyle;
 use frodo_driver::{
-    CompileService, CompileSession, JobPool, JobSpec, JobTicket, PoolConfig, ServiceConfig,
-    SessionStats, SubmitError,
+    CompileService, CompileSession, JobPool, JobTicket, PoolConfig, ServiceConfig, SessionStats,
+    SubmitError,
 };
-use frodo_model::Model;
 use frodo_obs::{
     aggregate, append_entry, ndjson, Histogram, LedgerEntry, RollingWindow, ServiceMetrics, Trace,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -55,6 +56,11 @@ pub struct ServerConfig {
 /// Fairness buckets for connections that do not name a `client` start
 /// above this bound, so they can never collide with client-chosen ids.
 const CONN_CLIENT_BASE: u64 = 1 << 32;
+
+/// The longest request line the daemon reads, in bytes, newline
+/// excluded. The connection loop never buffers more: a longer line gets
+/// an `error` reply that names this cap, and its connection is closed.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Width of the `metrics` verb's rolling latency window.
 const METRICS_WINDOW_SECS: u64 = 60;
@@ -231,18 +237,41 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let conn_client = CONN_CLIENT_BASE + shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // one byte past the cap tells an over-long line from one that
+        // fits exactly
+        match (&mut reader)
+            .take(MAX_REQUEST_LINE as u64 + 1)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            let error = proto::render_error(&format!(
+                "request line longer than {MAX_REQUEST_LINE} bytes; closing the connection"
+            ));
+            let request_id = shared.request_seq.fetch_add(1, Ordering::Relaxed);
+            let _ = write_responses(&mut writer, &[error], request_id);
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return;
+        };
+        let line = line.trim();
+        if line.is_empty() {
             continue;
         }
         let mut stop_after = false;
         // correlation id: the client's `request_id` when the line carries
         // one, a server-assigned sequence number otherwise; every line
         // this request produces gets the same stamp
-        let request_id = ndjson::parse_line(&line)
+        let request_id = ndjson::parse_line(line)
             .ok()
             .and_then(|fields| ndjson::get_num(&fields, "request_id"))
             .map_or_else(
@@ -250,7 +279,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
                 |n| n as u64,
             );
         let started = Instant::now();
-        let parsed = proto::parse_request(&line);
+        let parsed = proto::parse_request(line);
         let verb_idx = parsed.as_ref().ok().map(verb_index);
         let responses = match parsed {
             Ok(request) => handle_request(shared, request, conn_client, &mut stop_after),
@@ -259,16 +288,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
         if let Some(idx) = verb_idx {
             record_request(shared, idx, started.elapsed().as_nanos() as f64);
         }
-        for response in responses {
-            if writer
-                .write_all(stamp_request_id(&response, request_id).as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .is_err()
-            {
-                return;
-            }
-        }
-        if writer.flush().is_err() {
+        if write_responses(&mut writer, &responses, request_id).is_err() {
             return;
         }
         if stop_after {
@@ -276,6 +296,20 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
             return;
         }
     }
+}
+
+/// Writes one request's response lines, each stamped with its
+/// correlation id, and flushes them.
+fn write_responses(
+    writer: &mut Stream,
+    responses: &[String],
+    request_id: u64,
+) -> std::io::Result<()> {
+    for response in responses {
+        writer.write_all(stamp_request_id(response, request_id).as_bytes())?;
+        writer.write_all(b"\n")?;
+    }
+    writer.flush()
 }
 
 /// Which [`VERBS`] slot a request records latency under.
@@ -554,56 +588,6 @@ fn render_submit_error(e: &SubmitError) -> String {
             queued,
             retry_after_ms,
         } => proto::render_busy(*queued, *retry_after_ms),
-    }
-}
-
-/// Resolves a model reference the way the CLI does: a `.slx`/`.mdl`
-/// path, a bundled Table-1 benchmark name, or a
-/// `random:<seed>:<size>[:edit:<k>]` spec.
-fn resolve_model(model_ref: &str) -> Result<Model, String> {
-    let path = std::path::Path::new(model_ref);
-    match path.extension().and_then(|e| e.to_str()) {
-        Some("slx") => {
-            let bytes = std::fs::read(path).map_err(|e| format!("{model_ref}: {e}"))?;
-            frodo_slx::read_slx(&bytes, &frodo_obs::Trace::noop())
-                .map_err(|e| format!("{model_ref}: {e}"))
-        }
-        Some("mdl") => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{model_ref}: {e}"))?;
-            frodo_slx::read_mdl(&text, &frodo_obs::Trace::noop())
-                .map_err(|e| format!("{model_ref}: {e}"))
-        }
-        _ => frodo_benchmodels::by_spec(model_ref).ok_or_else(|| {
-            format!(
-                "'{model_ref}' is not a .slx/.mdl path, a bundled benchmark, \
-                 or a random:<seed>:<size>[:edit:<k>] spec"
-            )
-        }),
-    }
-}
-
-/// Builds the job spec for a model reference; file parsing stays on the
-/// worker (the job's `parse` stage), bench models are materialized here.
-fn job_spec_for(model_ref: &str, style: frodo_codegen::GeneratorStyle) -> Result<JobSpec, String> {
-    let path = std::path::Path::new(model_ref);
-    if matches!(
-        path.extension().and_then(|e| e.to_str()),
-        Some("slx" | "mdl")
-    ) {
-        if !path.exists() {
-            return Err(format!("{model_ref}: no such file"));
-        }
-        return Ok(JobSpec::from_path(path, style));
-    }
-    if let Some(bench) = frodo_benchmodels::by_name(model_ref) {
-        return Ok(JobSpec::from_model(bench.name, bench.model, style));
-    }
-    match frodo_benchmodels::by_spec(model_ref) {
-        Some(model) => Ok(JobSpec::from_model(model_ref, model, style)),
-        None => Err(format!(
-            "'{model_ref}' is not a .slx/.mdl path, a bundled benchmark, \
-             or a random:<seed>:<size>[:edit:<k>] spec"
-        )),
     }
 }
 

@@ -1,17 +1,15 @@
 //! Compare all four generators over the whole Table-1 suite, on all four
 //! (architecture × compiler) cost profiles — a compact run of the paper's
-//! entire evaluation. Pass `--native` to add real `gcc -O3` wall-clock
-//! measurements for the configuration this host can execute.
+//! entire evaluation under the cost model. Measured native step times
+//! come from `perfbench/`'s traced run.
 //!
 //! ```sh
-//! cargo run --release --example generator_shootout [--native]
+//! cargo run --release --example generator_shootout
 //! ```
 
 use frodo::prelude::*;
-use frodo::sim::native;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let want_native = std::env::args().any(|a| a == "--native");
     let suite = frodo::benchmodels::all();
     let configs = CostModel::all();
 
@@ -59,38 +57,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "total",
         frodo::obs::fmt_duration(stages.total())
     );
-
-    if want_native {
-        if !native::gcc_available() {
-            eprintln!("--native requested but no gcc found");
-            return Ok(());
-        }
-        println!("== native x86 gcc -O3 (ns/iteration, 10000 reps) ==");
-        println!(
-            "{:<14} {:>10} {:>10} {:>10} {:>10} {:>14}",
-            "model", "Simulink", "DFSynth", "HCG", "Frodo", "Frodo speedup"
-        );
-        for (name, analysis) in &analyses {
-            let ns: Vec<f64> = GeneratorStyle::ALL
-                .iter()
-                .map(|&s| {
-                    let p = generate(analysis, s, &frodo_obs::Trace::noop());
-                    native::compile_and_run(&p, s, 10_000)
-                        .map(|r| r.ns_per_iter)
-                        .unwrap_or(f64::NAN)
-                })
-                .collect();
-            let best_other = ns[..3].iter().cloned().fold(f64::MAX, f64::min);
-            println!(
-                "{:<14} {:>10.0} {:>10.0} {:>10.0} {:>10.0} {:>13.2}x",
-                name,
-                ns[0],
-                ns[1],
-                ns[2],
-                ns[3],
-                best_other / ns[3]
-            );
-        }
-    }
     Ok(())
 }

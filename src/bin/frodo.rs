@@ -1,11 +1,11 @@
 //! `frodo` — the command-line front end of the code generator.
 //!
 //! ```text
-//! frodo analyze  <model.{slx,mdl}>                 redundancy-elimination report
+//! frodo analyze  <model>                           redundancy-elimination report
 //! frodo lint     <model> [--format human|json|sarif]  static model diagnostics
-//! frodo build    <model> [-s STYLE] [--shared-helper] [--vectorize M] [-o out.c]
 //! frodo compile  <model> [-s STYLE] [--verify] [--cache-dir D]
-//!                [--vectorize M] [--window-reuse]
+//!                [--vectorize M] [--window-reuse] [--shared-helper]
+//!                [--profile] [--harness ITERS]
 //!                [--trace out.ndjson] [--ledger | --ledger-out F] [-o out.c]
 //! frodo batch    <models...> [--workers N] [--verify] [--cache-dir D]
 //!                [-s STYLES] [-o DIR] [--vectorize M] [--window-reuse]
@@ -16,27 +16,32 @@
 //! frodo client   [--socket PATH|--tcp ADDR] compile|recompile|lint|batch|status|metrics|shutdown ...
 //! frodo obs      export|diff|report               trace exports, cross-run perf diffs
 //! frodo simulate <model> [--seed N] [--steps N]    reference simulation
-//! frodo bench    <model> [--native]                compare the four generators
+//! frodo bench    <model>                           compare the four generators
 //! frodo calibrate [--steps N] [--native [--iters N] [--sanitize]] [--check BANDS]
 //!                [--ledger | --ledger-out F]       cost-model calibration
-//! frodo convert  <in.{slx,mdl}> <out.{slx,mdl}>    format conversion
-//! frodo demo     <name> <out.{slx,mdl}>            export a Table-1 benchmark
+//! frodo verify   <model> [--seeds N] [--steps N]   random tests against simulation
+//! frodo convert  <model> <out.{slx,mdl}>           write a model as .slx or .mdl
 //! frodo list                                       list bundled benchmarks
 //! ```
 //!
-//! `compile` and `batch` go through the [`frodo::driver`] service: jobs run
-//! on a worker pool, one thread per job, artifacts are content-addressed (optionally persisted
-//! under `--cache-dir`), and every job reports per-stage timings and
-//! redundancy counters. `batch --incremental` instead feeds the jobs
-//! sequentially through a [`frodo::driver::CompileSession`] per style, so a
-//! resubmitted model recompiles only the regions its edit dirtied. Models
-//! may be `.slx`/`.mdl` paths, bundled Table-1 benchmark names
-//! (`frodo list`), or `random:<seed>:<size>[:edit:<k>]` synthetic specs.
+//! `compile` is the one emission verb. It and `batch` go through the
+//! [`frodo::driver`] service: jobs run on a worker pool, one thread per
+//! job, artifacts are content-addressed (optionally persisted under
+//! `--cache-dir`), and every job reports per-stage timings and redundancy
+//! counters. `batch --incremental` instead feeds the jobs sequentially
+//! through a [`frodo::driver::CompileSession`] per style, so a resubmitted
+//! model recompiles only the regions its edit dirtied. Every `<model>` may
+//! be a `.slx`/`.mdl` path, a bundled Table-1 benchmark name (`frodo
+//! list`), or a `random:<seed>:<size>[:edit:<k>]` synthetic spec; each is
+//! resolved by [`frodo::serve::resolve`], as the daemon's requests are.
+//! Every verb lists the flags it reads, and any other flag is an error.
 
 use frodo::prelude::*;
-use frodo::serve::cli::{flag_value, positionals};
+use frodo::serve::cli::{flag_value, ledger_path, no_positionals, parse_num, positionals};
+use frodo::serve::proto::{parse_style, parse_styles};
+use frodo::serve::{job_spec_for, resolve_model};
 use frodo::sim::{native, workload};
-use frodo::slx::{read_mdl, read_slx, write_mdl, write_slx};
+use frodo::slx::{write_mdl, write_slx};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -45,7 +50,6 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("lint") => cmd_lint(&args[1..]),
-        Some("build") => cmd_build(&args[1..]),
         Some("compile") => cmd_compile(&args[1..]),
         Some("batch") => cmd_batch(&args[1..]),
         Some("serve") => frodo::serve::cli::cmd_serve(&args[1..]),
@@ -55,9 +59,8 @@ fn main() -> ExitCode {
         Some("calibrate") => cmd_calibrate(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
         Some("convert") => cmd_convert(&args[1..]),
-        Some("demo") => cmd_demo(&args[1..]),
         Some("obs") => cmd_obs(&args[1..]),
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
@@ -80,10 +83,9 @@ fn print_usage() {
          USAGE:\n\
          \x20 frodo analyze  <model> [-s STYLE] [--window-reuse] [--format human|json|sarif] [-o out]\n\
          \x20                [--gate] [--trace] | analyze --selftest\n\
-         \x20 frodo lint     <model> [--format human|json|sarif] | lint --explain CODE\n\
-         \x20 frodo build    <model> [-s simulink|dfsynth|hcg|frodo] [--shared-helper] [--vectorize M] [--profile]\n\
-         \x20                [--harness ITERS] [-o out.c]\n\
-         \x20 frodo compile  <model> [-s STYLE] [--vectorize auto|off|hints|batch[:W]] [--window-reuse] [--profile]\n\
+         \x20 frodo lint     <model> [--format human|json|sarif] [-o out] | lint --explain CODE\n\
+         \x20 frodo compile  <model> [-s simulink|dfsynth|hcg|frodo] [--vectorize auto|off|hints|batch[:W]]\n\
+         \x20                [--window-reuse] [--shared-helper] [--profile] [--harness ITERS]\n\
          \x20                [--verify] [--analyze] [--cache-dir DIR] [--cache-cap BYTES] [--no-cache]\n\
          \x20                [--trace out.ndjson] [--ledger | --ledger-out F] [-o out.c]\n\
          \x20 frodo batch    <models...> [--workers N] [--verify] [--analyze] [--cache-dir DIR] [-s STYLES|all] [-o DIR] [--machine]\n\
@@ -95,22 +97,23 @@ fn print_usage() {
          \x20 frodo client   [--socket PATH|--tcp ADDR] batch <models...> [-s STYLES|all] [-o DIR]\n\
          \x20 frodo client   [--socket PATH|--tcp ADDR] lint <model> | status | metrics | shutdown\n\
          \x20 frodo simulate <model> [--seed N] [--steps N]\n\
-         \x20 frodo bench    <model> [--native]\n\
+         \x20 frodo bench    <model>\n\
          \x20 frodo calibrate [--steps N] [--native [--iters N] [--sanitize]] [--check BANDS.ndjson] [--ledger | --ledger-out F]\n\
          \x20 frodo verify   <model> [--seeds N] [--steps N]\n\
-         \x20 frodo convert  <in.{{slx,mdl}}> <out.{{slx,mdl}}>\n\
-         \x20 frodo demo     <benchmark-name> <out.{{slx,mdl}}>\n\
+         \x20 frodo convert  <model> <out.{{slx,mdl}}>\n\
          \x20 frodo obs      export <trace.ndjson> [--format chrome|collapsed|ndjson] [-o out]\n\
          \x20 frodo obs      diff <OLD> <NEW> [--fail-over PCT]   (ledger files or raw traces)\n\
          \x20 frodo obs      report <ledger.ndjson> [--strict]\n\
          \x20 frodo list\n\
          \n\
+         A <model> is a .slx/.mdl path, a bundled Table-1 benchmark name (frodo\n\
+         list), or a random:<seed>:<size>[:edit:<k>] synthetic spec; every verb\n\
+         and every daemon request takes all three. An unknown flag is an error.\n\
          compile and batch accept --ledger (append a perf-ledger entry to\n\
          .frodo/ledger.ndjson) or --ledger-out FILE for an explicit path.\n\
          batch --incremental compiles jobs sequentially through one compile\n\
          session per style: resubmitting an edited model re-analyzes only the\n\
-         dirtied regions (models also accept random:<seed>:<size>[:edit:<k>]\n\
-         specs; with --ledger, one entry per job).\n\
+         dirtied regions (with --ledger, one entry per job).\n\
          --verify runs the range-soundness checker (frodo-verify) on every\n\
          fresh compile and fails closed with F1xx diagnostics; frodo lint\n\
          reports F0xx model diagnostics (exit 1 on errors, not warnings);\n\
@@ -119,11 +122,14 @@ fn print_usage() {
          IR: value-range numeric safety (F201-F203), residual-redundancy\n\
          detection (F204), and buffer lifetimes; --gate exits nonzero on any\n\
          finding, --selftest runs the injected-defect detector check.\n\
-         compile/batch/serve take --analyze to run the same stage in the\n\
-         pipeline (its findings are warnings). Every model compiles on one\n\
-         thread; batch --workers N compiles N models at once. An unknown\n\
-         flag is an error. build --harness ITERS emits the self-checking native harness\n\
-         (the ASan/UBSan CI lane compiles it with the sanitizers on).\n\
+         compile, batch and client requests take --analyze to run the same\n\
+         stage in the pipeline (its findings are warnings). Every model\n\
+         compiles on one thread; batch --workers N compiles N models at once.\n\
+         compile --harness ITERS appends the self-checking native harness to\n\
+         the C (the ASan/UBSan CI lane compiles it with the sanitizers on); it\n\
+         needs the lowered program, which a disk-cache hit does not keep, so\n\
+         with --cache-dir add --no-cache. --shared-helper emits one shared\n\
+         convolution helper instead of a loop nest per convolution (paper §5).\n\
          --vectorize shapes loops for SIMD (hints adds restrict/alignment,\n\
          batch[:W] emits W-wide bodies); --window-reuse rewrites sliding-\n\
          window statements into delta updates over a persistent ring buffer.\n\
@@ -133,21 +139,6 @@ fn print_usage() {
          frodo calibrate joins such measurements against the cost model and\n\
          gates per-kind drift with --check CALIBRATION_BANDS.ndjson."
     );
-}
-
-fn load_model(path: &str) -> Result<Model, String> {
-    let p = Path::new(path);
-    match p.extension().and_then(|e| e.to_str()) {
-        Some("slx") => {
-            let bytes = std::fs::read(p).map_err(|e| format!("{path}: {e}"))?;
-            read_slx(&bytes, &frodo_obs::Trace::noop()).map_err(|e| format!("{path}: {e}"))
-        }
-        Some("mdl") => {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("{path}: {e}"))?;
-            read_mdl(&text, &frodo_obs::Trace::noop()).map_err(|e| format!("{path}: {e}"))
-        }
-        _ => Err(format!("{path}: expected a .slx or .mdl file")),
-    }
 }
 
 fn save_model(model: &Model, path: &str) -> Result<(), String> {
@@ -162,20 +153,30 @@ fn save_model(model: &Model, path: &str) -> Result<(), String> {
     }
 }
 
-fn parse_style(s: &str) -> Result<GeneratorStyle, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "simulink" => Ok(GeneratorStyle::SimulinkCoder),
-        "dfsynth" => Ok(GeneratorStyle::DfSynth),
-        "hcg" => Ok(GeneratorStyle::Hcg),
-        "frodo" => Ok(GeneratorStyle::Frodo),
+/// `-s`/`--style`, FRODO when absent.
+fn style(args: &[String]) -> Result<GeneratorStyle, String> {
+    flag_value(args, &["-s", "--style"]).map_or(Ok(GeneratorStyle::Frodo), parse_style)
+}
+
+/// Renders diagnostics in the `--format` of `verb` (human when absent).
+fn render_diagnostics(
+    verb: &str,
+    args: &[String],
+    diags: &[frodo::verify::Diagnostic],
+) -> Result<String, String> {
+    match flag_value(args, &["--format", "-f"]).unwrap_or("human") {
+        "human" => Ok(frodo::verify::render_human(diags)),
+        "json" => Ok(frodo::verify::render_json(diags)),
+        "sarif" => Ok(frodo::verify::render_sarif(diags)),
         other => Err(format!(
-            "unknown style '{other}' (expected simulink|dfsynth|hcg|frodo)"
+            "{verb}: unknown format '{other}' (expected human|json|sarif)"
         )),
     }
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--selftest") {
+        no_positionals(args, &[], &["--selftest"])?;
         return analyze_selftest();
     }
     let pos = positionals(
@@ -213,10 +214,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
     // static analysis: lower with the requested style and run the
     // dataflow analyses over the statement IR
-    let style = match flag_value(args, &["-s", "--style"]) {
-        Some(s) => parse_style(s)?,
-        None => GeneratorStyle::Frodo,
-    };
+    let style = style(args)?;
     let lower = frodo::codegen::LowerOptions {
         window_reuse: args.iter().any(|a| a == "--window-reuse"),
         ..Default::default()
@@ -267,16 +265,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         if report.lifetime.temp_slots == 1 { "" } else { "s" },
         report.lifetime.reclaimable_elements
     );
-    let rendered = match flag_value(args, &["--format", "-f"]).unwrap_or("human") {
-        "human" => frodo::verify::render_human(&report.diagnostics),
-        "json" => frodo::verify::render_json(&report.diagnostics),
-        "sarif" => frodo::verify::render_sarif(&report.diagnostics),
-        other => {
-            return Err(format!(
-                "analyze: unknown format '{other}' (expected human|json|sarif)"
-            ))
-        }
-    };
+    let rendered = render_diagnostics("analyze", args, &report.diagnostics)?;
     match flag_value(args, &["-o", "--output"]) {
         Some(out) => std::fs::write(out, &rendered).map_err(|e| format!("{out}: {e}"))?,
         None => {
@@ -373,42 +362,18 @@ fn analyze_selftest() -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves a CLI model reference to a model: a `.slx`/`.mdl` path, the
-/// name of a bundled Table-1 benchmark, or a synthetic-model spec
-/// (`random:<seed>:<size>[:edit:<k>]`).
-fn resolve_model(model_ref: &str) -> Result<Model, String> {
-    let p = Path::new(model_ref);
-    if matches!(p.extension().and_then(|e| e.to_str()), Some("slx" | "mdl")) {
-        return load_model(model_ref);
-    }
-    frodo::benchmodels::by_spec(model_ref).ok_or_else(|| {
-        format!(
-            "'{model_ref}' is not a .slx/.mdl path, a bundled benchmark (try 'frodo list'), \
-             or a random:<seed>:<size>[:edit:<k>] spec"
-        )
-    })
-}
-
 /// Static model diagnostics (`frodo-verify` layer 1). Exit code is only
 /// non-zero for error-severity findings; warnings report and pass.
 fn cmd_lint(args: &[String]) -> Result<(), String> {
     if let Some(code) = flag_value(args, &["--explain"]) {
+        no_positionals(args, &["--explain"], &[])?;
         return lint_explain(code);
     }
     let pos = positionals(args, &["--format", "-f", "-o", "--output"], &[])?;
     let model_ref = pos.first().ok_or("lint: missing model path or name")?;
     let model = resolve_model(model_ref)?;
     let diags = frodo::verify::lint(&model);
-    let rendered = match flag_value(args, &["--format", "-f"]).unwrap_or("human") {
-        "human" => frodo::verify::render_human(&diags),
-        "json" => frodo::verify::render_json(&diags),
-        "sarif" => frodo::verify::render_sarif(&diags),
-        other => {
-            return Err(format!(
-                "lint: unknown format '{other}' (expected human|json|sarif)"
-            ))
-        }
-    };
+    let rendered = render_diagnostics("lint", args, &diags)?;
     match flag_value(args, &["-o", "--output"]) {
         Some(out) => std::fs::write(out, &rendered).map_err(|e| format!("{out}: {e}"))?,
         None => print!("{rendered}"),
@@ -467,76 +432,13 @@ fn vector_mode(args: &[String]) -> Result<frodo::codegen::VectorMode, String> {
     }
 }
 
-fn cmd_build(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("build: missing model path")?;
-    let style = match flag_value(args, &["-s", "--style"]) {
-        Some(s) => parse_style(s)?,
-        None => GeneratorStyle::Frodo,
-    };
-    let shared = args.iter().any(|a| a == "--shared-helper");
-    let model = resolve_model(path)?;
-    let analysis = Analysis::run(model).map_err(|e| e.to_string())?;
-    let program = generate(&analysis, style, &frodo_obs::Trace::noop());
-    let opts = frodo::codegen::CEmitOptions {
-        shared_conv_helper: shared,
-        vectorize: vector_mode(args)?,
-        profile: args.iter().any(|a| a == "--profile"),
-    };
-    let code = match flag_value(args, &["--harness"]) {
-        Some(iters) => {
-            let iters: usize = iters
-                .parse()
-                .map_err(|_| "build: bad --harness iteration count".to_string())?;
-            frodo::codegen::emit_c_harness_with(&program, iters, opts)
-        }
-        None => frodo::codegen::emit_c_with(&program, opts),
-    };
-    match flag_value(args, &["-o", "--output"]) {
-        Some(out) => {
-            std::fs::write(out, &code).map_err(|e| format!("{out}: {e}"))?;
-            eprintln!(
-                "wrote {out}: {} statements, {} elements/step ({style})",
-                program.stmts.len(),
-                program.computed_elements()
-            );
-        }
-        None => print!("{code}"),
-    }
-    Ok(())
-}
-
-/// Resolves a CLI model reference: a `.slx`/`.mdl` path, the name of a
-/// bundled Table-1 benchmark, or a `random:<seed>:<size>[:edit:<k>]` spec.
-fn job_spec_for(model_ref: &str, style: GeneratorStyle) -> Result<JobSpec, String> {
-    let p = Path::new(model_ref);
-    if matches!(p.extension().and_then(|e| e.to_str()), Some("slx" | "mdl")) {
-        return Ok(JobSpec::from_path(p, style));
-    }
-    if let Some(bench) = frodo::benchmodels::by_name(model_ref) {
-        return Ok(JobSpec::from_model(bench.name, bench.model, style));
-    }
-    match frodo::benchmodels::by_spec(model_ref) {
-        Some(model) => Ok(JobSpec::from_model(model_ref, model, style)),
-        None => Err(format!(
-            "'{model_ref}' is not a .slx/.mdl path, a bundled benchmark (try 'frodo list'), \
-             or a random:<seed>:<size>[:edit:<k>] spec"
-        )),
-    }
-}
-
 /// The service configuration shared by `compile` and `batch`.
 fn service_config(args: &[String]) -> Result<ServiceConfig, String> {
     Ok(ServiceConfig {
-        workers: flag_value(args, &["--workers", "-j"])
-            .map(|s| s.parse().map_err(|_| "bad --workers".to_string()))
-            .transpose()?
-            .unwrap_or(0),
+        workers: parse_num(args, &["--workers", "-j"], "--workers")?.unwrap_or(0),
         cache_dir: flag_value(args, &["--cache-dir"]).map(Into::into),
         no_cache: args.iter().any(|a| a == "--no-cache"),
-        cache_cap_bytes: flag_value(args, &["--cache-cap"])
-            .map(|s| s.parse().map_err(|_| "bad --cache-cap".to_string()))
-            .transpose()?
-            .unwrap_or(0),
+        cache_cap_bytes: parse_num(args, &["--cache-cap"], "--cache-cap")?.unwrap_or(0),
     })
 }
 
@@ -548,13 +450,12 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
             "--style",
             "--cache-dir",
             "--cache-cap",
-            "--workers",
-            "-j",
             "--trace",
             "-o",
             "--output",
             "--ledger-out",
             "--vectorize",
+            "--harness",
         ],
         &[
             "--no-cache",
@@ -563,26 +464,24 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
             "--analyze",
             "--window-reuse",
             "--profile",
+            "--shared-helper",
         ],
     )?;
     let model_ref = pos.first().ok_or("compile: missing model path or name")?;
-    let style = match flag_value(args, &["-s", "--style"]) {
-        Some(s) => parse_style(s)?,
-        None => GeneratorStyle::Frodo,
-    };
+    let harness_iters: Option<usize> = parse_num(args, &["--harness"], "--harness")?;
     let trace_out = flag_value(args, &["--trace"]);
     let ledger = ledger_path(args);
     // the ledger is derived from a trace, so --ledger implies tracing
     let trace = (trace_out.is_some() || ledger.is_some()).then(Trace::new);
-    let mut spec = job_spec_for(model_ref, style)?.with_options(
-        CompileOptions::builder()
-            .verify(args.iter().any(|a| a == "--verify"))
-            .analyze(args.iter().any(|a| a == "--analyze"))
-            .vectorize(vector_mode(args)?)
-            .window_reuse(args.iter().any(|a| a == "--window-reuse"))
-            .profile(args.iter().any(|a| a == "--profile"))
-            .build(),
-    );
+    let options = CompileOptions::builder()
+        .verify(args.iter().any(|a| a == "--verify"))
+        .analyze(args.iter().any(|a| a == "--analyze"))
+        .vectorize(vector_mode(args)?)
+        .window_reuse(args.iter().any(|a| a == "--window-reuse"))
+        .profile(args.iter().any(|a| a == "--profile"))
+        .shared_conv_helper(args.iter().any(|a| a == "--shared-helper"))
+        .build();
+    let mut spec = job_spec_for(model_ref, style(args)?)?.with_options(options);
     if let Some(t) = &trace {
         spec = spec.with_trace(t);
     }
@@ -593,6 +492,18 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         }
         e.to_string()
     })?;
+    // the harness is emitted from the lowered program with the job's own
+    // emission options, so the C before its `main` is the job's C
+    let code = match harness_iters {
+        None => out.code,
+        Some(iters) => {
+            let program = out.program.as_ref().ok_or(
+                "compile: --harness needs the lowered program, which a disk-cache hit \
+                 does not keep; add --no-cache",
+            )?;
+            frodo::codegen::emit_c_harness_with(program, iters, options.keyed.emit)
+        }
+    };
     let r = &out.report;
     eprintln!(
         "{} ({}): cache {}, digest {}, {} blocks ({} optimizable), \
@@ -633,9 +544,9 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         eprintln!("appended ledger entry to {}", path.display());
     }
     match flag_value(args, &["-o", "--output"]) {
-        Some(path) => std::fs::write(path, &out.code).map_err(|e| format!("{path}: {e}")),
+        Some(path) => std::fs::write(path, &code).map_err(|e| format!("{path}: {e}")),
         None => {
-            print!("{}", out.code);
+            print!("{code}");
             Ok(())
         }
     }
@@ -645,22 +556,10 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
 /// its one intra-model thread.
 const LEDGER_ENGINE: &str = "recursive";
 
-/// Resolves the perf-ledger destination: `--ledger-out FILE` for an
-/// explicit path, bare `--ledger` for the default `.frodo/ledger.ndjson`.
-fn ledger_path(args: &[String]) -> Option<std::path::PathBuf> {
-    if let Some(path) = flag_value(args, &["--ledger-out"]) {
-        return Some(path.into());
-    }
-    args.iter()
-        .any(|a| a == "--ledger")
-        .then(|| Path::new(".frodo").join("ledger.ndjson"))
-}
-
 fn cmd_batch(args: &[String]) -> Result<(), String> {
-    let styles: Vec<GeneratorStyle> = match flag_value(args, &["-s", "--styles", "--style"]) {
+    let styles = match flag_value(args, &["-s", "--styles", "--style"]) {
         None => vec![GeneratorStyle::Frodo],
-        Some("all") => GeneratorStyle::ALL.to_vec(),
-        Some(list) => list.split(',').map(parse_style).collect::<Result<_, _>>()?,
+        Some(list) => parse_styles(list)?,
     };
     let out_dir = flag_value(args, &["-o", "--output"]);
     let machine = args.iter().any(|a| a == "--machine");
@@ -789,9 +688,7 @@ fn cmd_batch_incremental(
     let want_tree = args.iter().any(|a| a == "--trace");
     let trace_out = flag_value(args, &["--trace-out"]);
     let ledger = ledger_path(args);
-    let region_max: usize = flag_value(args, &["--region-max"])
-        .map(|s| s.parse().map_err(|_| "bad --region-max".to_string()))
-        .transpose()?
+    let region_max = parse_num(args, &["--region-max"], "--region-max")?
         .unwrap_or(frodo::driver::DEFAULT_REGION_MAX);
 
     let mut sessions: Vec<frodo::driver::CompileSession> = styles
@@ -891,16 +788,11 @@ fn cmd_batch_incremental(
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("simulate: missing model path")?;
-    let seed: u64 = flag_value(args, &["--seed"])
-        .map(|s| s.parse().map_err(|_| "bad --seed".to_string()))
-        .transpose()?
-        .unwrap_or(1);
-    let steps: usize = flag_value(args, &["--steps"])
-        .map(|s| s.parse().map_err(|_| "bad --steps".to_string()))
-        .transpose()?
-        .unwrap_or(1);
-    let model = load_model(path)?;
+    let pos = positionals(args, &["--seed", "--steps"], &[])?;
+    let model_ref = pos.first().ok_or("simulate: missing model path or name")?;
+    let seed: u64 = parse_num(args, &["--seed"], "--seed")?.unwrap_or(1);
+    let steps: usize = parse_num(args, &["--steps"], "--steps")?.unwrap_or(1);
+    let model = resolve_model(model_ref)?;
     let dfg =
         frodo::graph::Dfg::new(model, &frodo_obs::Trace::noop()).map_err(|e| e.to_string())?;
     let mut sim = ReferenceSimulator::new(dfg.clone());
@@ -916,9 +808,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("bench: missing model path")?;
-    let want_native = args.iter().any(|a| a == "--native");
-    let model = load_model(path)?;
+    let pos = positionals(args, &[], &[])?;
+    let model_ref = pos.first().ok_or("bench: missing model path or name")?;
+    let model = resolve_model(model_ref)?;
     let analysis = Analysis::run(model).map_err(|e| e.to_string())?;
     println!(
         "{:<10} {:>10} {:>12} {:>12} {:>12} {:>12}",
@@ -940,17 +832,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             cells[3]
         );
     }
-    if want_native {
-        if !native::gcc_available() {
-            return Err("--native requested but gcc is unavailable".into());
-        }
-        println!("\nnative x86 gcc -O3 (10000 iterations):");
-        for style in GeneratorStyle::ALL {
-            let p = generate(&analysis, style, &frodo_obs::Trace::noop());
-            let r = native::compile_and_run(&p, style, 10_000).map_err(|e| e.to_string())?;
-            println!("{:<10} {:>12.0} ns/iter", style.label(), r.ns_per_iter);
-        }
-    }
     Ok(())
 }
 
@@ -965,10 +846,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 /// (don't `--check` those timings against the committed bands).
 fn cmd_calibrate(args: &[String]) -> Result<(), String> {
     use frodo::bench::calibrate;
-    let steps: usize = flag_value(args, &["--steps"])
-        .map(|s| s.parse().map_err(|_| "bad --steps".to_string()))
-        .transpose()?
-        .unwrap_or(5);
+    no_positionals(
+        args,
+        &["--steps", "--iters", "--check", "--ledger-out"],
+        &["--native", "--sanitize", "--ledger"],
+    )?;
+    let steps: usize = parse_num(args, &["--steps"], "--steps")?.unwrap_or(5);
     let start = std::time::Instant::now();
     let sanitize = args.iter().any(|a| a == "--sanitize");
     let report = if args.iter().any(|a| a == "--native") {
@@ -978,11 +861,8 @@ fn cmd_calibrate(args: &[String]) -> Result<(), String> {
         if sanitize && !native::sanitizer_available() {
             return Err("calibrate: --sanitize requested but gcc lacks ASan/UBSan runtimes".into());
         }
-        let iters: usize = flag_value(args, &["--iters"])
-            .map(|s| s.parse().map_err(|_| "bad --iters".to_string()))
-            .transpose()?
-            .unwrap_or(200);
-        calibrate::calibrate_native_opts(iters, sanitize).map_err(|e| e.to_string())?
+        let iters: usize = parse_num(args, &["--iters"], "--iters")?.unwrap_or(200);
+        calibrate::calibrate_native(iters, sanitize).map_err(|e| e.to_string())?
     } else {
         if sanitize {
             return Err("calibrate: --sanitize requires --native".into());
@@ -1020,16 +900,11 @@ fn cmd_calibrate(args: &[String]) -> Result<(), String> {
 /// The paper's §4 methodology as a command: random test cases, every
 /// generator's output compared against model simulation.
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("verify: missing model path")?;
-    let seeds: u64 = flag_value(args, &["--seeds"])
-        .map(|s| s.parse().map_err(|_| "bad --seeds".to_string()))
-        .transpose()?
-        .unwrap_or(16);
-    let steps: u64 = flag_value(args, &["--steps"])
-        .map(|s| s.parse().map_err(|_| "bad --steps".to_string()))
-        .transpose()?
-        .unwrap_or(3);
-    let model = load_model(path)?;
+    let pos = positionals(args, &["--seeds", "--steps"], &[])?;
+    let model_ref = pos.first().ok_or("verify: missing model path or name")?;
+    let seeds: u64 = parse_num(args, &["--seeds"], "--seeds")?.unwrap_or(16);
+    let steps: u64 = parse_num(args, &["--steps"], "--steps")?.unwrap_or(3);
+    let model = resolve_model(model_ref)?;
     let analysis = Analysis::run(model).map_err(|e| e.to_string())?;
     let dfg = analysis.dfg().clone();
     let mut worst_by_style = vec![0.0f64; GeneratorStyle::ALL.len()];
@@ -1089,30 +964,17 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// Writes any model reference — a path, a bundled benchmark, a `random:`
+/// spec — as a `.slx` or `.mdl` file.
 fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let (src, dst) = match args {
-        [a, b, ..] => (a, b),
-        _ => return Err("convert: need <input> and <output> paths".into()),
+    let pos = positionals(args, &[], &[])?;
+    let (src, dst) = match pos.as_slice() {
+        [a, b, ..] => (*a, *b),
+        _ => return Err("convert: need <model> and <out.{slx,mdl}>".into()),
     };
-    let model = load_model(src)?;
+    let model = resolve_model(src)?;
     save_model(&model, dst)?;
     eprintln!("converted {src} -> {dst} ({} blocks)", model.deep_len());
-    Ok(())
-}
-
-fn cmd_demo(args: &[String]) -> Result<(), String> {
-    let (name, out) = match args {
-        [a, b, ..] => (a, b),
-        _ => return Err("demo: need <benchmark-name> and <output> (try 'frodo list')".into()),
-    };
-    let bench = frodo::benchmodels::by_name(name)
-        .ok_or_else(|| format!("unknown benchmark '{name}' (try 'frodo list')"))?;
-    save_model(&bench.model, out)?;
-    eprintln!(
-        "wrote {} ({} blocks) to {out}",
-        bench.name,
-        bench.model.deep_len()
-    );
     Ok(())
 }
 
@@ -1123,6 +985,7 @@ fn cmd_obs(args: &[String]) -> Result<(), String> {
         Some("export") => cmd_obs_export(&args[1..]),
         Some("diff") => cmd_obs_diff(&args[1..]),
         Some("report") => cmd_obs_report(&args[1..]),
+        Some(flag) if flag.starts_with('-') => Err(format!("unknown flag '{flag}'")),
         _ => Err("obs: expected a subcommand: export | diff | report".into()),
     }
 }
@@ -1186,10 +1049,7 @@ fn cmd_obs_diff(args: &[String]) -> Result<(), String> {
         [a, b, ..] => (*a, *b),
         _ => return Err("obs diff: need <OLD> and <NEW> (ledger files or raw traces)".into()),
     };
-    let fail_over: f64 = flag_value(args, &["--fail-over"])
-        .map(|s| s.parse().map_err(|_| "bad --fail-over".to_string()))
-        .transpose()?
-        .unwrap_or(0.0);
+    let fail_over: f64 = parse_num(args, &["--fail-over"], "--fail-over")?.unwrap_or(0.0);
     let old = diff_side(old_path)?;
     let new = diff_side(new_path)?;
     let d = frodo::obs::diff_entries(&old, &new, fail_over);
@@ -1276,7 +1136,8 @@ fn cmd_obs_report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(args: &[String]) -> Result<(), String> {
+    no_positionals(args, &[], &[])?;
     println!("{:<14} {:<42} {:>7}", "name", "functionality", "#block");
     for bench in frodo::benchmodels::all() {
         println!(

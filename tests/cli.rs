@@ -22,12 +22,12 @@ fn list_prints_all_benchmarks() {
 }
 
 #[test]
-fn demo_analyze_build_pipeline() {
+fn convert_analyze_compile_pipeline() {
     let slx = temp_path("ht.slx");
     let c_out = temp_path("ht.c");
 
     let out = frodo()
-        .args(["demo", "HT", slx.to_str().unwrap()])
+        .args(["convert", "HT", slx.to_str().unwrap()])
         .output()
         .expect("runs");
     assert!(
@@ -54,7 +54,7 @@ fn demo_analyze_build_pipeline() {
 
     let out = frodo()
         .args([
-            "build",
+            "compile",
             slx.to_str().unwrap(),
             "-s",
             "frodo",
@@ -82,7 +82,7 @@ fn convert_roundtrips_between_formats() {
     let slx2 = temp_path("rd2.slx");
 
     assert!(frodo()
-        .args(["demo", "RunningDiff", slx.to_str().unwrap()])
+        .args(["convert", "RunningDiff", slx.to_str().unwrap()])
         .status()
         .expect("runs")
         .success());
@@ -111,7 +111,7 @@ fn convert_roundtrips_between_formats() {
 fn verify_reports_consistency() {
     let mdl = temp_path("back.mdl");
     assert!(frodo()
-        .args(["demo", "Back", mdl.to_str().unwrap()])
+        .args(["convert", "Back", mdl.to_str().unwrap()])
         .status()
         .expect("runs")
         .success());
@@ -197,7 +197,95 @@ fn unknown_command_fails_with_message() {
 }
 
 #[test]
+fn every_model_taking_verb_accepts_every_reference_form() {
+    let slx = temp_path("forms.slx");
+    let mdl = temp_path("forms.mdl");
+    let converted = temp_path("forms-out.mdl");
+    let model = frodo::benchmodels::by_name("Simpson").unwrap().model;
+    std::fs::write(&slx, frodo::slx::write_slx(&model).unwrap()).unwrap();
+    std::fs::write(&mdl, frodo::slx::write_mdl(&model)).unwrap();
+    let converted = converted.to_str().unwrap();
+    for model_ref in [
+        "Simpson",
+        "random:3:40",
+        slx.to_str().unwrap(),
+        mdl.to_str().unwrap(),
+    ] {
+        for args in [
+            &["analyze", model_ref][..],
+            &["lint", model_ref],
+            &["compile", model_ref, "--no-cache"],
+            &["batch", model_ref, "--no-cache"],
+            &["simulate", model_ref],
+            &["bench", model_ref],
+            &["verify", model_ref, "--seeds", "1", "--steps", "1"],
+            &["convert", model_ref, converted],
+        ] {
+            let out = frodo().args(args).output().expect("runs");
+            assert!(
+                out.status.success(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+    for p in [&slx, &mdl] {
+        let _ = std::fs::remove_file(p);
+    }
+    let _ = std::fs::remove_file(converted);
+}
+
+#[test]
 fn unknown_flags_fail_and_every_read_flag_is_accepted() {
+    // every verb, with the flag before and after its positionals; none
+    // of them gets as far as reading a model, writing a file, or binding
+    let socket = temp_path("bogus.sock");
+    let socket = socket.to_str().unwrap();
+    let written = temp_path("bogus.mdl");
+    let written = written.to_str().unwrap();
+    for (verb, rest) in [
+        (&["analyze"][..], &["HT"][..]),
+        (&["analyze"], &["--selftest"]),
+        (&["lint"], &["HT"]),
+        (&["lint"], &["--explain", "F103"]),
+        (&["compile"], &["HT"]),
+        (&["batch"], &["HT", "Kalman"]),
+        (&["serve"], &["--socket", socket]),
+        (&["client"], &["--socket", socket, "status"]),
+        (&["simulate"], &["HT"]),
+        (&["bench"], &["HT"]),
+        (&["calibrate"], &["--steps", "1"]),
+        (&["verify"], &["HT"]),
+        (&["convert"], &["HT", written]),
+        (&["obs"], &["report", "ledger.ndjson"]),
+        (&["obs", "export"], &["trace.ndjson"]),
+        (&["obs", "diff"], &["a.ndjson", "b.ndjson"]),
+        (&["list"], &[]),
+    ] {
+        let before = [verb, &["--bogus"], rest].concat();
+        let after = [verb, rest, &["--bogus"]].concat();
+        for args in [before, after] {
+            let out = frodo().args(&args).output().expect("runs");
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("unknown flag '--bogus'"), "{args:?}: {err}");
+        }
+    }
+    assert!(!std::path::Path::new(socket).exists(), "serve never bound");
+    assert!(
+        !std::path::Path::new(written).exists(),
+        "convert never wrote"
+    );
+
+    // a value-taking flag with nothing after it is not silently dropped
+    let out = frodo()
+        .args(["compile", "HT", "--harness"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("flag '--harness' needs a value"), "{err}");
+
     for (args, flag) in [
         (&["compile", "Kalman", "--bogus", "2"][..], "--bogus"),
         (&["batch", "Kalman", "-x"], "-x"),
@@ -256,7 +344,7 @@ fn bad_model_path_fails_cleanly() {
 fn simulate_prints_outputs() {
     let mdl = temp_path("simpson.mdl");
     assert!(frodo()
-        .args(["demo", "Simpson", mdl.to_str().unwrap()])
+        .args(["convert", "Simpson", mdl.to_str().unwrap()])
         .status()
         .expect("runs")
         .success());
@@ -655,11 +743,9 @@ fn bad_vectorize_mode_error_enumerates_accepted_forms() {
 }
 
 #[test]
-fn build_harness_emits_the_self_checking_driver() {
-    let out = frodo()
-        .args(["build", "HT", "--harness", "3", "--profile"])
-        .output()
-        .expect("runs");
+fn compile_harness_emits_the_self_checking_driver() {
+    let run = |args: &[&str]| frodo().args(args).output().expect("runs");
+    let out = run(&["compile", "HT", "--harness", "3", "--profile"]);
     assert!(
         out.status.success(),
         "{}",
@@ -667,5 +753,36 @@ fn build_harness_emits_the_self_checking_driver() {
     );
     let c = String::from_utf8_lossy(&out.stdout);
     assert!(c.contains("int main("), "{c}");
-    assert!(c.contains("void HT_step("), "{c}");
+    assert!(c.contains("HT_step("), "{c}");
+    // the C before the harness is the job's own C, byte for byte
+    let plain = run(&["compile", "HT", "--profile"]);
+    assert!(plain.status.success());
+    assert!(out.stdout.len() > plain.stdout.len());
+    assert!(out.stdout.starts_with(&plain.stdout));
+
+    // a disk-cache hit keeps no lowered program: the harness cannot be
+    // emitted, and the error says how to get one
+    let cache = temp_path("harness-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let cached = [
+        "compile",
+        "HT",
+        "--profile",
+        "--harness",
+        "3",
+        "--cache-dir",
+        cache.to_str().unwrap(),
+    ];
+    let cold = run(&cached);
+    assert!(
+        cold.status.success(),
+        "{}",
+        String::from_utf8_lossy(&cold.stderr)
+    );
+    assert_eq!(cold.stdout, out.stdout);
+    let hit = run(&cached);
+    assert_eq!(hit.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&hit.stderr);
+    assert!(err.contains("--no-cache"), "{err}");
+    let _ = std::fs::remove_dir_all(&cache);
 }

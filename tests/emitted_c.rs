@@ -1,9 +1,11 @@
 //! Pins the emitted C: FNV-1a-64 digests of every Table-1 model's C under
 //! each generator style and vector mode, plus FRODO with each opt-in
-//! emission knob, against the committed list in `tests/emitted_c.digests`.
-//! A change to the code generator that alters one byte of C fails here.
+//! emission knob and with the self-checking native harness (`frodo compile
+//! M --profile --harness 5`), against the committed list in
+//! `tests/emitted_c.digests`. A change to the code generator that alters
+//! one byte of C fails here.
 
-use frodo::codegen::{GeneratorStyle, VectorMode};
+use frodo::codegen::{emit_c_harness_with, GeneratorStyle, VectorMode};
 use frodo::prelude::*;
 use frodo::slx::fnv::fnv1a_64;
 
@@ -22,7 +24,7 @@ fn digest_lines() -> Vec<String> {
             configs.push((style, vectorize, "plain"));
         }
     }
-    for variant in ["window-reuse", "profile", "shared-helper"] {
+    for variant in ["window-reuse", "profile", "shared-helper", "harness"] {
         configs.push((GeneratorStyle::Frodo, "auto", variant));
     }
     let mut lines = Vec::new();
@@ -31,12 +33,19 @@ fn digest_lines() -> Vec<String> {
             let options = CompileOptions::builder()
                 .vectorize(VectorMode::parse(vectorize, 8).expect("vector mode"))
                 .window_reuse(variant == "window-reuse")
-                .profile(variant == "profile")
+                .profile(matches!(variant, "profile" | "harness"))
                 .shared_conv_helper(variant == "shared-helper")
                 .build();
             let spec =
                 JobSpec::from_model(bench.name, bench.model.clone(), style).with_options(options);
-            let code = service.compile(spec).expect("suite compiles").code;
+            let out = service.compile(spec).expect("suite compiles");
+            // what `compile --harness` writes: the harness emitted from the
+            // job's lowered program with the job's emission options
+            let code = match (variant, &out.program) {
+                ("harness", Some(program)) => emit_c_harness_with(program, 5, options.keyed.emit),
+                ("harness", None) => panic!("an uncached compile keeps its program"),
+                _ => out.code,
+            };
             lines.push(format!(
                 "{} {} {vectorize} {variant} {:016x}",
                 bench.name,
@@ -69,8 +78,8 @@ fn emitted_c_matches_the_committed_digests() {
         .collect();
     assert_eq!(
         actual.len(),
-        190,
-        "10 models x (4 styles x 4 modes + 3 variants)"
+        200,
+        "10 models x (4 styles x 4 modes + 4 variants)"
     );
     let changed: Vec<String> = actual
         .iter()

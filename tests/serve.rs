@@ -3,7 +3,9 @@
 //! byte-identical to one-shot compiles, a saturated admission queue must
 //! answer with backpressure instead of blocking or dropping, round-robin
 //! admission must keep a small client from starving behind a big batch,
-//! and shutdown must drain the backlog before the listener goes away.
+//! shutdown must drain the backlog before the listener goes away, every
+//! model reference form the CLI takes must work over the wire, and an
+//! over-long request line must be refused without being buffered.
 
 use frodo::obs::ndjson;
 use frodo::prelude::*;
@@ -392,12 +394,15 @@ fn metrics_reports_rolling_windows_and_request_ids_correlate() {
     let endpoint = server.endpoint().clone();
     let mut client = Client::connect(&endpoint).expect("daemon is up");
 
-    // a protocol-v2 client's requests still work against the v3 daemon
+    // a retired protocol version gets a structured refusal
     let status = client
         .request_one(r#"{"type":"status","proto_version":2}"#)
         .unwrap();
-    assert_eq!(str_field(&status, "type"), "status");
-    assert_eq!(num_field(&status, "ok"), 1.0);
+    assert_eq!(str_field(&status, "type"), "error");
+    assert!(
+        str_field(&status, "message").contains("unsupported proto_version 2"),
+        "{status}"
+    );
 
     // every response carries a request_id; a client-supplied one is
     // echoed back verbatim
@@ -638,5 +643,141 @@ fn analyze_option_rides_the_wire_and_warnings_do_not_fail_jobs() {
         .request_one(&frodo::serve::client::simple_request("shutdown", None))
         .unwrap();
     assert_eq!(str_field(&ack, "type"), "shutdown");
+    server.wait();
+}
+
+/// The daemon resolves model references the way the CLI does: a bundled
+/// benchmark name, a `random:` spec, and `.slx`/`.mdl` paths all compile,
+/// lint and recompile; a reference of no known form is a structured error.
+#[test]
+fn daemon_requests_accept_every_model_reference_form() {
+    let file = |ext: &str| {
+        std::env::temp_dir().join(format!("frodo-serve-{}-forms.{ext}", std::process::id()))
+    };
+    let (slx, mdl) = (file("slx"), file("mdl"));
+    let model = frodo::benchmodels::by_name("Simpson").unwrap().model;
+    std::fs::write(&slx, frodo::slx::write_slx(&model).unwrap()).unwrap();
+    std::fs::write(&mdl, frodo::slx::write_mdl(&model)).unwrap();
+
+    let server = start_server("forms", 1, 0);
+    let mut client = Client::connect(server.endpoint()).expect("daemon is up");
+    let refs = [
+        "Simpson",
+        "random:3:40",
+        slx.to_str().unwrap(),
+        mdl.to_str().unwrap(),
+    ];
+    for (i, model_ref) in refs.into_iter().enumerate() {
+        let compile = client
+            .request_one(&frodo::serve::client::compile_request(
+                model_ref,
+                None,
+                &RequestOptions::default(),
+                None,
+            ))
+            .unwrap();
+        assert_eq!(num_field(&compile, "ok"), 1.0, "{model_ref}: {compile}");
+        let lint = client
+            .request_one(&frodo::serve::client::simple_request(
+                "lint",
+                Some(model_ref),
+            ))
+            .unwrap();
+        assert_eq!(
+            str_field(&lint, "type"),
+            "lint-result",
+            "{model_ref}: {lint}"
+        );
+        assert_eq!(num_field(&lint, "ok"), 1.0, "{model_ref}: {lint}");
+        let recompile = client
+            .request_one(&frodo::serve::client::recompile_request(
+                &format!("forms-{i}"),
+                model_ref,
+                None,
+                &RequestOptions::default(),
+                0,
+            ))
+            .unwrap();
+        assert_eq!(num_field(&recompile, "ok"), 1.0, "{model_ref}: {recompile}");
+    }
+    let unknown = client
+        .request_one(&frodo::serve::client::compile_request(
+            "NoSuchModel",
+            None,
+            &RequestOptions::default(),
+            None,
+        ))
+        .unwrap();
+    assert_eq!(str_field(&unknown, "type"), "error");
+    assert!(
+        str_field(&unknown, "message").contains("frodo list"),
+        "{unknown}"
+    );
+
+    client
+        .request_one(&frodo::serve::client::simple_request("shutdown", None))
+        .unwrap();
+    server.wait();
+    for p in [&slx, &mdl] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// A request line of exactly `MAX_REQUEST_LINE` bytes is served. Of twice
+/// that many bytes without a newline, the daemon reads little past the
+/// cap: it answers one `error` line naming the cap and closes the
+/// connection. Other connections keep being served.
+#[test]
+fn an_over_long_request_line_is_refused_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let cap = frodo::serve::server::MAX_REQUEST_LINE;
+    let server = start_server("long-line", 1, 0);
+
+    let stream =
+        std::os::unix::net::UnixStream::connect(socket_path("long-line")).expect("daemon is up");
+    let mut writer = stream.try_clone().unwrap();
+    // count the bytes the daemon takes before it closes the connection;
+    // if it takes them all, end the stream so that a reader without a
+    // cap answers instead of waiting for a newline
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        let mut written = 0;
+        while written < 2 * cap {
+            match writer.write(&chunk[..chunk.len().min(2 * cap - written)]) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => written += n,
+            }
+        }
+        let _ = writer.shutdown(std::net::Shutdown::Write);
+        written
+    });
+    let mut reply = String::new();
+    let mut reader = BufReader::new(stream);
+    reader
+        .read_line(&mut reply)
+        .expect("an error line comes back");
+    let written = flood.join().unwrap();
+    assert!(
+        written < 2 * cap,
+        "the daemon read all {written} bytes of a line past its {cap}-byte cap"
+    );
+    assert_eq!(str_field(&reply, "type"), "error");
+    assert!(
+        str_field(&reply, "message").contains(&format!("{cap} bytes")),
+        "{reply}"
+    );
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "connection closed");
+
+    let mut client = Client::connect(server.endpoint()).expect("daemon is up");
+    let status = r#"{"type":"status"}"#;
+    let padded = format!("{status}{}", " ".repeat(cap - status.len()));
+    assert_eq!(padded.len(), cap);
+    let line = client.request_one(&padded).unwrap();
+    assert_eq!(str_field(&line, "type"), "status", "{line}");
+
+    client
+        .request_one(&frodo::serve::client::simple_request("shutdown", None))
+        .unwrap();
     server.wait();
 }
