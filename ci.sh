@@ -324,3 +324,38 @@ deep_status=0
 test "$deep_status" -eq 1
 grep -q 'sections nested deeper than 256' "$slx_dir/deep.err"
 rm -rf "$slx_dir"
+
+# disk-cache gate: the Table-1 suite compiled twice into one fresh
+# --cache-dir is served from disk the second time, byte-identical. The
+# key digests the model by value: Kalman read back from .mdl hits the
+# suite's entry, and the same file with one constant flipped from 0.0 to
+# -0.0 (equal as numbers, different C) misses and compiles to the C of
+# an uncached compile
+disk_dir="$(mktemp -d)"
+for run in 1 2; do
+    ./target/release/frodo batch AudioProcess Decryption HighPass HT Kalman Back \
+        Maintenance Maunfacture RunningDiff Simpson \
+        --cache-dir "$disk_dir/cache" --machine -o "$disk_dir/run$run" \
+        > "$disk_dir/run$run.txt" 2>/dev/null
+done
+test "$(grep -c '^frodo-job ' "$disk_dir/run2.txt")" -eq 10
+test "$(grep '^frodo-job ' "$disk_dir/run2.txt" | grep -c ' cache=disk ')" -eq 10
+test "$(ls "$disk_dir/run2" | wc -l)" -eq 10
+diff -r "$disk_dir/run1" "$disk_dir/run2"
+./target/release/frodo convert Kalman "$disk_dir/k.mdl" >/dev/null
+./target/release/frodo compile "$disk_dir/k.mdl" --cache-dir "$disk_dir/cache" \
+    -o "$disk_dir/k.c" 2>"$disk_dir/k.err"
+grep -q 'cache disk' "$disk_dir/k.err"
+sed '0,/ 0\.0 /s// -0.0 /' "$disk_dir/k.mdl" > "$disk_dir/neg.mdl"
+test "$(grep -c ' -0\.0 ' "$disk_dir/neg.mdl")" -eq 1
+./target/release/frodo compile "$disk_dir/neg.mdl" --cache-dir "$disk_dir/cache" \
+    -o "$disk_dir/neg.c" 2>"$disk_dir/neg.err"
+grep -q 'cache miss' "$disk_dir/neg.err"
+./target/release/frodo compile "$disk_dir/neg.mdl" --no-cache \
+    -o "$disk_dir/neg-cold.c" 2>/dev/null
+cmp "$disk_dir/neg.c" "$disk_dir/neg-cold.c"
+if cmp -s "$disk_dir/neg.c" "$disk_dir/k.c"; then
+    echo "flipping 0.0 to -0.0 left the C unchanged"
+    exit 1
+fi
+rm -rf "$disk_dir"

@@ -5,16 +5,19 @@
 //! codegen) behind one function call. This crate is the layer that turns
 //! that pipeline into a *service* able to take production-scale traffic:
 //!
-//! - **Batching & parallelism** — [`CompileService::compile_batch`] drains
-//!   a job queue on a `std::thread` worker pool; each job compiles on the
-//!   one worker thread that took it. Jobs are panic-isolated: a poisoned
-//!   job becomes a [`JobError`] in its result slot, the rest of the batch
-//!   completes.
+//! - **Batching & parallelism** — [`CompileService::compile_batch`] runs
+//!   a batch on the calling thread plus up to `workers − 1` scoped
+//!   threads, which take jobs in submission order from one shared queue;
+//!   each job compiles on the one thread that took it, and its result
+//!   lands in its own slot. Jobs are panic-isolated: a poisoned job
+//!   becomes a [`JobError`] in its result slot, the rest of the batch
+//!   completes. [`JobPool`] is the daemon's long-lived pool, with
+//!   admission control, per-client fairness and drain.
 //! - **Content-addressed caching** — every artifact is keyed by a digest
 //!   ([`frodo_slx::fnv`]) of the *flattened* model plus every option that
-//!   affects the generated C. The model's derived `Debug` form is
-//!   streamed straight into the digest, so no text is built to hash it.
-//!   Resubmitting an unchanged model skips
+//!   affects the generated C ([`cache_key`]). The model's fields go into
+//!   the digest by value ([`Model::digest_into`]), so nothing is
+//!   formatted to hash it. Resubmitting an unchanged model skips
 //!   analysis and emission entirely; an optional on-disk layer persists
 //!   artifacts across processes. Hit/miss counters are exposed via
 //!   [`CompileService::cache_stats`].
@@ -73,14 +76,16 @@ pub use session::{CompileSession, SessionBuilder, SessionStats, DEFAULT_REGION_M
 
 use cache::{ArtifactCache, CachedArtifact};
 use frodo_codegen::lir::Program;
-use frodo_codegen::{emit_c_traced, generate_with, CEmitOptions, GeneratorStyle, LowerOptions};
+use frodo_codegen::{
+    emit_c_traced, generate_with, CEmitOptions, GeneratorStyle, LowerOptions, VectorMode,
+};
 use frodo_core::{Analysis, RangeOptions};
 use frodo_model::Model;
 use frodo_obs::Trace;
 use frodo_slx::fnv::{ContentDigest, DigestWriter};
 use frodo_slx::{read_mdl, read_slx};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The options that determine the generated C, which the artifact cache
@@ -120,10 +125,11 @@ pub struct ExecOptions {
     /// C and is excluded from every cache key.
     pub analyze: bool,
     /// Wall-clock budget for the whole job in milliseconds; `0` means no
-    /// limit. Enforced by the worker pool ([`JobPool`]): an overrunning
-    /// job is abandoned on its runner thread and fails with
-    /// [`JobError::Timeout`], so a hung job never occupies a worker
-    /// forever. Direct [`CompileService::compile`] calls run on the
+    /// limit. Enforced by batches ([`CompileService::compile_batch`]) and
+    /// the daemon's pool ([`JobPool`]): the job runs on a detached runner
+    /// thread, and an overrunning job is abandoned there and fails with
+    /// [`JobError::Timeout`], so a hung job never holds a batch or a
+    /// worker forever. Direct [`CompileService::compile`] calls run on the
     /// calling thread and do not enforce it.
     pub timeout_ms: u64,
 }
@@ -353,8 +359,8 @@ pub enum JobError {
         /// Every finding, in program order.
         diagnostics: Vec<frodo_verify::Diagnostic>,
     },
-    /// The job overran its [`CompileOptions::timeout_ms`] budget and was
-    /// abandoned by the worker pool.
+    /// The job overran its [`ExecOptions::timeout_ms`] budget and was
+    /// abandoned by its batch or pool.
     Timeout {
         /// Job display name.
         job: String,
@@ -421,7 +427,8 @@ pub struct JobOutput {
 /// Service configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
-    /// Worker threads for batches; `0` means one per available core.
+    /// Threads a batch compiles on, the calling thread among them; `0`
+    /// means one per available core.
     pub workers: usize,
     /// Enables the on-disk cache layer under this directory.
     pub cache_dir: Option<PathBuf>,
@@ -435,8 +442,8 @@ pub struct ServiceConfig {
 
 /// The batch compilation service. Cheap to construct; shareable across
 /// threads (`&self` everywhere). Cloning is cheap and shares the
-/// artifact cache — that is how [`JobPool`] workers and a daemon's many
-/// connections serve one cache.
+/// artifact cache — that is how timeout runners, [`JobPool`] workers and
+/// a daemon's many connections serve one cache.
 #[derive(Debug, Clone)]
 pub struct CompileService {
     config: ServiceConfig,
@@ -474,18 +481,26 @@ impl CompileService {
         self.cache.stats()
     }
 
-    /// Compiles a batch on the worker pool; results come back in
-    /// submission order.
+    /// Compiles a batch; results come back in submission order.
     pub fn compile_batch(&self, specs: Vec<JobSpec>) -> BatchReport {
         self.compile_batch_traced(specs, &Trace::noop())
     }
 
     /// Compiles a batch with every job recording into `trace` under a
-    /// shared `batch` root span. Workers record concurrently (the trace is
+    /// shared `batch` root span. Threads record concurrently (the trace is
     /// thread-safe); each job still gets isolated [`StageTimings`] because
     /// they are derived from its own `job:{name}` subtree. Per-job wall
-    /// clocks land in the `job_total_ns` histogram, and the trace rides on
-    /// the report for [`BatchReport::render_trace`].
+    /// clocks land in the `job_total_ns` histogram, each job's wait for a
+    /// thread in `queue_wait_ns` and each thread's busy time in
+    /// `worker_busy_ns`; the trace rides on the report for
+    /// [`BatchReport::render_trace`].
+    ///
+    /// `min(workers, jobs)` threads compile: the calling thread and
+    /// scoped threads it spawns, so `workers: 1` spawns none. Each takes
+    /// the next job in submission order and writes its result to that
+    /// job's slot. Jobs are panic-isolated, and a job with
+    /// [`ExecOptions::timeout_ms`] runs on a detached runner thread that
+    /// the batch abandons on overrun.
     pub fn compile_batch_traced(&self, specs: Vec<JobSpec>, trace: &Trace) -> BatchReport {
         let workers = self.workers();
         let start = Instant::now();
@@ -497,25 +512,7 @@ impl CompileService {
         } else {
             specs
         };
-        let jobs: Vec<Result<JobOutput, JobError>> = {
-            let pool = JobPool::start(
-                self,
-                PoolConfig {
-                    workers,
-                    queue_cap: 0,
-                },
-                &bt,
-            );
-            // an unbounded queue admits every job; results come back in
-            // submission order because the tickets are waited in order
-            let tickets: Vec<JobTicket> = specs
-                .into_iter()
-                .map(|s| pool.submit(0, s).expect("unbounded queue admits every job"))
-                .collect();
-            let jobs = tickets.into_iter().map(JobTicket::wait).collect();
-            pool.shutdown();
-            jobs
-        };
+        let jobs = self.run_batch(specs, workers, &bt);
         batch_span.end();
         if trace.is_enabled() {
             for job in jobs.iter().flatten() {
@@ -529,6 +526,46 @@ impl CompileService {
             cache: self.cache_stats(),
             trace: trace.is_enabled().then(|| trace.clone()),
         }
+    }
+
+    /// Runs `specs` on the calling thread plus `min(workers, jobs) − 1`
+    /// scoped threads, all taking jobs from one queue in submission order.
+    fn run_batch(
+        &self,
+        specs: Vec<JobSpec>,
+        workers: usize,
+        trace: &Trace,
+    ) -> Vec<Result<JobOutput, JobError>> {
+        let n = specs.len();
+        let queued = Instant::now();
+        let queue = Mutex::new(specs.into_iter().enumerate());
+        let work = || {
+            let mut done = Vec::new();
+            let mut busy_ns = 0u128;
+            loop {
+                let next = queue.lock().unwrap().next();
+                let Some((slot, spec)) = next else { break };
+                trace.observe("queue_wait_ns", queued.elapsed().as_nanos() as f64);
+                let started = Instant::now();
+                done.push((slot, lifecycle::run_job(self, spec, trace)));
+                busy_ns += started.elapsed().as_nanos();
+            }
+            if busy_ns > 0 {
+                trace.observe("worker_busy_ns", busy_ns as f64);
+            }
+            done
+        };
+        let mut finished = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers.min(n)).map(|_| scope.spawn(work)).collect();
+            let mut finished = work();
+            for helper in helpers {
+                finished.extend(helper.join().expect("job panics are caught per job"));
+            }
+            finished
+        });
+        // every slot was taken exactly once
+        finished.sort_unstable_by_key(|&(slot, _)| slot);
+        finished.into_iter().map(|(_, result)| result).collect()
     }
 
     /// Compiles one job on the calling thread.
@@ -726,36 +763,51 @@ pub fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
     }
 }
 
-/// The cache key: a content digest over the flattened model's derived
-/// `Debug` form, the generator style, and every keyed option. Taking [`KeyedOptions`] (not [`CompileOptions`]) makes
-/// it impossible for an execution-only knob to split the cache.
+/// The artifact-cache key: a content digest over the flattened model,
+/// the generator style, and every keyed option. Taking [`KeyedOptions`]
+/// (not [`CompileOptions`]) makes it impossible for an execution-only
+/// knob to split the cache.
 ///
-/// The `Debug` form is streamed into the digest, never built as text.
-/// It identifies the model: `Model`, `Block`, `BlockKind`, `Tensor`,
-/// `Shape` and `Connection` derive `Debug`, so it prints every field
-/// their `PartialEq` compares; strings print quoted and escaped, and
-/// `f64` prints in its shortest round-trip form (`-0.0` and `0.0` stay
-/// apart). A toolchain that formats `Debug` differently can only turn
-/// on-disk cache hits into misses, never into wrong hits.
-pub(crate) fn cache_key(
-    flat: &Model,
-    style: GeneratorStyle,
-    options: &KeyedOptions,
-) -> ContentDigest {
+/// The model goes in by value through [`Model::digest_into`]: names
+/// length-prefixed, integers at a fixed width, every `f64` by its bits,
+/// so `-0.0` and `0.0` key apart (their C differs). The options are
+/// destructured field by field, so a new keyed option does not compile
+/// until it is digested. Nothing is formatted, so the key does not
+/// depend on how a toolchain prints a value.
+pub fn cache_key(flat: &Model, style: GeneratorStyle, options: &KeyedOptions) -> ContentDigest {
+    let KeyedOptions {
+        range: RangeOptions {
+            eliminate_dead_ends,
+        },
+        lower: LowerOptions {
+            coalesce_gap,
+            window_reuse,
+        },
+        emit:
+            CEmitOptions {
+                shared_conv_helper,
+                vectorize,
+                profile,
+            },
+    } = *options;
+    let (mode, width) = match vectorize {
+        VectorMode::Auto => (0, 0),
+        VectorMode::Off => (1, 0),
+        VectorMode::Hints => (2, 0),
+        VectorMode::Batch(w) => (3, w),
+    };
     let mut digest = DigestWriter::new();
-    // writing into a DigestWriter never fails
-    let _ = write!(digest, "{flat:?}");
+    flat.digest_into(&mut digest);
     digest.update(style.label().as_bytes());
-    let _ = write!(
-        digest,
-        ";dead_ends={};coalesce={};shared_conv={};vectorize={:?};window_reuse={};profile={}",
-        options.range.eliminate_dead_ends,
-        options.lower.coalesce_gap,
-        options.emit.shared_conv_helper,
-        options.emit.vectorize,
-        options.lower.window_reuse,
-        options.emit.profile
-    );
+    digest.update(&[
+        eliminate_dead_ends as u8,
+        window_reuse as u8,
+        shared_conv_helper as u8,
+        profile as u8,
+        mode,
+    ]);
+    digest.update(&(coalesce_gap as u64).to_le_bytes());
+    digest.update(&(width as u64).to_le_bytes());
     digest.finish()
 }
 
@@ -764,6 +816,10 @@ mod tests {
     use super::*;
     use frodo_model::{Block, BlockKind};
     use frodo_ranges::Shape;
+    use std::collections::HashSet;
+    use std::sync::{mpsc, Arc, Condvar};
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     fn gain_model(gain: f64) -> Model {
         let mut m = Model::new("g");
@@ -1019,5 +1075,134 @@ mod tests {
         assert!(table.contains("2 ok, 1 failed"));
         let lines = report.machine_lines();
         assert!(lines.contains("frodo-batch jobs=3 ok=2 failed=1"));
+    }
+
+    fn uncached(workers: usize) -> CompileService {
+        CompileService::new(ServiceConfig {
+            workers,
+            no_cache: true,
+            ..ServiceConfig::default()
+        })
+    }
+
+    /// A job whose builder records the thread it runs on, after `hold`.
+    fn recording_job(
+        name: String,
+        seen: &Arc<Mutex<Vec<ThreadId>>>,
+        hold: impl FnOnce() + Send + 'static,
+    ) -> JobSpec {
+        let seen = Arc::clone(seen);
+        JobSpec::from_builder(name, GeneratorStyle::Frodo, move || {
+            hold();
+            seen.lock().unwrap().push(std::thread::current().id());
+            Ok(gain_model(2.0))
+        })
+    }
+
+    #[test]
+    fn one_worker_batch_runs_every_job_on_the_calling_thread() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let specs = (0..4)
+            .map(|i| recording_job(format!("j{i}"), &seen, || {}))
+            .collect();
+        let report = uncached(1).compile_batch(specs);
+        assert_eq!(report.succeeded(), 4);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 4);
+        assert!(seen.iter().all(|&t| t == std::thread::current().id()));
+    }
+
+    #[test]
+    fn batch_runs_on_the_caller_and_at_most_workers_threads() {
+        // the first three jobs each wait until all three have started, so
+        // three threads must hold them at once: the caller and its two
+        // helpers (a 10 s cap turns a missing thread into a failure, not
+        // a hang)
+        let started = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let specs = (0..10)
+            .map(|i| {
+                let started = Arc::clone(&started);
+                recording_job(format!("j{i}"), &seen, move || {
+                    if i < 3 {
+                        let (count, all) = &*started;
+                        let mut count = count.lock().unwrap();
+                        *count += 1;
+                        all.notify_all();
+                        let _ = all
+                            .wait_timeout_while(count, Duration::from_secs(10), |c| *c < 3)
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        let report = uncached(3).compile_batch(specs);
+        assert_eq!(report.succeeded(), 10);
+        assert_eq!(report.workers, 3);
+        let threads: HashSet<ThreadId> = seen.lock().unwrap().iter().copied().collect();
+        assert_eq!(threads.len(), 3, "{threads:?}");
+        assert!(threads.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn panicking_and_hung_jobs_fail_in_their_own_slots() {
+        // never opened: the hung job's builder would block forever
+        let (_open, gate) = mpsc::channel::<()>();
+        let hung = JobSpec::from_builder("hung", GeneratorStyle::Frodo, move || {
+            gate.recv().map_err(|e| e.to_string())?;
+            Ok(gain_model(2.0))
+        })
+        .with_options(CompileOptions::builder().timeout_ms(50).build());
+        let specs = vec![
+            JobSpec::from_model("a", gain_model(1.0), GeneratorStyle::Frodo),
+            JobSpec::from_builder("boom", GeneratorStyle::Frodo, || {
+                panic!("deliberate test panic")
+            }),
+            hung,
+            JobSpec::from_model("d", gain_model(4.0), GeneratorStyle::Frodo),
+        ];
+        let trace = Trace::new();
+        let report = uncached(2).compile_batch_traced(specs, &trace);
+        let names: Vec<&str> = report
+            .jobs
+            .iter()
+            .map(|j| match j {
+                Ok(out) => out.report.job.as_str(),
+                Err(e) => e.job(),
+            })
+            .collect();
+        assert_eq!(names, ["a", "boom", "hung", "d"]);
+        assert!(report.jobs[0].is_ok() && report.jobs[3].is_ok());
+        assert!(matches!(report.jobs[1], Err(JobError::Panicked { .. })));
+        assert_eq!(
+            report.jobs[2].as_ref().unwrap_err(),
+            &JobError::Timeout {
+                job: "hung".to_string(),
+                timeout_ms: 50
+            }
+        );
+        assert_eq!(trace.counter_total("svc_job_timeouts"), 1);
+    }
+
+    #[test]
+    fn traced_batch_records_one_wait_per_job_and_one_busy_time_per_thread() {
+        let specs = (0..7)
+            .map(|i| {
+                JobSpec::from_model(format!("j{i}"), gain_model(i as f64), GeneratorStyle::Frodo)
+            })
+            .collect();
+        let trace = Trace::new();
+        let report = uncached(3).compile_batch_traced(specs, &trace);
+        assert_eq!(report.succeeded(), 7);
+        let snap = trace.snapshot();
+        let observations = |name: &str| {
+            snap.histograms
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, h)| h.count())
+        };
+        assert_eq!(observations("queue_wait_ns"), 7);
+        let busy = observations("worker_busy_ns");
+        assert!((1..=3).contains(&busy), "{busy} busy-time observations");
     }
 }

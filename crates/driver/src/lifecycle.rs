@@ -1,10 +1,10 @@
-//! The shared job lifecycle: a long-lived worker pool with admission
+//! The daemon's job lifecycle: a long-lived worker pool with admission
 //! control, fairness, timeouts, and graceful drain.
 //!
-//! PR 1's batch pool spun up scoped workers per `compile_batch` call and
-//! tore them down when the batch returned. A long-running service needs
-//! the inverse shape — one pool, many concurrent submitters — so the
-//! lifecycle lives here as [`JobPool`]:
+//! A one-shot batch needs none of the pool's machinery:
+//! [`CompileService::compile_batch`] runs its jobs on the calling thread
+//! and scoped workers. The daemon is the other shape — one pool, many
+//! concurrent submitters — and [`JobPool`] serves it alone:
 //!
 //! - **Admission control** — a bounded queue ([`PoolConfig::queue_cap`]).
 //!   A full queue rejects the submission with [`SubmitError::Full`]
@@ -13,24 +13,28 @@
 //! - **Fairness** — jobs queue per client id and workers dequeue
 //!   round-robin across clients, so one client's thousand-job batch
 //!   cannot starve another client's single compile.
-//! - **Panic isolation** — each job runs under
-//!   [`std::panic::catch_unwind`]; a poisoned job becomes
-//!   [`JobError::Panicked`] in its own result, nothing else is affected.
-//! - **Timeouts** — a job with [`CompileOptions::timeout_ms`] set runs on
-//!   a detached runner thread; if it overruns, the worker abandons it,
-//!   fails the job with [`JobError::Timeout`], and records a
-//!   `svc_job_timeouts` counter, so a hung job cannot occupy a worker
-//!   forever.
 //! - **Graceful drain** — [`JobPool::drain`] rejects new submissions and
 //!   blocks until queued and in-flight jobs complete;
 //!   [`JobPool::shutdown`] drains and joins the workers.
 //!
+//! Pool and batch run each job through the same guard (`run_job`):
+//!
+//! - **Panic isolation** — each job runs under
+//!   [`std::panic::catch_unwind`]; a poisoned job becomes
+//!   [`JobError::Panicked`] in its own result, nothing else is affected.
+//! - **Timeouts** — a job with [`ExecOptions::timeout_ms`] set runs on
+//!   a detached runner thread; if it overruns, the caller abandons it,
+//!   fails the job with [`JobError::Timeout`], and records a
+//!   `svc_job_timeouts` counter, so a hung job cannot occupy a worker
+//!   or hold a batch forever. The pool also counts its timeouts for
+//!   [`PoolSnapshot::timeouts`].
+//!
 //! When the pool's trace is enabled, each dequeue records the job's queue
 //! wait into the `queue_wait_ns` histogram and each worker its cumulative
 //! busy time into `worker_busy_ns` — the raw material for the ledger's
-//! service metrics.
+//! service metrics. A traced batch records the same two histograms.
 //!
-//! [`CompileOptions::timeout_ms`]: crate::CompileOptions::timeout_ms
+//! [`ExecOptions::timeout_ms`]: crate::ExecOptions::timeout_ms
 
 use crate::{CompileService, JobError, JobOutput, JobSpec};
 use frodo_obs::Trace;
@@ -335,7 +339,10 @@ fn worker_loop(inner: &PoolInner) {
             .trace
             .observe("queue_wait_ns", job.enqueued.elapsed().as_nanos() as f64);
         let started = Instant::now();
-        let result = run_job(inner, job.spec);
+        let result = run_job(&inner.service, job.spec, &inner.trace);
+        if matches!(result, Err(JobError::Timeout { .. })) {
+            inner.timeouts.fetch_add(1, Ordering::Relaxed);
+        }
         let elapsed = started.elapsed().as_nanos();
         busy_total_ns += elapsed;
         inner.busy_ns.fetch_add(elapsed as u64, Ordering::Relaxed);
@@ -364,16 +371,21 @@ fn pop_round_robin(state: &mut PoolState) -> Option<QueuedJob> {
 }
 
 /// Runs one job with panic isolation, and — when the job carries a
-/// timeout budget — on a detached runner thread the worker abandons on
-/// overrun.
-fn run_job(inner: &PoolInner, spec: JobSpec) -> Result<JobOutput, JobError> {
+/// timeout budget — on a detached runner thread that the caller abandons
+/// on overrun, recording `svc_job_timeouts` on `trace`. Without a budget
+/// the job runs on the calling thread.
+pub(crate) fn run_job(
+    service: &CompileService,
+    spec: JobSpec,
+    trace: &Trace,
+) -> Result<JobOutput, JobError> {
     let timeout_ms = spec.options.exec.timeout_ms;
     let job = spec.name.clone();
     if timeout_ms == 0 {
-        return run_isolated(&inner.service, spec, &job);
+        return run_isolated(service, spec, &job);
     }
     let (tx, rx) = mpsc::channel();
-    let service = inner.service.clone();
+    let service = service.clone();
     let runner_job = job.clone();
     std::thread::spawn(move || {
         let _ = tx.send(run_isolated(&service, spec, &runner_job));
@@ -381,8 +393,7 @@ fn run_job(inner: &PoolInner, spec: JobSpec) -> Result<JobOutput, JobError> {
     match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
         Ok(result) => result,
         Err(_) => {
-            inner.timeouts.fetch_add(1, Ordering::Relaxed);
-            inner.trace.count("svc_job_timeouts", 1);
+            trace.count("svc_job_timeouts", 1);
             Err(JobError::Timeout { job, timeout_ms })
         }
     }
@@ -401,7 +412,7 @@ fn run_isolated(service: &CompileService, spec: JobSpec, job: &str) -> Result<Jo
 }
 
 /// Extracts the conventional string payload from a caught panic.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

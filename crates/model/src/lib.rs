@@ -4,9 +4,11 @@
 //! *model parse* stage produces it: blocks ([`Block`], [`BlockKind`]) with
 //! typed parameters, port-accurate connections ([`Connection`]) indexed per
 //! port in one pass ([`PortTable`]), hierarchical subsystems with
-//! flattening ([`Model::flattened`]), and the **block property
-//! library** ([`proplib`]) that records, per block type and parameters, the
-//! output-shape rules and the I/O mappings used by redundancy elimination.
+//! flattening ([`Model::flattened`]), one content walk that feeds every
+//! field into a [`std::hash::Hasher`] ([`Model::digest_into`]), and the
+//! **block property library** ([`proplib`]) that records, per block type
+//! and parameters, the output-shape rules and the I/O mappings used by
+//! redundancy elimination.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@
 #![warn(missing_docs)]
 
 mod block;
+mod digest;
 mod error;
 mod flatten;
 mod port;

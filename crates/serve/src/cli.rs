@@ -4,8 +4,10 @@
 //! `-`-prefixed argument is an error wherever it appears.
 
 use crate::client::{self, Client, Endpoint};
-use crate::proto::RequestOptions;
+use crate::proto::{parse_style, RequestOptions};
+use crate::resolve::output_files;
 use crate::server::{Server, ServerConfig};
+use frodo_codegen::GeneratorStyle;
 use frodo_obs::ndjson;
 use std::path::{Path, PathBuf};
 
@@ -272,11 +274,11 @@ fn handle_result_line(line: &str, output: Option<&str>) -> Result<(), String> {
 }
 
 /// Unpacks a batch's `result` stream: code files into `-o DIR` (named
-/// like `frodo batch -o`), per-job summaries to stderr.
+/// like `frodo batch -o`, through [`output_files`]), per-job summaries to
+/// stderr. Two jobs that would write one file fail the batch before any
+/// file is written.
 fn handle_batch_lines(lines: &[String], output: Option<&str>) -> Result<(), String> {
-    if let Some(dir) = output {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
-    }
+    let mut results: Vec<(String, GeneratorStyle, String)> = Vec::new();
     let mut failures = Vec::new();
     for line in lines {
         let fields = ndjson::parse_line(line)?;
@@ -291,14 +293,9 @@ fn handle_batch_lines(lines: &[String], output: Option<&str>) -> Result<(), Stri
                         ndjson::get_str(&fields, "cache").unwrap_or("?"),
                         ndjson::get_num(&fields, "code_bytes").unwrap_or(0.0) as u64,
                     );
-                    if let Some(dir) = output {
-                        let file = format!(
-                            "{dir}/{}_{}.c",
-                            job.replace(['/', '\\'], "_"),
-                            style.to_ascii_lowercase()
-                        );
+                    if output.is_some() {
                         let code = ndjson::get_str(&fields, "code").unwrap_or_default();
-                        std::fs::write(&file, code).map_err(|e| format!("{file}: {e}"))?;
+                        results.push((job.to_string(), parse_style(style)?, code.to_string()));
                     }
                 } else {
                     failures.push(format!(
@@ -322,6 +319,16 @@ fn handle_batch_lines(lines: &[String], output: Option<&str>) -> Result<(), Stri
             Some("busy") => failures.push("daemon busy; retry later".into()),
             Some("draining") => failures.push("daemon is draining".into()),
             _ => return Err(response_error(&fields)),
+        }
+    }
+    if let Some(dir) = output {
+        let jobs = results
+            .iter()
+            .map(|(job, style, _)| (&**job, &**job, *style));
+        let files = output_files(dir, jobs)?;
+        std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
+        for ((_, _, code), file) in results.iter().zip(&files) {
+            std::fs::write(file, code).map_err(|e| format!("{file}: {e}"))?;
         }
     }
     if failures.is_empty() {

@@ -5,11 +5,12 @@
 //! benchmark (`frodo list`), or a synthetic-model spec
 //! `random:<seed>:<size>[:edit:<k>]`. Files are read through
 //! [`frodo_driver::load_model`], the reader the worker's `parse` stage
-//! uses.
+//! uses. [`output_files`] names the C files a batch writes under `-o`.
 
 use frodo_codegen::GeneratorStyle;
 use frodo_driver::JobSpec;
 use frodo_model::Model;
+use std::collections::HashMap;
 use std::path::Path;
 
 /// The path a reference names, when it has a model-file extension.
@@ -66,6 +67,42 @@ pub fn job_spec_for(model_ref: &str, style: GeneratorStyle) -> Result<JobSpec, S
     }
 }
 
+/// The file a job's C is written to under `-o DIR`: the job name with
+/// every `/`, `\` and `:` replaced by `_`, then `_<style>.c`.
+fn output_file_name(job: &str, style: GeneratorStyle) -> String {
+    format!(
+        "{}_{}.c",
+        job.replace(['/', '\\', ':'], "_"),
+        style.label().to_ascii_lowercase()
+    )
+}
+
+/// The files a batch writes under `dir`, one per `(reference, job name,
+/// style)` in order. `frodo batch`, `frodo batch --incremental` and
+/// `frodo client batch` all name their files here.
+///
+/// # Errors
+///
+/// Two jobs that would write one file, naming both references, so that
+/// no job's C silently overwrites another's.
+pub fn output_files<'a>(
+    dir: &str,
+    jobs: impl IntoIterator<Item = (&'a str, &'a str, GeneratorStyle)>,
+) -> Result<Vec<String>, String> {
+    let mut writers: HashMap<String, &str> = HashMap::new();
+    let mut files = Vec::new();
+    for (reference, job, style) in jobs {
+        let file = format!("{dir}/{}", output_file_name(job, style));
+        if let Some(first) = writers.insert(file.clone(), reference) {
+            return Err(format!(
+                "{first} and {reference} would both write {file}; no file written"
+            ));
+        }
+        files.push(file);
+    }
+    Ok(files)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +121,37 @@ mod tests {
                 .name,
             "random:3:40"
         );
+    }
+
+    #[test]
+    fn output_files_are_named_one_way_and_never_shared() {
+        assert_eq!(
+            output_file_name("random:3:40", GeneratorStyle::Frodo),
+            "random_3_40_frodo.c"
+        );
+        assert_eq!(
+            output_file_name("a/b\\c", GeneratorStyle::Hcg),
+            "a_b_c_hcg.c"
+        );
+        let files = output_files(
+            "d",
+            [
+                ("HT", "HT", GeneratorStyle::Frodo),
+                ("HT", "HT", GeneratorStyle::Hcg),
+            ],
+        )
+        .unwrap();
+        assert_eq!(files, ["d/HT_frodo.c", "d/HT_hcg.c"]);
+        let err = output_files(
+            "d",
+            [
+                ("a/HT.slx", "HT", GeneratorStyle::Frodo),
+                ("b/HT.slx", "HT", GeneratorStyle::Frodo),
+            ],
+        )
+        .unwrap_err();
+        assert!(err.contains("a/HT.slx and b/HT.slx"), "{err}");
+        assert!(err.contains("d/HT_frodo.c"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! One accept thread takes connections off the unix (or TCP) listener
 //! and hands each to its own handler thread; handlers parse NDJSON
 //! request lines, each at most [`MAX_REQUEST_LINE`] bytes, and answer on
-//! the same connection. All compile work funnels through one [`JobPool`]
+//! the same connection (a line that is not UTF-8 gets an `error` and the
+//! next line is read). All compile work funnels through one [`JobPool`]
 //! over one [`CompileService`], so every connection shares the artifact
 //! cache, the admission queue, and the fairness ring. Jobs record into one
 //! server-wide [`Trace`] — the `status` endpoint and the final ledger
@@ -261,7 +262,14 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
             return;
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
-            return;
+            // unlike an over-long line, the newline framing is intact:
+            // answer this line and read the next
+            let error = proto::render_error("request line is not valid UTF-8");
+            let request_id = shared.request_seq.fetch_add(1, Ordering::Relaxed);
+            if write_responses(&mut writer, &[error], request_id).is_err() {
+                return;
+            }
+            continue;
         };
         let line = line.trim();
         if line.is_empty() {

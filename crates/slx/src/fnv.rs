@@ -134,12 +134,17 @@ impl Default for DigestWriter {
     }
 }
 
-/// Digests formatted text as it is written, so `write!(digest, "{x:?}")`
-/// hashes a value's `Debug` form without building the string. Never fails.
-impl std::fmt::Write for DigestWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.update(s.as_bytes());
-        Ok(())
+/// Lets a value walk such as `frodo_model::Model::digest_into` feed the
+/// digest directly: `write` is [`DigestWriter::update`]. The trait's
+/// `finish` returns only the FNV-1a component; the inherent
+/// [`DigestWriter::finish`] returns the whole [`ContentDigest`].
+impl std::hash::Hasher for DigestWriter {
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.fnv.finish()
     }
 }
 
@@ -167,9 +172,14 @@ mod tests {
         d.update(b"input");
         assert_eq!(d.finish(), ContentDigest::of(b"split input"));
 
-        use std::fmt::Write as _;
+        // a value walk's many small `Hasher::write`s digest like one
+        // `update` of the concatenated bytes
+        use std::hash::Hasher;
         let mut w = DigestWriter::new();
-        write!(w, "split {}", "input").unwrap();
+        w.write(b"split");
+        w.write_u8(b' ');
+        w.write(b"input");
+        assert_eq!(Hasher::finish(&w), ContentDigest::of(b"split input").fnv);
         assert_eq!(w.finish(), ContentDigest::of(b"split input"));
     }
 

@@ -25,12 +25,14 @@
 //! ```
 //!
 //! `compile` is the one emission verb. It and `batch` go through the
-//! [`frodo::driver`] service: jobs run on a worker pool, one thread per
-//! job, artifacts are content-addressed (optionally persisted under
-//! `--cache-dir`), and every job reports per-stage timings and redundancy
-//! counters. `batch --incremental` instead feeds the jobs sequentially
-//! through a [`frodo::driver::CompileSession`] per style, so a resubmitted
-//! model recompiles only the regions its edit dirtied. Every `<model>` may
+//! [`frodo::driver`] service: a batch's jobs run on the calling thread
+//! and `--workers N` − 1 more, one thread per job, artifacts are
+//! content-addressed (optionally persisted under `--cache-dir`), and every
+//! job reports per-stage timings and redundancy counters. `-o DIR` names
+//! each file through [`frodo::serve::output_files`]. `batch
+//! --incremental` instead feeds the jobs sequentially through a
+//! [`frodo::driver::CompileSession`] per style, so a resubmitted model
+//! recompiles only the regions its edit dirtied. Every `<model>` may
 //! be a `.slx`/`.mdl` path, a bundled Table-1 benchmark name (`frodo
 //! list`), or a `random:<seed>:<size>[:edit:<k>]` synthetic spec; each is
 //! resolved by [`frodo::serve::resolve`], as the daemon's requests are.
@@ -39,7 +41,7 @@
 use frodo::prelude::*;
 use frodo::serve::cli::{flag_value, ledger_path, no_positionals, parse_num, positionals};
 use frodo::serve::proto::{parse_style, parse_styles};
-use frodo::serve::{job_spec_for, resolve_model};
+use frodo::serve::{job_spec_for, output_files, resolve_model};
 use frodo::sim::{native, workload};
 use frodo::slx::{write_mdl, write_slx};
 use std::path::Path;
@@ -612,11 +614,24 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         return cmd_batch_incremental(args, &model_refs, &styles, options);
     }
     let mut specs = Vec::new();
+    let mut spec_refs = Vec::new();
     for model_ref in &model_refs {
         for &style in &styles {
             specs.push(job_spec_for(model_ref, style)?.with_options(options));
+            spec_refs.push(*model_ref);
         }
     }
+    // name every output file before compiling, so a clash writes nothing
+    let files = match out_dir {
+        Some(dir) => output_files(
+            dir,
+            spec_refs
+                .iter()
+                .zip(&specs)
+                .map(|(r, spec)| (*r, spec.name.as_str(), spec.style)),
+        )?,
+        None => Vec::new(),
+    };
 
     let service = CompileService::new(service_config(args)?);
     let trace = (want_tree || trace_out.is_some() || ledger.is_some()).then(Trace::new);
@@ -648,15 +663,10 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 
     if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
-        for out in report.jobs.iter().flatten() {
-            let r = &out.report;
-            let file = format!(
-                "{}/{}_{}.c",
-                dir,
-                r.job.replace(['/', '\\'], "_"),
-                r.style.label().to_ascii_lowercase()
-            );
-            std::fs::write(&file, &out.code).map_err(|e| format!("{file}: {e}"))?;
+        for (job, file) in report.jobs.iter().zip(&files) {
+            if let Ok(out) = job {
+                std::fs::write(file, &out.code).map_err(|e| format!("{file}: {e}"))?;
+            }
         }
         eprintln!("wrote {} C files to {dir}", report.succeeded());
     }
@@ -701,15 +711,25 @@ fn cmd_batch_incremental(
         })
         .collect();
 
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
-    }
+    // jobs are named after their model references
+    let files = match out_dir {
+        Some(dir) => {
+            let jobs = model_refs
+                .iter()
+                .flat_map(|r| styles.iter().map(move |&style| (*r, *r, style)));
+            let files = output_files(dir, jobs)?;
+            std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
+            files
+        }
+        None => Vec::new(),
+    };
+    let mut files = files.iter();
 
     let mut last_trace = None;
     let mut ledger_entries = 0usize;
     let mut wrote = 0usize;
     for model_ref in model_refs {
-        for (session, &style) in sessions.iter_mut().zip(styles) {
+        for session in sessions.iter_mut() {
             let model = resolve_model(model_ref)?;
             let trace = if want_tree || trace_out.is_some() || ledger.is_some() {
                 Trace::new()
@@ -753,14 +773,8 @@ fn cmd_batch_incremental(
                 frodo::obs::append_entry(path, &entry)?;
                 ledger_entries += 1;
             }
-            if let Some(dir) = out_dir {
-                let file = format!(
-                    "{}/{}_{}.c",
-                    dir,
-                    r.job.replace(['/', '\\', ':'], "_"),
-                    style.label().to_ascii_lowercase()
-                );
-                std::fs::write(&file, &out.code).map_err(|e| format!("{file}: {e}"))?;
+            if let Some(file) = files.next() {
+                std::fs::write(file, &out.code).map_err(|e| format!("{file}: {e}"))?;
                 wrote += 1;
             }
             if trace_out.is_some() {

@@ -15,7 +15,7 @@
 //! | [`sim`] | `frodo-sim` | reference simulator, VM, cost models, native runs |
 //! | [`benchmodels`] | `frodo-benchmodels` | the paper's Table-1 suite |
 //! | [`bench`] | `frodo-bench` | benchmark harness + cost-model calibration |
-//! | [`driver`] | `frodo-driver` | batch compile service: worker pool, artifact cache, metrics |
+//! | [`driver`] | `frodo-driver` | batch compile service: batch threads, daemon pool, artifact cache, metrics |
 //! | [`serve`] | `frodo-serve` | persistent compile daemon: NDJSON socket protocol, admission control |
 //! | [`obs`] | `frodo-obs` | observability: trace spans, counters, stage timings, NDJSON export |
 //! | [`verify`] | `frodo-verify` | model lint + range-soundness checker (translation validation) |

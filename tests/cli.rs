@@ -786,3 +786,61 @@ fn compile_harness_emits_the_self_checking_driver() {
     assert!(err.contains("--no-cache"), "{err}");
     let _ = std::fs::remove_dir_all(&cache);
 }
+
+#[test]
+fn batch_output_files_are_named_one_way_and_never_shared() {
+    // two files with one stem: HT in a/, Kalman in b/
+    let root = temp_path("clash");
+    let (a, b) = (root.join("a/HT.slx"), root.join("b/HT.slx"));
+    for (path, name) in [(&a, "HT"), (&b, "Kalman")] {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let model = frodo::benchmodels::by_name(name).unwrap().model;
+        std::fs::write(path, frodo::slx::write_slx(&model).unwrap()).unwrap();
+    }
+    let out_dir = root.join("out");
+    let (a, b, out) = (
+        a.to_str().unwrap(),
+        b.to_str().unwrap(),
+        out_dir.to_str().unwrap(),
+    );
+    // a batch names a path job by its file stem, an incremental batch
+    // each job by its reference: either way, two jobs for one file fail
+    // the batch before anything is written
+    for (refs, extra) in [
+        ([a, b], &[][..]),
+        (["random:3:40", "random:3:40"], &["--incremental"]),
+    ] {
+        let run = frodo()
+            .arg("batch")
+            .args(refs)
+            .args(["-o", out])
+            .args(extra)
+            .output()
+            .expect("runs");
+        assert_eq!(run.status.code(), Some(1), "{refs:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            stderr.contains(&format!("{} and {}", refs[0], refs[1])),
+            "{refs:?}: {stderr}"
+        );
+        assert!(!out_dir.exists(), "{refs:?} wrote {out}");
+    }
+
+    // a spec's `:` becomes `_` in every writer's file name
+    for extra in [&[][..], &["--incremental"]] {
+        let run = frodo()
+            .args(["batch", "random:3:40", "-o", out])
+            .args(extra)
+            .output()
+            .expect("runs");
+        assert!(
+            run.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let file = out_dir.join("random_3_40_frodo.c");
+        assert!(file.exists(), "{extra:?}");
+        std::fs::remove_file(file).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}

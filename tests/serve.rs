@@ -781,3 +781,34 @@ fn an_over_long_request_line_is_refused_and_the_daemon_keeps_serving() {
         .unwrap();
     server.wait();
 }
+
+#[test]
+fn a_non_utf8_request_line_gets_an_error_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = start_server("non-utf8", 1, 0);
+    let stream =
+        std::os::unix::net::UnixStream::connect(socket_path("non-utf8")).expect("daemon is up");
+    let mut writer = stream.try_clone().unwrap();
+    writer
+        .write_all(b"{\"type\":\"status\",\"x\":\"\xff\"}\n")
+        .unwrap();
+    writer.write_all(b"{\"type\":\"status\"}\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut first = String::new();
+    reader
+        .read_line(&mut first)
+        .expect("an error line comes back");
+    assert_eq!(str_field(&first, "type"), "error", "{first}");
+    assert!(str_field(&first, "message").contains("UTF-8"), "{first}");
+    let mut second = String::new();
+    reader
+        .read_line(&mut second)
+        .expect("the next line is answered");
+    assert_eq!(str_field(&second, "type"), "status", "{second}");
+
+    let mut client = Client::connect(server.endpoint()).expect("daemon is up");
+    client
+        .request_one(&frodo::serve::client::simple_request("shutdown", None))
+        .unwrap();
+    server.wait();
+}
