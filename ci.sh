@@ -178,7 +178,11 @@ grep -q 'ivdep' "$simd_dir/hints.c"
 ./target/release/frodo compile --no-cache --vectorize auto \
     AudioProcess -o "$simd_dir/auto2.c" >/dev/null
 cmp "$simd_dir/auto1.c" "$simd_dir/auto2.c"
-! grep -q 'restrict' "$simd_dir/auto1.c"
+# (`if`, not `!`: set -e ignores the status of a `!` command)
+if grep -q 'restrict' "$simd_dir/auto1.c"; then
+    echo "default emission carries restrict: $simd_dir/auto1.c"
+    exit 1
+fi
 # the batched emission must still be compilable C when a compiler exists
 if command -v gcc >/dev/null 2>&1; then
     gcc -fsyntax-only -O0 "$simd_dir/batch1.c"
@@ -287,7 +291,10 @@ if command -v gcc >/dev/null 2>&1; then
 fi
 ./target/release/frodo compile --no-cache \
     Kalman -o "$prof_dir/plain.c" >/dev/null
-! grep -q 'frodo_prof' "$prof_dir/plain.c"
+if grep -q 'frodo_prof' "$prof_dir/plain.c"; then
+    echo "default emission carries a profiling symbol: $prof_dir/plain.c"
+    exit 1
+fi
 rm -rf "$prof_dir"
 
 # cost-model calibration gate: the VM calibration must report a ratio

@@ -22,13 +22,15 @@
 //!   artifacts across processes. Hit/miss counters are exposed via
 //!   [`CompileService::cache_stats`].
 //! - **Pipeline observability** — every job records its stages into a
-//!   [`frodo_obs::Trace`] (the caller's, via [`JobSpec::with_trace`] /
-//!   [`CompileService::compile_batch_traced`], or a job-local one
-//!   otherwise) and derives monotonic per-stage timings from it
-//!   ([`StageTimings`]: parse, flatten, hash, cache, dfg, iomap, ranges,
-//!   classify, lower, emit) plus redundancy counters (blocks analyzed,
-//!   optimizable blocks, elements eliminated), rendered as a human table
-//!   ([`BatchReport::render_table`]), machine lines
+//!   [`frodo_obs::Trace`] of its own and derives monotonic per-stage
+//!   timings from that whole trace ([`StageTimings`]: parse, flatten,
+//!   hash, cache, dfg, iomap, ranges, classify, lower, emit). When the
+//!   job ends, ok or failed, its trace is handed once to the caller's
+//!   sink ([`JobSpec::with_trace`] /
+//!   [`CompileService::compile_batch_traced`]) through
+//!   [`Trace::graft`]. Jobs also report redundancy counters (blocks
+//!   analyzed, optimizable blocks, elements eliminated), rendered as a
+//!   human table ([`BatchReport::render_table`]), machine lines
 //!   ([`BatchReport::machine_lines`]), and — for traced batches — a span
 //!   tree ([`BatchReport::render_trace`]).
 //!
@@ -263,9 +265,10 @@ pub struct JobSpec {
     pub style: GeneratorStyle,
     /// Analysis/lowering/emission options.
     pub options: CompileOptions,
-    /// Trace sink the job records into. Defaults to [`Trace::noop`], in
-    /// which case the worker records into a job-local trace just to derive
-    /// the report's [`StageTimings`].
+    /// Trace sink that receives the job's trace whole when the job ends.
+    /// Defaults to [`Trace::noop`], which receives nothing. The job itself
+    /// always records into a trace of its own, the source of the report's
+    /// [`StageTimings`].
     pub trace: Trace,
 }
 
@@ -318,8 +321,9 @@ impl JobSpec {
         self
     }
 
-    /// Attaches a trace sink: the job records its stage spans and counters
-    /// there (under a `job:{name}` root span) instead of a job-local trace.
+    /// Attaches a trace sink: when the job ends, ok or failed, its own
+    /// trace (a `job:{name}` root span over the stage spans, with their
+    /// counters) is grafted there under the sink's ambient parent.
     pub fn with_trace(mut self, trace: &Trace) -> Self {
         self.trace = trace.clone();
         self
@@ -427,8 +431,9 @@ pub struct JobOutput {
 /// Service configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
-    /// Threads a batch compiles on, the calling thread among them; `0`
-    /// means one per available core.
+    /// Threads a batch compiles on, the calling thread among them, and
+    /// the threads of a [`JobPool`] over the service; `0` means one per
+    /// available core, resolved once by [`CompileService::new`].
     pub workers: usize,
     /// Enables the on-disk cache layer under this directory.
     pub cache_dir: Option<PathBuf>,
@@ -451,8 +456,14 @@ pub struct CompileService {
 }
 
 impl CompileService {
-    /// Creates a service from `config`.
-    pub fn new(config: ServiceConfig) -> Self {
+    /// Creates a service from `config`, resolving `workers: 0` to the
+    /// available core count.
+    pub fn new(mut config: ServiceConfig) -> Self {
+        if config.workers == 0 {
+            config.workers = std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1);
+        }
         let cache = std::sync::Arc::new(ArtifactCache::new(
             config.cache_dir.clone(),
             config.cache_cap_bytes,
@@ -465,15 +476,9 @@ impl CompileService {
         CompileService::new(ServiceConfig::default())
     }
 
-    /// The worker count batches run with.
+    /// The worker count batches and pools run with.
     pub fn workers(&self) -> usize {
-        if self.config.workers > 0 {
-            self.config.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        self.config.workers
     }
 
     /// Cumulative cache counters.
@@ -486,10 +491,10 @@ impl CompileService {
         self.compile_batch_traced(specs, &Trace::noop())
     }
 
-    /// Compiles a batch with every job recording into `trace` under a
-    /// shared `batch` root span. Threads record concurrently (the trace is
-    /// thread-safe); each job still gets isolated [`StageTimings`] because
-    /// they are derived from its own `job:{name}` subtree. Per-job wall
+    /// Compiles a batch into `trace` under a shared `batch` root span.
+    /// Each job records into a trace of its own, which gives it isolated
+    /// [`StageTimings`], and grafts that trace under `batch` when it ends,
+    /// so the tree shows each job's subtree in one piece. Per-job wall
     /// clocks land in the `job_total_ns` histogram, each job's wait for a
     /// thread in `queue_wait_ns` and each thread's busy time in
     /// `worker_busy_ns`; the trace rides on the report for
@@ -547,7 +552,7 @@ impl CompileService {
                 let Some((slot, spec)) = next else { break };
                 trace.observe("queue_wait_ns", queued.elapsed().as_nanos() as f64);
                 let started = Instant::now();
-                done.push((slot, lifecycle::run_job(self, spec, trace)));
+                done.push((slot, lifecycle::run_job(self, spec)));
                 busy_ns += started.elapsed().as_nanos();
             }
             if busy_ns > 0 {
@@ -570,33 +575,35 @@ impl CompileService {
 
     /// Compiles one job on the calling thread.
     ///
-    /// Every stage records a span on the job's trace — the sink attached
-    /// via [`JobSpec::with_trace`], or a job-local recorder otherwise (the
-    /// report's [`StageTimings`] are always derived from a real trace; the
-    /// job-local one is simply dropped afterwards). The spans nest under a
-    /// `job:{name}` root, so many jobs can share one sink and still be
-    /// told apart.
+    /// Every stage records a span on a trace of the job's own, under a
+    /// `job:{name}` root; the report's [`StageTimings`] are derived from
+    /// that whole trace. When the job ends, ok or failed, the trace is
+    /// grafted into the sink attached via [`JobSpec::with_trace`], so many
+    /// jobs can share one sink and still be told apart.
     ///
     /// # Errors
     ///
     /// Returns [`JobError::Load`] when the model cannot be obtained and
     /// [`JobError::Analysis`] when the pipeline rejects it. (Panic
     /// isolation is the batch path's job; this call propagates panics.)
-    pub fn compile(&self, spec: JobSpec) -> Result<JobOutput, JobError> {
+    pub fn compile(&self, mut spec: JobSpec) -> Result<JobOutput, JobError> {
+        let trace = Trace::new();
+        let sink = std::mem::take(&mut spec.trace);
+        let result = self.compile_into(spec, &trace);
+        sink.graft(&trace);
+        result
+    }
+
+    /// [`Self::compile`]'s pipeline, recording into the job's own `trace`.
+    fn compile_into(&self, spec: JobSpec, trace: &Trace) -> Result<JobOutput, JobError> {
         let JobSpec {
             name,
             source,
             style,
             options,
-            trace: sink,
+            trace: _,
         } = spec;
-        let trace = if sink.is_enabled() {
-            sink
-        } else {
-            Trace::new()
-        };
         let job_span = trace.span(&format!("job:{name}"));
-        let job_id = job_span.id();
         let jt = job_span.trace();
 
         // parse: obtain the model
@@ -639,7 +646,6 @@ impl CompileService {
             if let Some((art, status)) = lookup {
                 jt.count("bytes_emitted", art.code.len() as u64);
                 job_span.end();
-                let timings = StageTimings::for_span(&trace, job_id);
                 return Ok(JobOutput {
                     report: CompileReport {
                         job: name,
@@ -647,7 +653,7 @@ impl CompileService {
                         digest,
                         cache: status,
                         metrics: art.metrics,
-                        timings,
+                        timings: StageTimings::from_trace(trace),
                         code_bytes: art.code.len(),
                     },
                     code: art.code,
@@ -666,47 +672,10 @@ impl CompileService {
             }
         })?;
 
-        // lower + emit (each records its own span)
+        // lower (records its own span), then verify, analyze and emit
         let program = generate_with(&analysis, style, options.keyed.lower, &jt);
+        let (code, metrics) = finish_compile(&name, &analysis, &program, &options, &jt)?;
 
-        // verify (opt-in): certify the lowered program against the
-        // analysis before anything is emitted or cached
-        if options.exec.verify {
-            let span = jt.span("verify");
-            let soundness = frodo_verify::check_compile(&analysis, &program);
-            span.count("verify_stmts", soundness.stmts_checked as u64);
-            span.count("verify_buffers", soundness.buffers_checked as u64);
-            span.count("verify_outputs", soundness.outputs_checked as u64);
-            span.count("verify_diagnostics", soundness.diagnostics.len() as u64);
-            if !soundness.is_sound() {
-                return Err(JobError::Verify {
-                    job: name.clone(),
-                    diagnostics: soundness.diagnostics,
-                });
-            }
-        }
-
-        // analyze (opt-in): dataflow analyses over the lowered program;
-        // their findings are warnings, recorded as counters
-        if options.exec.analyze {
-            let span = jt.span("analyze");
-            let report = frodo_verify::analyze_compile(
-                &analysis,
-                &program,
-                &frodo_verify::AnalyzeOptions::default(),
-            );
-            span.count("analyze_stmts", report.stmts as u64);
-            span.count("analyze_diagnostics", report.diagnostics.len() as u64);
-            span.count("analyze_residual_elements", report.residual_elements as u64);
-            span.count(
-                "analyze_dead_store_elements",
-                report.lifetime.dead_store_elements as u64,
-            );
-        }
-
-        let code = emit_c_traced(&program, options.keyed.emit, &jt);
-
-        let metrics = JobMetrics::from_analysis(&analysis);
         if !self.config.no_cache {
             let evicted = self.cache.store(
                 &hex,
@@ -723,7 +692,6 @@ impl CompileService {
             }
         }
         job_span.end();
-        let timings = StageTimings::for_span(&trace, job_id);
         Ok(JobOutput {
             report: CompileReport {
                 job: name,
@@ -731,13 +699,67 @@ impl CompileService {
                 digest,
                 cache: CacheStatus::Miss,
                 metrics,
-                timings,
+                timings: StageTimings::from_trace(trace),
                 code_bytes: code.len(),
             },
             code,
             program: Some(program),
         })
     }
+}
+
+/// What both compile paths ([`CompileService::compile`] and
+/// [`CompileSession::compile`]) do after lowering: the opt-in verify and
+/// analyze stages, then emission, then the job's metrics.
+///
+/// # Errors
+///
+/// [`JobError::Verify`] when [`ExecOptions::verify`] is on and the
+/// checker finds the lowered program unsound; nothing is emitted then.
+fn finish_compile(
+    job: &str,
+    analysis: &Analysis,
+    program: &Program,
+    options: &CompileOptions,
+    trace: &Trace,
+) -> Result<(String, JobMetrics), JobError> {
+    // verify (opt-in): certify the lowered program against the analysis
+    // before anything is emitted or cached
+    if options.exec.verify {
+        let span = trace.span("verify");
+        let soundness = frodo_verify::check_compile(analysis, program);
+        span.count("verify_stmts", soundness.stmts_checked as u64);
+        span.count("verify_buffers", soundness.buffers_checked as u64);
+        span.count("verify_outputs", soundness.outputs_checked as u64);
+        span.count("verify_diagnostics", soundness.diagnostics.len() as u64);
+        if !soundness.is_sound() {
+            return Err(JobError::Verify {
+                job: job.to_string(),
+                diagnostics: soundness.diagnostics,
+            });
+        }
+    }
+
+    // analyze (opt-in): dataflow analyses over the lowered program; their
+    // findings are warnings, recorded as counters
+    if options.exec.analyze {
+        let span = trace.span("analyze");
+        let report = frodo_verify::analyze_compile(
+            analysis,
+            program,
+            &frodo_verify::AnalyzeOptions::default(),
+        );
+        span.count("analyze_stmts", report.stmts as u64);
+        span.count("analyze_diagnostics", report.diagnostics.len() as u64);
+        span.count("analyze_residual_elements", report.residual_elements as u64);
+        span.count(
+            "analyze_dead_store_elements",
+            report.lifetime.dead_store_elements as u64,
+        );
+    }
+
+    let code = emit_c_traced(program, options.keyed.emit, trace);
+    Ok((code, JobMetrics::from_analysis(analysis)))
 }
 
 /// Reads a `.slx` or `.mdl` model file, recording parse sub-spans on
@@ -1181,7 +1203,53 @@ mod tests {
                 timeout_ms: 50
             }
         );
-        assert_eq!(trace.counter_total("svc_job_timeouts"), 1);
+        // counted once, from the results
+        let entry = report.ledger_entry("t", "recursive", 1).unwrap();
+        assert_eq!(entry.counter("svc_job_timeouts"), 0);
+        assert_eq!(entry.svc.unwrap().job_timeouts, 1);
+    }
+
+    #[test]
+    fn traced_batch_shows_each_job_subtree_in_one_piece_with_its_own_timings() {
+        let specs = ["a", "b"]
+            .into_iter()
+            .map(|n| JobSpec::from_model(n, gain_model(2.0), GeneratorStyle::Frodo))
+            .collect();
+        let trace = Trace::new();
+        let report = uncached(2).compile_batch_traced(specs, &trace);
+        let snap = trace.snapshot();
+        let batch = snap.spans.iter().find(|s| s.name == "batch").unwrap();
+        let tree = report.render_trace().unwrap();
+        let lines: Vec<&str> = tree.lines().collect();
+        for (job, out) in ["job:a", "job:b"].iter().zip(&report.jobs) {
+            let root = snap.spans.iter().find(|s| s.name == *job).unwrap();
+            assert_eq!(root.parent, batch.id);
+            let mut subtree = vec![root];
+            let mut i = 0;
+            while i < subtree.len() {
+                let id = subtree[i].id;
+                subtree.extend(snap.spans.iter().filter(|s| s.parent == id));
+                i += 1;
+            }
+            // the job's ids are one range, starting at its root
+            let mut ids: Vec<u32> = subtree.iter().map(|s| s.id).collect();
+            ids.sort_unstable();
+            let want: Vec<u32> = (root.id..root.id + ids.len() as u32).collect();
+            assert_eq!(ids, want, "{job}");
+            // its rendered lines are the root line and the next ones, one
+            // per span of the subtree, none of the other job's among them
+            let at = lines.iter().position(|l| l.contains(job)).unwrap();
+            let block = &lines[at..at + subtree.len()];
+            assert!(block[1..].iter().all(|l| !l.contains("job:")), "{tree}");
+            // timings come from the job's own spans, not the batch's sum
+            let emit: u64 = subtree
+                .iter()
+                .filter(|s| s.name == "emit")
+                .map(|s| s.dur_ns)
+                .sum();
+            let timings = out.as_ref().unwrap().report.timings;
+            assert_eq!(timings.emit.as_nanos() as u64, emit, "{job}");
+        }
     }
 
     #[test]

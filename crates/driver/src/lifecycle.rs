@@ -23,32 +23,30 @@
 //!   [`std::panic::catch_unwind`]; a poisoned job becomes
 //!   [`JobError::Panicked`] in its own result, nothing else is affected.
 //! - **Timeouts** — a job with [`ExecOptions::timeout_ms`] set runs on
-//!   a detached runner thread; if it overruns, the caller abandons it,
-//!   fails the job with [`JobError::Timeout`], and records a
-//!   `svc_job_timeouts` counter, so a hung job cannot occupy a worker
-//!   or hold a batch forever. The pool also counts its timeouts for
-//!   [`PoolSnapshot::timeouts`].
+//!   a detached runner thread; if it overruns, the caller abandons it and
+//!   fails the job with [`JobError::Timeout`], so a hung job cannot
+//!   occupy a worker or hold a batch forever. A batch counts its
+//!   timeouts from its results, the pool in [`PoolSnapshot::timeouts`].
 //!
-//! When the pool's trace is enabled, each dequeue records the job's queue
-//! wait into the `queue_wait_ns` histogram and each worker its cumulative
-//! busy time into `worker_busy_ns` — the raw material for the ledger's
-//! service metrics. A traced batch records the same two histograms.
+//! The pool takes no trace: each job records into a trace of its own and
+//! hands it to the sink its [`JobSpec`] names. The pool keeps its own
+//! service metrics — a queue-wait [`Histogram`] and cumulative busy time
+//! — and reports them in [`PoolSnapshot`].
 //!
 //! [`ExecOptions::timeout_ms`]: crate::ExecOptions::timeout_ms
 
 use crate::{CompileService, JobError, JobOutput, JobSpec};
-use frodo_obs::Trace;
+use frodo_obs::Histogram;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Pool sizing and admission policy.
+/// Pool admission policy. The pool runs one worker per
+/// [`CompileService::workers`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolConfig {
-    /// Worker threads; `0` means one per available core.
-    pub workers: usize,
     /// Queued (not yet running) jobs admitted before submissions are
     /// rejected with [`SubmitError::Full`]; `0` means unbounded.
     pub queue_cap: usize,
@@ -124,6 +122,11 @@ pub struct PoolSnapshot {
     pub timeouts: u64,
     /// Cumulative worker busy nanoseconds.
     pub busy_ns: u64,
+    /// Median nanoseconds a job waited in the queue before a worker
+    /// picked it up (estimated from a log2 histogram; 0 before any job).
+    pub queue_wait_p50_ns: u64,
+    /// Longest queue wait in nanoseconds.
+    pub queue_wait_max_ns: u64,
     /// Whether the pool is draining (rejecting new submissions).
     pub draining: bool,
 }
@@ -139,6 +142,8 @@ struct PoolState {
     /// Per-client FIFO queues in round-robin order: workers pop one job
     /// from the front client, then rotate it to the back.
     ring: VecDeque<(u64, VecDeque<QueuedJob>)>,
+    /// How long each dequeued job waited, in nanoseconds.
+    queue_wait: Histogram,
     queued: usize,
     in_flight: usize,
     draining: bool,
@@ -147,8 +152,6 @@ struct PoolState {
 
 struct PoolInner {
     service: CompileService,
-    trace: Trace,
-    workers: usize,
     queue_cap: usize,
     state: Mutex<PoolState>,
     /// Signaled when a job is queued or the pool is stopping.
@@ -172,29 +175,19 @@ pub struct JobPool {
 impl std::fmt::Debug for JobPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobPool")
-            .field("workers", &self.inner.workers)
+            .field("workers", &self.inner.service.workers())
             .field("queue_cap", &self.inner.queue_cap)
             .finish()
     }
 }
 
 impl JobPool {
-    /// Starts `config.workers` workers over a clone of `service` (the
-    /// artifact cache is shared). Jobs record into `trace` semantics as
-    /// in [`CompileService::compile`]; the pool additionally records its
-    /// queue-wait and busy-time histograms there.
-    pub fn start(service: &CompileService, config: PoolConfig, trace: &Trace) -> Self {
-        let workers = if config.workers > 0 {
-            config.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
+    /// Starts [`CompileService::workers`] workers over a clone of
+    /// `service` (the artifact cache is shared). Each job's trace goes to
+    /// the sink its [`JobSpec`] names, as in [`CompileService::compile`].
+    pub fn start(service: &CompileService, config: PoolConfig) -> Self {
         let inner = Arc::new(PoolInner {
             service: service.clone(),
-            trace: trace.clone(),
-            workers,
             queue_cap: config.queue_cap,
             state: Mutex::new(PoolState::default()),
             ready: Condvar::new(),
@@ -205,7 +198,7 @@ impl JobPool {
             timeouts: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
         });
-        let threads = (0..workers)
+        let threads = (0..service.workers())
             .map(|_| {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || worker_loop(&inner))
@@ -231,7 +224,7 @@ impl JobPool {
             inner.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Full {
                 queued: state.queued,
-                retry_after_ms: retry_hint(state.queued, inner.workers),
+                retry_after_ms: retry_hint(state.queued, inner.service.workers()),
             });
         }
         let job = spec.name.clone();
@@ -287,7 +280,7 @@ impl JobPool {
         let inner = &self.inner;
         let state = inner.state.lock().unwrap();
         PoolSnapshot {
-            workers: inner.workers,
+            workers: inner.service.workers(),
             queue_depth: state.queued,
             in_flight: state.in_flight,
             submitted: inner.submitted.load(Ordering::Relaxed),
@@ -295,13 +288,10 @@ impl JobPool {
             rejected: inner.rejected.load(Ordering::Relaxed),
             timeouts: inner.timeouts.load(Ordering::Relaxed),
             busy_ns: inner.busy_ns.load(Ordering::Relaxed),
+            queue_wait_p50_ns: state.queue_wait.percentile(50.0) as u64,
+            queue_wait_max_ns: state.queue_wait.max() as u64,
             draining: state.draining,
         }
-    }
-
-    /// The worker count the pool runs with.
-    pub fn workers(&self) -> usize {
-        self.inner.workers
     }
 }
 
@@ -318,7 +308,6 @@ fn retry_hint(queued: usize, workers: usize) -> u64 {
 }
 
 fn worker_loop(inner: &PoolInner) {
-    let mut busy_total_ns = 0u128;
     loop {
         let job = {
             let mut state = inner.state.lock().unwrap();
@@ -327,25 +316,18 @@ fn worker_loop(inner: &PoolInner) {
                     break job;
                 }
                 if state.stopping {
-                    if busy_total_ns > 0 {
-                        inner.trace.observe("worker_busy_ns", busy_total_ns as f64);
-                    }
                     return;
                 }
                 state = inner.ready.wait(state).unwrap();
             }
         };
-        inner
-            .trace
-            .observe("queue_wait_ns", job.enqueued.elapsed().as_nanos() as f64);
         let started = Instant::now();
-        let result = run_job(&inner.service, job.spec, &inner.trace);
+        let result = run_job(&inner.service, job.spec);
         if matches!(result, Err(JobError::Timeout { .. })) {
             inner.timeouts.fetch_add(1, Ordering::Relaxed);
         }
-        let elapsed = started.elapsed().as_nanos();
-        busy_total_ns += elapsed;
-        inner.busy_ns.fetch_add(elapsed as u64, Ordering::Relaxed);
+        let elapsed = started.elapsed().as_nanos() as u64;
+        inner.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
         inner.completed.fetch_add(1, Ordering::Relaxed);
         // the submitter may have dropped its ticket; that's its business
         let _ = job.tx.send(result);
@@ -357,14 +339,18 @@ fn worker_loop(inner: &PoolInner) {
     }
 }
 
-/// Pops one job from the front client and rotates that client to the
-/// back of the ring. Must run under the state lock.
+/// Pops one job from the front client, rotates that client to the back
+/// of the ring, and records the job's queue wait. Must run under the state
+/// lock.
 fn pop_round_robin(state: &mut PoolState) -> Option<QueuedJob> {
     let (client, mut jobs) = state.ring.pop_front()?;
     let job = jobs.pop_front().expect("ring never holds empty queues");
     if !jobs.is_empty() {
         state.ring.push_back((client, jobs));
     }
+    state
+        .queue_wait
+        .record(job.enqueued.elapsed().as_nanos() as f64);
     state.queued -= 1;
     state.in_flight += 1;
     Some(job)
@@ -372,13 +358,8 @@ fn pop_round_robin(state: &mut PoolState) -> Option<QueuedJob> {
 
 /// Runs one job with panic isolation, and — when the job carries a
 /// timeout budget — on a detached runner thread that the caller abandons
-/// on overrun, recording `svc_job_timeouts` on `trace`. Without a budget
-/// the job runs on the calling thread.
-pub(crate) fn run_job(
-    service: &CompileService,
-    spec: JobSpec,
-    trace: &Trace,
-) -> Result<JobOutput, JobError> {
+/// on overrun. Without a budget the job runs on the calling thread.
+pub(crate) fn run_job(service: &CompileService, spec: JobSpec) -> Result<JobOutput, JobError> {
     let timeout_ms = spec.options.exec.timeout_ms;
     let job = spec.name.clone();
     if timeout_ms == 0 {
@@ -392,10 +373,7 @@ pub(crate) fn run_job(
     });
     match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
         Ok(result) => result,
-        Err(_) => {
-            trace.count("svc_job_timeouts", 1);
-            Err(JobError::Timeout { job, timeout_ms })
-        }
+        Err(_) => Err(JobError::Timeout { job, timeout_ms }),
     }
 }
 
@@ -447,6 +425,14 @@ mod tests {
         m
     }
 
+    fn one_worker() -> CompileService {
+        CompileService::new(ServiceConfig {
+            workers: 1,
+            no_cache: true,
+            ..ServiceConfig::default()
+        })
+    }
+
     /// A job that blocks in its builder until `gate` yields a value, so
     /// tests can hold a worker busy deterministically.
     fn gated_job(name: &str, gate: Receiver<()>) -> JobSpec {
@@ -467,18 +453,8 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_backoff_instead_of_blocking() {
-        let service = CompileService::new(ServiceConfig {
-            no_cache: true,
-            ..ServiceConfig::default()
-        });
-        let pool = JobPool::start(
-            &service,
-            PoolConfig {
-                workers: 1,
-                queue_cap: 1,
-            },
-            &Trace::noop(),
-        );
+        let service = one_worker();
+        let pool = JobPool::start(&service, PoolConfig { queue_cap: 1 });
         let (open, gate) = mpsc::channel();
         let blocked = pool.submit(1, gated_job("blocked", gate)).unwrap();
         // wait until the worker holds it, so the queue slot is free
@@ -512,18 +488,8 @@ mod tests {
 
     #[test]
     fn round_robin_interleaves_clients_under_one_worker() {
-        let service = CompileService::new(ServiceConfig {
-            no_cache: true,
-            ..ServiceConfig::default()
-        });
-        let pool = JobPool::start(
-            &service,
-            PoolConfig {
-                workers: 1,
-                queue_cap: 0,
-            },
-            &Trace::noop(),
-        );
+        let service = one_worker();
+        let pool = JobPool::start(&service, PoolConfig::default());
         let order = Arc::new(Mutex::new(Vec::<String>::new()));
         let tracked = |name: &str| {
             let order = Arc::clone(&order);
@@ -556,19 +522,8 @@ mod tests {
 
     #[test]
     fn overrunning_job_times_out_without_occupying_the_worker() {
-        let service = CompileService::new(ServiceConfig {
-            no_cache: true,
-            ..ServiceConfig::default()
-        });
-        let trace = Trace::new();
-        let pool = JobPool::start(
-            &service,
-            PoolConfig {
-                workers: 1,
-                queue_cap: 0,
-            },
-            &trace,
-        );
+        let service = one_worker();
+        let pool = JobPool::start(&service, PoolConfig::default());
         // never opened: the job would hang forever without the timeout
         let (_open, gate) = mpsc::channel::<()>();
         let hung = pool
@@ -594,23 +549,12 @@ mod tests {
             .unwrap();
         assert!(ok.wait().is_ok());
         assert_eq!(pool.snapshot().timeouts, 1);
-        assert_eq!(trace.counter_total("svc_job_timeouts"), 1);
     }
 
     #[test]
     fn drain_completes_the_backlog_then_rejects() {
-        let service = CompileService::new(ServiceConfig {
-            no_cache: true,
-            ..ServiceConfig::default()
-        });
-        let pool = JobPool::start(
-            &service,
-            PoolConfig {
-                workers: 1,
-                queue_cap: 0,
-            },
-            &Trace::noop(),
-        );
+        let service = one_worker();
+        let pool = JobPool::start(&service, PoolConfig::default());
         let tickets: Vec<JobTicket> = (0..4)
             .map(|i| {
                 pool.submit(
@@ -624,6 +568,9 @@ mod tests {
         let snap = pool.snapshot();
         assert_eq!(snap.completed, 4);
         assert_eq!((snap.queue_depth, snap.in_flight), (0, 0));
+        // every dequeue recorded its wait
+        assert!(snap.queue_wait_max_ns > 0);
+        assert!(snap.queue_wait_p50_ns <= snap.queue_wait_max_ns);
         assert!(snap.draining);
         let err = pool
             .submit(

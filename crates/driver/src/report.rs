@@ -258,8 +258,10 @@ impl BatchReport {
     /// Folds the batch's trace into a perf-ledger entry: per-stage
     /// summaries and deterministic counters from the aggregated spans,
     /// plus driver service metrics (this batch's cache traffic, queue
-    /// wait, and worker utilization from the pool's `queue_wait_ns` /
-    /// `worker_busy_ns` histograms). `None` for untraced batches — the
+    /// wait, and worker utilization from the `queue_wait_ns` /
+    /// `worker_busy_ns` histograms its threads record on the batch trace,
+    /// and its timeouts counted from the results). `None` for untraced
+    /// batches — the
     /// ledger only records runs that were measured.
     pub fn ledger_entry(&self, label: &str, engine: &str, threads: u64) -> Option<LedgerEntry> {
         let trace = self.trace.as_ref()?;

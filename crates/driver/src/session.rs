@@ -40,9 +40,9 @@
 //! # }
 //! ```
 
-use crate::report::{CompileReport, JobMetrics, StageTimings};
+use crate::report::{CompileReport, StageTimings};
 use crate::{cache_key, CacheStatus, CompileOptions, JobError, JobOutput};
-use frodo_codegen::{emit_c_traced, generate_from_fragments, FragmentCache, GeneratorStyle};
+use frodo_codegen::{generate_from_fragments, FragmentCache, GeneratorStyle};
 use frodo_core::incremental::{analyze_incremental, RegionCache};
 use frodo_model::Model;
 use frodo_obs::Trace;
@@ -167,9 +167,11 @@ impl CompileSession {
     /// and options.
     ///
     /// Stage spans (`job:{name}` root, then parse-less flatten → hash →
-    /// dfg → iomap → ranges → classify → lower → emit) land on `trace`;
-    /// the `ranges` span carries `region_*` counters and the `lower` span
-    /// `fragment_*` counters.
+    /// dfg → iomap → ranges → classify → lower → verify → analyze → emit)
+    /// land on a trace of the job's own, which gives the report's
+    /// timings; the `ranges` span carries `region_*` counters and the
+    /// `lower` span `fragment_*` counters. When the job ends, ok or
+    /// failed, that trace is grafted into `trace`.
     ///
     /// # Errors
     ///
@@ -184,13 +186,20 @@ impl CompileSession {
         model: Model,
         trace: &Trace,
     ) -> Result<JobOutput, JobError> {
-        let trace = if trace.is_enabled() {
-            trace.clone()
-        } else {
-            Trace::new()
-        };
+        let own = Trace::new();
+        let result = self.compile_into(name, model, &own);
+        trace.graft(&own);
+        result
+    }
+
+    /// [`Self::compile`]'s pipeline, recording into the job's own `trace`.
+    fn compile_into(
+        &mut self,
+        name: &str,
+        model: Model,
+        trace: &Trace,
+    ) -> Result<JobOutput, JobError> {
         let job_span = trace.span(&format!("job:{name}"));
-        let job_id = job_span.id();
         let jt = job_span.trace();
 
         let flat = model.into_flattened(&jt).map_err(|e| JobError::Analysis {
@@ -226,22 +235,8 @@ impl CompileSession {
             &jt,
         );
 
-        if self.options.exec.verify {
-            let span = jt.span("verify");
-            let soundness = frodo_verify::check_compile(&inc.analysis, &program);
-            span.count("verify_stmts", soundness.stmts_checked as u64);
-            span.count("verify_buffers", soundness.buffers_checked as u64);
-            span.count("verify_outputs", soundness.outputs_checked as u64);
-            span.count("verify_diagnostics", soundness.diagnostics.len() as u64);
-            if !soundness.is_sound() {
-                return Err(JobError::Verify {
-                    job: name.to_string(),
-                    diagnostics: soundness.diagnostics,
-                });
-            }
-        }
-
-        let code = emit_c_traced(&program, self.options.keyed.emit, &jt);
+        let (code, metrics) =
+            crate::finish_compile(name, &inc.analysis, &program, &self.options, &jt)?;
 
         self.stats.compiles += 1;
         self.stats.last_region_total = inc.stats.regions;
@@ -251,9 +246,7 @@ impl CompileSession {
         self.stats.region_hits += inc.stats.hits;
         self.stats.region_misses += inc.stats.misses;
 
-        let metrics = JobMetrics::from_analysis(&inc.analysis);
         job_span.end();
-        let timings = StageTimings::for_span(&trace, job_id);
         Ok(JobOutput {
             report: CompileReport {
                 job: name.to_string(),
@@ -261,7 +254,7 @@ impl CompileSession {
                 digest,
                 cache: CacheStatus::Miss,
                 metrics,
-                timings,
+                timings: StageTimings::from_trace(trace),
                 code_bytes: code.len(),
             },
             code,
@@ -364,6 +357,17 @@ mod tests {
             .compile("chain", chain(2.0), &Trace::noop())
             .unwrap();
         assert!(!out.code.is_empty());
+    }
+
+    #[test]
+    fn analyze_on_session_runs_the_dataflow_stage() {
+        let mut session = CompileSession::builder(GeneratorStyle::Frodo)
+            .options(CompileOptions::builder().analyze(true).build())
+            .build();
+        let trace = Trace::new();
+        session.compile("chain", chain(2.0), &trace).unwrap();
+        assert!(trace.counter_total("analyze_stmts") > 0);
+        assert!(trace.snapshot().spans.iter().any(|s| s.name == "analyze"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Longitudinal aggregation: folds the many per-job span subtrees of one
-//! trace (a whole `frodo batch`, a bench sweep) into per-stage summary
-//! statistics and totalled counters — the shape the perf ledger persists
-//! and `obs diff` compares.
+//! Longitudinal aggregation: folds traces (a whole `frodo batch`, a bench
+//! sweep, or every job a daemon has run, one job at a time) into
+//! per-stage summary statistics and totalled counters — the shape the
+//! perf ledger persists and `obs diff` compares.
 
 use crate::hist::Histogram;
 use crate::stage::STAGE_NAMES;
@@ -77,38 +77,67 @@ impl TraceAgg {
     }
 }
 
-/// Folds a snapshot into its aggregate view: span durations bucketed per
-/// canonical stage name, counters totalled by name, jobs counted by their
-/// `job:` span prefix.
+/// A running aggregate over any number of trace snapshots: one log2
+/// [`Histogram`] of span durations per canonical stage, counter totals by
+/// name, and a job count. Its size is bounded by the number of distinct
+/// counter names, however many snapshots it folds, so a daemon can fold
+/// every job it runs into one. [`AggFold::finish`] gives the
+/// [`TraceAgg`] view.
+#[derive(Debug, Clone, Default)]
+pub struct AggFold {
+    stages: [Histogram; STAGE_NAMES.len()],
+    counters: Vec<(String, i64)>,
+    jobs: u64,
+}
+
+impl AggFold {
+    /// Folds one snapshot in: span durations bucketed per canonical stage
+    /// name, counters totalled by name, jobs counted by their `job:` span
+    /// prefix.
+    pub fn add(&mut self, snap: &TraceSnapshot) {
+        for s in &snap.spans {
+            if let Some(i) = STAGE_NAMES.iter().position(|&n| n == s.name) {
+                self.stages[i].record(s.dur_ns as f64);
+            } else if s.name.starts_with("job:") {
+                self.jobs += 1;
+            }
+        }
+        for c in &snap.counters {
+            self.count(&c.name, c.value);
+        }
+    }
+
+    /// Adds `value` to the named counter's total.
+    pub fn count(&mut self, name: &str, value: u64) {
+        match self
+            .counters
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+        {
+            Ok(i) => self.counters[i].1 += value as i64,
+            Err(i) => self.counters.insert(i, (name.to_string(), value as i64)),
+        }
+    }
+
+    /// The aggregate view of everything folded so far.
+    pub fn finish(&self) -> TraceAgg {
+        TraceAgg {
+            stages: STAGE_NAMES
+                .iter()
+                .zip(&self.stages)
+                .map(|(&name, h)| (name.to_string(), StageSummary::from_histogram(h)))
+                .collect(),
+            counters: self.counters.clone(),
+            jobs: self.jobs,
+        }
+    }
+}
+
+/// Folds one snapshot into its aggregate view (an [`AggFold`] over that
+/// snapshot alone).
 pub fn aggregate(snap: &TraceSnapshot) -> TraceAgg {
-    let mut hists: Vec<Histogram> = vec![Histogram::new(); STAGE_NAMES.len()];
-    let mut jobs = 0u64;
-    for s in &snap.spans {
-        if let Some(i) = STAGE_NAMES.iter().position(|&n| n == s.name) {
-            hists[i].record(s.dur_ns as f64);
-        } else if s.name.starts_with("job:") {
-            jobs += 1;
-        }
-    }
-    let stages = STAGE_NAMES
-        .iter()
-        .zip(&hists)
-        .map(|(&name, h)| (name.to_string(), StageSummary::from_histogram(h)))
-        .collect();
-
-    let mut counters: Vec<(String, i64)> = Vec::new();
-    for c in &snap.counters {
-        match counters.binary_search_by(|(n, _)| n.as_str().cmp(&c.name)) {
-            Ok(i) => counters[i].1 += c.value as i64,
-            Err(i) => counters.insert(i, (c.name.clone(), c.value as i64)),
-        }
-    }
-
-    TraceAgg {
-        stages,
-        counters,
-        jobs,
-    }
+    let mut fold = AggFold::default();
+    fold.add(snap);
+    fold.finish()
 }
 
 #[cfg(test)]
@@ -179,5 +208,33 @@ mod tests {
         assert!(r.p50_ns <= r.p95_ns);
         assert!(r.p95_ns <= r.max_ns);
         assert!(r.mean_ns * 3 <= r.sum_ns + 3);
+    }
+
+    #[test]
+    fn folding_two_snapshots_equals_aggregating_one_trace_of_both() {
+        let both = Trace::new();
+        let mut fold = AggFold::default();
+        for model in ["a", "b"] {
+            let job = Trace::new();
+            {
+                let root = job.span(&format!("job:{model}"));
+                let p = root.child("parse");
+                p.count("mdl_bytes", 100);
+                drop(p);
+                let _e = root.child("emit");
+                root.count(model, 1);
+            }
+            fold.add(&job.snapshot());
+            both.graft(&job);
+        }
+        assert_eq!(fold.finish(), aggregate(&both.snapshot()));
+        let agg = fold.finish();
+        assert_eq!(agg.jobs, 2);
+        assert_eq!(agg.counter("mdl_bytes"), 200);
+        assert_eq!(agg.stage("emit").unwrap().count, 2);
+        // a direct count lands among the folded totals, in name order
+        fold.count("jobs", 2);
+        let names: Vec<String> = fold.finish().counters.into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["a", "b", "jobs", "mdl_bytes"]);
     }
 }

@@ -9,7 +9,9 @@
 //!   eliminated, cache hits, bytes emitted, …), and log2-bucket
 //!   [`Histogram`]s. [`Trace::noop`] is the disabled recorder: no
 //!   allocation, no clock reads, no locks — instrumented code stays
-//!   paper-faithful when nobody is listening.
+//!   paper-faithful when nobody is listening. A job records into a trace
+//!   of its own; [`Trace::graft`] hands that trace whole to a sink that
+//!   many jobs share.
 //! - **[`StageTimings`]** — the single per-stage timing view of the
 //!   workspace, *derived* from a trace by summing span durations per
 //!   canonical stage name ([`STAGE_NAMES`]). Every crate that used to
@@ -21,9 +23,11 @@
 //!   collapsed stacks) for profile viewers, and [`ndjson`] with a
 //!   dependency-free validator/parser for the export format (used by the
 //!   golden schema test and the CI gate).
-//! - **Longitudinal view** — [`agg::aggregate`] folds a whole batch
-//!   trace into per-stage [`agg::StageSummary`]s (count/sum/mean/p50/
-//!   p95/max via [`Histogram::percentile`]) and totalled counters;
+//! - **Longitudinal view** — [`agg::AggFold`] folds any number of
+//!   traces (one batch, or every job a daemon runs) into per-stage
+//!   [`agg::StageSummary`]s (count/sum/mean/p50/p95/max via
+//!   [`Histogram::percentile`]) and totalled counters, in bounded space;
+//!   [`agg::aggregate`] is that fold over one trace;
 //!   [`ledger`] persists those as append-only NDJSON
 //!   [`ledger::LedgerEntry`] lines; [`diff::diff_entries`] compares two
 //!   runs — exact equality for deterministic counters, a tolerance band
@@ -69,7 +73,7 @@ pub mod rolling;
 mod stage;
 mod trace;
 
-pub use agg::{aggregate, StageSummary, TraceAgg};
+pub use agg::{aggregate, AggFold, StageSummary, TraceAgg};
 pub use diff::{diff_entries, Diff};
 pub use export::{chrome_trace, collapsed, json_escape, ndjson_export, render_tree};
 pub use hist::Histogram;

@@ -77,7 +77,9 @@ struct Inner {
 /// Hierarchy: [`Trace::span`] opens a span under the trace handle's
 /// ambient parent; [`Span::trace`] returns a handle scoped *inside* that
 /// span, so `&Trace` can be threaded through call trees and nested stages
-/// land under their caller's span.
+/// land under their caller's span. [`Trace::graft`] copies a finished
+/// trace in whole under the ambient parent, which is how one job's own
+/// trace reaches a sink shared by many jobs.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     inner: Option<Arc<Inner>>,
@@ -173,6 +175,56 @@ impl Trace {
         match &self.inner {
             None => 0,
             Some(inner) => inner.state.lock().unwrap().spans.len(),
+        }
+    }
+
+    /// Copies a finished job trace into this one, under this handle's
+    /// ambient parent, as if the job had recorded here.
+    ///
+    /// The job's span ids move up by one range, reserved in a single
+    /// step, so they stay unique here and a job grafted into a fresh trace
+    /// keeps the ids, parents and order it had. Root spans, and counters
+    /// recorded outside any span, take the ambient parent; start offsets
+    /// move onto this trace's timeline; histograms merge by name.
+    /// Grafting into (or from) a no-op trace does nothing.
+    pub fn graft(&self, job: &Trace) {
+        let (Some(inner), Some(src)) = (&self.inner, &job.inner) else {
+            return;
+        };
+        let snap = job.snapshot();
+        let ids = src.next_id.load(Ordering::Relaxed) - 1;
+        let base = inner.next_id.fetch_add(ids, Ordering::Relaxed) - 1;
+        let remap = |id: SpanId| {
+            if id == NO_PARENT {
+                self.parent
+            } else {
+                id + base
+            }
+        };
+        let (later, earlier) = match src.origin.checked_duration_since(inner.origin) {
+            Some(d) => (d.as_nanos() as u64, 0),
+            None => (0, inner.origin.duration_since(src.origin).as_nanos() as u64),
+        };
+        let mut state = inner.state.lock().unwrap();
+        state
+            .spans
+            .extend(snap.spans.into_iter().map(|s| SpanRecord {
+                id: s.id + base,
+                parent: remap(s.parent),
+                start_ns: (s.start_ns + later).saturating_sub(earlier),
+                ..s
+            }));
+        state
+            .counters
+            .extend(snap.counters.into_iter().map(|c| CounterRecord {
+                span: remap(c.span),
+                ..c
+            }));
+        for (name, h) in snap.histograms {
+            match state.histograms.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, mine)) => mine.merge(&h),
+                None => state.histograms.push((name, h)),
+            }
         }
     }
 
@@ -359,6 +411,121 @@ mod tests {
         assert_eq!(name, "job_ns");
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 400.0);
+    }
+
+    /// A finished job trace: `job:{name}` with a `parse` child that
+    /// counts, a root counter, and one histogram observation.
+    fn job_trace(name: &str) -> Trace {
+        let job = Trace::new();
+        {
+            let root = job.span(&format!("job:{name}"));
+            let parse = root.child("parse");
+            parse.count("bytes", 10);
+            root.count("stmts", 3);
+        }
+        job.count("loose", 1);
+        job.observe("job_ns", 100.0);
+        job
+    }
+
+    #[test]
+    fn a_job_grafted_into_a_fresh_trace_keeps_its_records() {
+        let job = job_trace("a");
+        let sink = Trace::new();
+        sink.graft(&job);
+        let (got, want) = (sink.snapshot(), job.snapshot());
+        let shape = |s: &TraceSnapshot| -> Vec<(SpanId, SpanId, String)> {
+            s.spans
+                .iter()
+                .map(|r| (r.id, r.parent, r.name.clone()))
+                .collect()
+        };
+        assert_eq!(shape(&got), shape(&want));
+        assert_eq!(got.counters, want.counters);
+        assert_eq!(got.histograms, want.histograms);
+        // the next span opened on the sink follows the grafted range
+        assert_eq!(sink.span("next").id(), 3);
+    }
+
+    #[test]
+    fn grafted_ids_stay_unique_and_parents_are_remapped() {
+        let sink = Trace::new();
+        let batch = sink.span("batch");
+        let batch_id = batch.id();
+        let bt = batch.trace();
+        bt.graft(&job_trace("a"));
+        bt.graft(&job_trace("b"));
+        drop(batch);
+        let snap = sink.snapshot();
+        let mut ids: Vec<SpanId> = snap.spans.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 2, 3, 4, 5]);
+        for job in ["job:a", "job:b"] {
+            let root = snap.spans.iter().find(|s| s.name == job).unwrap();
+            assert_eq!(root.parent, batch_id, "{job}");
+            let parse = snap
+                .spans
+                .iter()
+                .find(|s| s.name == "parse" && s.parent == root.id)
+                .expect("parse stays under its job");
+            // counters keep their spans; root counters take the ambient
+            // parent
+            let on = |span: SpanId| -> Vec<&str> {
+                snap.counters
+                    .iter()
+                    .filter(|c| c.span == span)
+                    .map(|c| c.name.as_str())
+                    .collect()
+            };
+            assert_eq!(on(parse.id), ["bytes"]);
+            assert_eq!(on(root.id), ["stmts"]);
+        }
+        let loose: Vec<&CounterRecord> =
+            snap.counters.iter().filter(|c| c.name == "loose").collect();
+        assert_eq!(loose.len(), 2);
+        assert!(loose.iter().all(|c| c.span == batch_id));
+        // histograms merge by name
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histograms[0].1.count(), 2);
+        assert_eq!(snap.histograms[0].1.sum(), 200.0);
+    }
+
+    #[test]
+    fn grafted_start_offsets_land_on_the_sink_timeline() {
+        let early = job_trace("early");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let sink = Trace::new();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let late = Trace::new();
+        drop(late.span("job:late"));
+        sink.graft(&early);
+        sink.graft(&late);
+        let start = |t: &Trace, name: &str| {
+            t.snapshot()
+                .spans
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap()
+                .start_ns
+        };
+        // the late job's span opened at least 5 ms after the sink began
+        assert!(start(&sink, "job:late") >= start(&late, "job:late") + 5_000_000);
+        // the early job's spans predate the sink and clamp to its origin
+        assert_eq!(start(&sink, "job:early"), 0);
+        let order: Vec<String> = sink.snapshot().spans.into_iter().map(|s| s.name).collect();
+        assert_eq!(order, ["job:early", "parse", "job:late"]);
+    }
+
+    #[test]
+    fn grafting_into_or_from_a_noop_trace_does_nothing() {
+        let noop = Trace::noop();
+        noop.graft(&job_trace("a"));
+        assert_eq!(noop.span_count(), 0);
+        let sink = Trace::new();
+        sink.graft(&Trace::noop());
+        let snap = sink.snapshot();
+        assert!(snap.spans.is_empty() && snap.counters.is_empty());
+        assert_eq!(sink.span("first").id(), 1);
     }
 
     #[test]

@@ -48,5 +48,5 @@ pub mod server;
 
 pub use client::{Client, Endpoint};
 pub use proto::{Request, RequestOptions, PROTO_VERSION};
-pub use resolve::{job_spec_for, output_files, resolve_model};
+pub use resolve::{job_name, job_spec_for, output_files, resolve_model};
 pub use server::{Server, ServerConfig};

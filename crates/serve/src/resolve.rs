@@ -5,7 +5,8 @@
 //! benchmark (`frodo list`), or a synthetic-model spec
 //! `random:<seed>:<size>[:edit:<k>]`. Files are read through
 //! [`frodo_driver::load_model`], the reader the worker's `parse` stage
-//! uses. [`output_files`] names the C files a batch writes under `-o`.
+//! uses. [`job_name`] names the job a reference compiles as, on every
+//! path, and [`output_files`] the C files a batch writes under `-o`.
 
 use frodo_codegen::GeneratorStyle;
 use frodo_driver::JobSpec;
@@ -42,27 +43,42 @@ pub fn resolve_model(model_ref: &str) -> Result<Model, String> {
     }
 }
 
-/// Resolves a model reference to a compile job. A path becomes a
-/// [`JobSpec::from_path`] job, so the file is parsed in the job's `parse`
-/// stage; only its existence is checked here. A bundled benchmark gives a
-/// job named after the benchmark, a `random:` spec one named after the
-/// spec.
+/// The name a reference's job compiles, reports and writes its C under,
+/// for `frodo batch`, `frodo batch --incremental` and every daemon verb:
+/// a path's file stem, a bundled benchmark's canonical name (`kalman`
+/// gives `Kalman`), or else the reference itself (a `random:` spec).
+pub fn job_name(model_ref: &str) -> String {
+    if let Some(path) = model_path(model_ref) {
+        if let Some(stem) = path.file_stem() {
+            return stem.to_string_lossy().into_owned();
+        }
+    }
+    frodo_benchmodels::table1()
+        .iter()
+        .find(|row| row.name.eq_ignore_ascii_case(model_ref))
+        .map_or_else(|| model_ref.to_string(), |row| row.name.to_string())
+}
+
+/// Resolves a model reference to a compile job named by [`job_name`]. A
+/// path becomes a [`JobSpec::from_path`] job, so the file is parsed in
+/// the job's `parse` stage; only its existence is checked here.
 ///
 /// # Errors
 ///
 /// A path to no file, or a reference of no known form.
 pub fn job_spec_for(model_ref: &str, style: GeneratorStyle) -> Result<JobSpec, String> {
+    let name = job_name(model_ref);
     if let Some(path) = model_path(model_ref) {
         if !path.exists() {
             return Err(format!("{model_ref}: no such file"));
         }
-        return Ok(JobSpec::from_path(path, style));
-    }
-    if let Some(bench) = frodo_benchmodels::by_name(model_ref) {
-        return Ok(JobSpec::from_model(bench.name, bench.model, style));
+        return Ok(JobSpec {
+            name,
+            ..JobSpec::from_path(path, style)
+        });
     }
     match frodo_benchmodels::by_spec(model_ref) {
-        Some(model) => Ok(JobSpec::from_model(model_ref, model, style)),
+        Some(model) => Ok(JobSpec::from_model(name, model, style)),
         None => Err(unknown(model_ref)),
     }
 }
@@ -109,6 +125,10 @@ mod tests {
 
     #[test]
     fn every_reference_form_resolves_and_names_its_job() {
+        assert_eq!(job_name("kalman"), "Kalman");
+        assert_eq!(job_name("/tmp/x/K.mdl"), "K");
+        assert_eq!(job_name("a/HT.slx"), "HT");
+        assert_eq!(job_name("random:42:2000:edit:1"), "random:42:2000:edit:1");
         assert_eq!(resolve_model("kalman").unwrap().name(), "Kalman");
         assert!(resolve_model("random:3:40").is_ok());
         assert_eq!(

@@ -7,9 +7,11 @@
 //! the same connection (a line that is not UTF-8 gets an `error` and the
 //! next line is read). All compile work funnels through one [`JobPool`]
 //! over one [`CompileService`], so every connection shares the artifact
-//! cache, the admission queue, and the fairness ring. Jobs record into one
-//! server-wide [`Trace`] — the `status` endpoint and the final ledger
-//! entry are projections of it.
+//! cache, the admission queue, and the fairness ring. The daemon keeps no
+//! trace: each job gets a fresh [`Trace`], which its handler folds into
+//! one bounded [`AggFold`] when the job ends and then drops. The final
+//! ledger entry reads that aggregate and the pool; `status` reads the
+//! pool and the cache.
 //!
 //! Shutdown (the `shutdown` request) drains the pool — in-flight and
 //! queued jobs complete, new submissions are rejected with `draining` —
@@ -19,14 +21,14 @@
 
 use crate::client::{Endpoint, Stream};
 use crate::proto::{self, Request, RequestOptions};
-use crate::resolve::{job_spec_for, resolve_model};
+use crate::resolve::{job_name, job_spec_for, resolve_model};
 use frodo_codegen::GeneratorStyle;
 use frodo_driver::{
     CompileService, CompileSession, JobPool, JobTicket, PoolConfig, ServiceConfig, SessionStats,
     SubmitError,
 };
 use frodo_obs::{
-    aggregate, append_entry, ndjson, Histogram, LedgerEntry, RollingWindow, ServiceMetrics, Trace,
+    append_entry, ndjson, AggFold, Histogram, LedgerEntry, RollingWindow, ServiceMetrics, Trace,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -89,10 +91,11 @@ struct VerbStats {
 struct Shared {
     service: CompileService,
     pool: JobPool,
-    trace: Trace,
+    /// Every finished job's trace, folded in bounded space: per-stage
+    /// histograms, counter totals and the job count.
+    agg: Mutex<AggFold>,
     endpoint: Endpoint,
     started: Instant,
-    workers: usize,
     jobs_ok: AtomicU64,
     jobs_failed: AtomicU64,
     conn_seq: AtomicU64,
@@ -153,45 +156,7 @@ impl Server {
                 Listener::Tcp(TcpListener::bind(addr).map_err(|e| format!("{addr}: {e}"))?)
             }
         };
-        let service = CompileService::new(ServiceConfig {
-            workers: config.workers,
-            cache_dir: config.cache_dir.clone(),
-            cache_cap_bytes: config.cache_cap_bytes,
-            no_cache: false,
-        });
-        let trace = Trace::new();
-        let pool = JobPool::start(
-            &service,
-            PoolConfig {
-                workers: config.workers,
-                queue_cap: config.queue_cap,
-            },
-            &trace,
-        );
-        let workers = pool.workers();
-        let shared = Arc::new(Shared {
-            service,
-            pool,
-            trace,
-            endpoint: config.endpoint,
-            started: Instant::now(),
-            workers,
-            jobs_ok: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            conn_seq: AtomicU64::new(0),
-            request_seq: AtomicU64::new(0),
-            verbs: Mutex::new(
-                (0..VERBS.len())
-                    .map(|_| VerbStats {
-                        window: RollingWindow::new(METRICS_WINDOW_SECS),
-                        lifetime: Histogram::new(),
-                    })
-                    .collect(),
-            ),
-            stopping: AtomicBool::new(false),
-            ledger_out: config.ledger_out,
-            sessions: Mutex::new(HashMap::new()),
-        });
+        let shared = Arc::new(Shared::new(config));
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&shared, listener))
@@ -211,6 +176,47 @@ impl Server {
     pub fn wait(mut self) {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
+        }
+    }
+}
+
+impl Shared {
+    /// The daemon's state before any connection: the service, whose
+    /// worker count the pool runs with, and empty tallies.
+    fn new(config: ServerConfig) -> Shared {
+        let service = CompileService::new(ServiceConfig {
+            workers: config.workers,
+            cache_dir: config.cache_dir,
+            cache_cap_bytes: config.cache_cap_bytes,
+            no_cache: false,
+        });
+        let pool = JobPool::start(
+            &service,
+            PoolConfig {
+                queue_cap: config.queue_cap,
+            },
+        );
+        Shared {
+            service,
+            pool,
+            agg: Mutex::new(AggFold::default()),
+            endpoint: config.endpoint,
+            started: Instant::now(),
+            jobs_ok: AtomicU64::new(0),
+            jobs_failed: AtomicU64::new(0),
+            conn_seq: AtomicU64::new(0),
+            request_seq: AtomicU64::new(0),
+            verbs: Mutex::new(
+                (0..VERBS.len())
+                    .map(|_| VerbStats {
+                        window: RollingWindow::new(METRICS_WINDOW_SECS),
+                        lifetime: Histogram::new(),
+                    })
+                    .collect(),
+            ),
+            stopping: AtomicBool::new(false),
+            ledger_out: config.ledger_out,
+            sessions: Mutex::new(HashMap::new()),
         }
     }
 }
@@ -276,26 +282,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
             continue;
         }
         let mut stop_after = false;
-        // correlation id: the client's `request_id` when the line carries
-        // one, a server-assigned sequence number otherwise; every line
-        // this request produces gets the same stamp
-        let request_id = ndjson::parse_line(line)
-            .ok()
-            .and_then(|fields| ndjson::get_num(&fields, "request_id"))
-            .map_or_else(
-                || shared.request_seq.fetch_add(1, Ordering::Relaxed),
-                |n| n as u64,
-            );
-        let started = Instant::now();
-        let parsed = proto::parse_request(line);
-        let verb_idx = parsed.as_ref().ok().map(verb_index);
-        let responses = match parsed {
-            Ok(request) => handle_request(shared, request, conn_client, &mut stop_after),
-            Err(message) => vec![proto::render_error(&message)],
-        };
-        if let Some(idx) = verb_idx {
-            record_request(shared, idx, started.elapsed().as_nanos() as f64);
-        }
+        let (request_id, responses) = answer(shared, line, conn_client, &mut stop_after);
         if write_responses(&mut writer, &responses, request_id).is_err() {
             return;
         }
@@ -304,6 +291,37 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
             return;
         }
     }
+}
+
+/// Answers one request line: its correlation id and response lines. The
+/// id is the client's `request_id` when the line carries one, a
+/// server-assigned sequence number otherwise; every line the request
+/// produces gets the same stamp. The request's wall time lands in its
+/// verb's latency recorders.
+fn answer(
+    shared: &Arc<Shared>,
+    line: &str,
+    conn_client: u64,
+    stop_after: &mut bool,
+) -> (u64, Vec<String>) {
+    let request_id = ndjson::parse_line(line)
+        .ok()
+        .and_then(|fields| ndjson::get_num(&fields, "request_id"))
+        .map_or_else(
+            || shared.request_seq.fetch_add(1, Ordering::Relaxed),
+            |n| n as u64,
+        );
+    let started = Instant::now();
+    let parsed = proto::parse_request(line);
+    let verb_idx = parsed.as_ref().ok().map(verb_index);
+    let responses = match parsed {
+        Ok(request) => handle_request(shared, request, conn_client, stop_after),
+        Err(message) => vec![proto::render_error(&message)],
+    };
+    if let Some(idx) = verb_idx {
+        record_request(shared, idx, started.elapsed().as_nanos() as f64);
+    }
+    (request_id, responses)
 }
 
 /// Writes one request's response lines, each stamped with its
@@ -371,14 +389,15 @@ fn handle_request(
             options,
             client,
         } => {
+            let trace = Trace::new();
             let spec = match job_spec_for(&model, style) {
                 Ok(spec) => spec
                     .with_options(options.compile_options())
-                    .with_trace(&shared.trace),
+                    .with_trace(&trace),
                 Err(message) => return vec![proto::render_error(&message)],
             };
             match shared.pool.submit(client.unwrap_or(conn_client), spec) {
-                Ok(ticket) => vec![finish_job(shared, ticket, options.trace).0],
+                Ok(ticket) => vec![finish_job(shared, ticket, &trace, options.trace).0],
                 Err(e) => vec![render_submit_error(&e)],
             }
         }
@@ -476,19 +495,16 @@ fn handle_batch(
     for model in models {
         for &style in styles {
             match job_spec_for(model, style) {
-                Ok(spec) => specs.push(
-                    spec.with_options(options.compile_options())
-                        .with_trace(&shared.trace),
-                ),
+                Ok(spec) => specs.push(spec.with_options(options.compile_options())),
                 Err(message) => return vec![proto::render_error(&message)],
             }
         }
     }
     // mirror the one-shot batch path, which counts its jobs on the batch
     // span — keeps serve ledger entries diffable against `frodo batch`
-    shared.trace.count("jobs", specs.len() as u64);
+    shared.agg.lock().unwrap().count("jobs", specs.len() as u64);
     let total = specs.len();
-    let mut tickets: Vec<JobTicket> = Vec::new();
+    let mut tickets: Vec<(JobTicket, Trace)> = Vec::new();
     let mut rejected = 0usize;
     let mut draining = false;
     for spec in specs {
@@ -496,8 +512,9 @@ fn handle_batch(
             rejected += 1;
             continue;
         }
-        match shared.pool.submit(client, spec) {
-            Ok(ticket) => tickets.push(ticket),
+        let trace = Trace::new();
+        match shared.pool.submit(client, spec.with_trace(&trace)) {
+            Ok(ticket) => tickets.push((ticket, trace)),
             Err(SubmitError::Full { .. }) => rejected += 1,
             Err(SubmitError::Draining) => {
                 rejected += 1;
@@ -507,8 +524,8 @@ fn handle_batch(
     }
     let mut lines = Vec::new();
     let (mut ok, mut failed) = (0, 0);
-    for ticket in tickets {
-        let (line, succeeded) = finish_job(shared, ticket, options.trace);
+    for (ticket, trace) in tickets {
+        let (line, succeeded) = finish_job(shared, ticket, &trace, options.trace);
         if succeeded {
             ok += 1;
         } else {
@@ -562,7 +579,10 @@ fn handle_recompile(
             style.label()
         ));
     }
-    match sess.compile(model_ref, model, &shared.trace) {
+    let trace = Trace::new();
+    let result = sess.compile(&job_name(model_ref), model, &trace);
+    shared.agg.lock().unwrap().add(&trace.snapshot());
+    match result {
         Ok(out) => {
             shared.jobs_ok.fetch_add(1, Ordering::Relaxed);
             proto::render_recompile_result(&out, &sess.stats(), options.trace)
@@ -574,10 +594,18 @@ fn handle_recompile(
     }
 }
 
-/// Waits a ticket out and renders the result, keeping the server-wide
-/// ok/failed tallies. The flag is whether the job succeeded.
-fn finish_job(shared: &Shared, ticket: JobTicket, with_stages: bool) -> (String, bool) {
-    match ticket.wait() {
+/// Waits a ticket out, folds the job's `trace` into the aggregate, and
+/// renders the result, keeping the server-wide ok/failed tallies. The
+/// flag is whether the job succeeded.
+fn finish_job(
+    shared: &Shared,
+    ticket: JobTicket,
+    trace: &Trace,
+    with_stages: bool,
+) -> (String, bool) {
+    let result = ticket.wait();
+    shared.agg.lock().unwrap().add(&trace.snapshot());
+    match result {
         Ok(out) => {
             shared.jobs_ok.fetch_add(1, Ordering::Relaxed);
             (proto::render_result(&out, with_stages), true)
@@ -599,34 +627,18 @@ fn render_submit_error(e: &SubmitError) -> String {
     }
 }
 
-/// Folds the server-wide trace into one ledger entry, mirroring the
-/// one-shot batch path: per-stage aggregates and counters from the trace,
-/// service metrics from the pool and cache. Returns the path written to.
+/// Writes one ledger entry, mirroring the one-shot batch path: per-stage
+/// aggregates and counters from the folded jobs, service metrics from the
+/// pool and cache. Returns the path written to.
 fn flush_ledger(shared: &Shared) -> Option<String> {
     let path = shared.ledger_out.as_ref()?;
-    let snap = shared.trace.snapshot();
-    let agg = aggregate(&snap);
+    let agg = shared.agg.lock().unwrap().finish();
     let wall_ns = shared.started.elapsed().as_nanos() as u64;
-    let mut entry = LedgerEntry::from_agg(
-        &agg,
-        "serve",
-        "recursive",
-        1,
-        shared.workers as u64,
-        wall_ns,
-    );
     let pool = shared.pool.snapshot();
+    let mut entry =
+        LedgerEntry::from_agg(&agg, "serve", "recursive", 1, pool.workers as u64, wall_ns);
     let cache = shared.service.cache_stats();
-    let hist = |name: &str| {
-        snap.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    };
-    let (queue_p50, queue_max) = hist("queue_wait_ns")
-        .map(|h| (h.percentile(50.0) as u64, h.max() as u64))
-        .unwrap_or((0, 0));
-    let capacity_ns = wall_ns.saturating_mul(shared.workers as u64);
+    let capacity_ns = wall_ns.saturating_mul(pool.workers as u64);
     // request-level rollup across every verb, over the daemon's lifetime
     // (the shutdown request itself is still in flight and not counted)
     let all_requests = {
@@ -640,8 +652,8 @@ fn flush_ledger(shared: &Shared) -> Option<String> {
     entry.svc = Some(ServiceMetrics {
         cache_hits: cache.hits as u64,
         cache_misses: cache.misses as u64,
-        queue_wait_p50_ns: queue_p50,
-        queue_wait_max_ns: queue_max,
+        queue_wait_p50_ns: pool.queue_wait_p50_ns,
+        queue_wait_max_ns: pool.queue_wait_max_ns,
         worker_busy_ns: pool.busy_ns,
         utilization_pct: if capacity_ns == 0 {
             0.0
@@ -657,5 +669,79 @@ fn flush_ledger(shared: &Shared) -> Option<String> {
     match append_entry(path, &entry) {
         Ok(()) => Some(path.display().to_string()),
         Err(_) => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One pass of a repeating request mix: cache-hit compiles (the first
+    /// one misses), a batch, a recompile through one session, a status.
+    const MIX: [&str; 10] = [
+        r#"{"type":"compile","model":"kalman"}"#,
+        r#"{"type":"compile","model":"kalman"}"#,
+        r#"{"type":"compile","model":"kalman"}"#,
+        r#"{"type":"compile","model":"kalman"}"#,
+        r#"{"type":"compile","model":"kalman"}"#,
+        r#"{"type":"compile","model":"kalman"}"#,
+        r#"{"type":"batch","models":["HT"]}"#,
+        r#"{"type":"recompile","session":"edit","model":"random:3:40"}"#,
+        r#"{"type":"compile","model":"kalman","trace":1}"#,
+        r#"{"type":"status"}"#,
+    ];
+
+    /// Jobs one pass of [`MIX`] runs.
+    const MIX_JOBS: u64 = 9;
+
+    #[test]
+    fn a_repeating_mix_leaves_the_aggregate_the_same_size() {
+        // answered without a listener: the endpoint is never bound
+        let shared = Arc::new(Shared::new(ServerConfig {
+            endpoint: Endpoint::Unix(std::env::temp_dir().join("frodo-never-bound.sock")),
+            workers: 1,
+            queue_cap: 0,
+            cache_dir: None,
+            cache_cap_bytes: 0,
+            ledger_out: None,
+        }));
+        let pass = || {
+            for line in MIX {
+                let mut stop_after = false;
+                let (_, responses) = answer(&shared, line, 1, &mut stop_after);
+                assert!(!stop_after);
+                for response in responses {
+                    assert!(
+                        !response.contains("\"type\":\"error\"") && !response.contains("\"ok\":0"),
+                        "{line}: {response}"
+                    );
+                }
+            }
+        };
+        // what the daemon keeps: the folded aggregate's stage and counter
+        // entries, its sessions and its per-verb recorders
+        let kept = || {
+            let agg = shared.agg.lock().unwrap().finish();
+            (
+                agg.stages.len(),
+                agg.counters.len(),
+                shared.sessions.lock().unwrap().len(),
+                shared.verbs.lock().unwrap().len(),
+            )
+        };
+        pass();
+        let after_first = kept();
+        let passes = 200;
+        for _ in 1..passes {
+            pass();
+        }
+        assert_eq!(kept(), after_first);
+        // ... while every job of every pass was folded in
+        let agg = shared.agg.lock().unwrap().finish();
+        assert_eq!(agg.jobs, passes * MIX_JOBS);
+        assert_eq!(agg.stage("cache").unwrap().count, passes * 8);
+        assert_eq!(agg.counter("cache_hits"), passes as i64 * 8 - 2);
+        assert_eq!(agg.counter("jobs"), passes as i64);
+        assert_eq!(shared.pool.snapshot().completed, passes * 8);
     }
 }

@@ -41,7 +41,7 @@
 use frodo::prelude::*;
 use frodo::serve::cli::{flag_value, ledger_path, no_positionals, parse_num, positionals};
 use frodo::serve::proto::{parse_style, parse_styles};
-use frodo::serve::{job_spec_for, output_files, resolve_model};
+use frodo::serve::{job_name, job_spec_for, output_files, resolve_model};
 use frodo::sim::{native, workload};
 use frodo::slx::{write_mdl, write_slx};
 use std::path::Path;
@@ -685,9 +685,10 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 /// `batch --incremental`: jobs run sequentially through one
 /// [`frodo::driver::CompileSession`] per style, so a resubmitted model
 /// reuses the per-region analysis and lowering of every region whose
-/// inputs are unchanged. With `--ledger` each job appends its own entry
-/// (labelled by its model reference), which is how the CI gate reads the
-/// region hit rate of a cold-then-edited pair.
+/// inputs are unchanged. Jobs are named by [`job_name`], as in `frodo
+/// batch`. With `--ledger` each job appends its own entry (labelled by
+/// its job name), which is how the CI gate reads the region hit rate of a
+/// cold-then-edited pair.
 fn cmd_batch_incremental(
     args: &[String],
     model_refs: &[&str],
@@ -711,12 +712,14 @@ fn cmd_batch_incremental(
         })
         .collect();
 
-    // jobs are named after their model references
+    // jobs are named as `frodo batch` names them
+    let names: Vec<String> = model_refs.iter().map(|r| job_name(r)).collect();
     let files = match out_dir {
         Some(dir) => {
             let jobs = model_refs
                 .iter()
-                .flat_map(|r| styles.iter().map(move |&style| (*r, *r, style)));
+                .zip(&names)
+                .flat_map(|(r, name)| styles.iter().map(move |&style| (*r, name.as_str(), style)));
             let files = output_files(dir, jobs)?;
             std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
             files
@@ -728,7 +731,7 @@ fn cmd_batch_incremental(
     let mut last_trace = None;
     let mut ledger_entries = 0usize;
     let mut wrote = 0usize;
-    for model_ref in model_refs {
+    for (model_ref, name) in model_refs.iter().zip(&names) {
         for session in sessions.iter_mut() {
             let model = resolve_model(model_ref)?;
             let trace = if want_tree || trace_out.is_some() || ledger.is_some() {
@@ -736,7 +739,7 @@ fn cmd_batch_incremental(
             } else {
                 Trace::noop()
             };
-            let out = session.compile(model_ref, model, &trace).map_err(|e| {
+            let out = session.compile(name, model, &trace).map_err(|e| {
                 for line in frodo::verify::render_human(e.diagnostics()).lines() {
                     eprintln!("{line}");
                 }

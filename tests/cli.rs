@@ -803,27 +803,26 @@ fn batch_output_files_are_named_one_way_and_never_shared() {
         b.to_str().unwrap(),
         out_dir.to_str().unwrap(),
     );
-    // a batch names a path job by its file stem, an incremental batch
-    // each job by its reference: either way, two jobs for one file fail
-    // the batch before anything is written
-    for (refs, extra) in [
-        ([a, b], &[][..]),
-        (["random:3:40", "random:3:40"], &["--incremental"]),
-    ] {
-        let run = frodo()
-            .arg("batch")
-            .args(refs)
-            .args(["-o", out])
-            .args(extra)
-            .output()
-            .expect("runs");
-        assert_eq!(run.status.code(), Some(1), "{refs:?}");
-        let stderr = String::from_utf8_lossy(&run.stderr);
-        assert!(
-            stderr.contains(&format!("{} and {}", refs[0], refs[1])),
-            "{refs:?}: {stderr}"
-        );
-        assert!(!out_dir.exists(), "{refs:?} wrote {out}");
+    // both verbs name a path job by its file stem, so the two HT.slx
+    // files are two jobs for one file, as is a spec given twice: either
+    // fails the batch before anything is written
+    for extra in [&[][..], &["--incremental"]] {
+        for refs in [[a, b], ["random:3:40", "random:3:40"]] {
+            let run = frodo()
+                .arg("batch")
+                .args(refs)
+                .args(["-o", out])
+                .args(extra)
+                .output()
+                .expect("runs");
+            assert_eq!(run.status.code(), Some(1), "{refs:?} {extra:?}");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert!(
+                stderr.contains(&format!("{} and {}", refs[0], refs[1])),
+                "{refs:?} {extra:?}: {stderr}"
+            );
+            assert!(!out_dir.exists(), "{refs:?} {extra:?} wrote {out}");
+        }
     }
 
     // a spec's `:` becomes `_` in every writer's file name
@@ -842,5 +841,61 @@ fn batch_output_files_are_named_one_way_and_never_shared() {
         assert!(file.exists(), "{extra:?}");
         std::fs::remove_file(file).unwrap();
     }
+
+    // a bundled name gives its canonical name, a path its file stem, and
+    // both verbs write the same files
+    let mdl = root.join("x/K.mdl");
+    std::fs::create_dir_all(mdl.parent().unwrap()).unwrap();
+    let kalman = frodo::benchmodels::by_name("Kalman").unwrap().model;
+    std::fs::write(&mdl, frodo::slx::write_mdl(&kalman)).unwrap();
+    let mut written = Vec::new();
+    for extra in [&[][..], &["--incremental"]] {
+        let run = frodo()
+            .args(["batch", "kalman", mdl.to_str().unwrap(), "-o", out])
+            .args(extra)
+            .output()
+            .expect("runs");
+        assert!(
+            run.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let mut files: Vec<(String, String)> = std::fs::read_dir(&out_dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read_to_string(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        written.push(files);
+        std::fs::remove_dir_all(&out_dir).unwrap();
+    }
+    let names: Vec<&str> = written[0].iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["K_frodo.c", "Kalman_frodo.c"]);
+    assert_eq!(written[0], written[1]);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn incremental_batch_runs_the_analyze_stage() {
+    let out = frodo()
+        .args([
+            "batch",
+            "--incremental",
+            "--analyze",
+            "--trace",
+            "random:3:40",
+        ])
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("analyze "), "{text}");
+    assert!(text.contains("analyze_stmts="), "{text}");
 }
