@@ -303,7 +303,7 @@ rm -rf "$prof_dir"
 calib_ledger="$(mktemp)"
 ./target/release/frodo calibrate --check CALIBRATION_BANDS.ndjson \
     --ledger-out "$calib_ledger" >/dev/null
-grep -q '"label":"calibrate"' "$calib_ledger"
+grep -q '"label":"calibrate:vm"' "$calib_ledger"
 grep -q 'calib_fir_ratio_p50_x1000' "$calib_ledger"
 rm -f "$calib_ledger"
 

@@ -87,7 +87,7 @@ fn main() {
 
     if let Some(path) = ledger_path {
         let entry = batch
-            .ledger_entry("bench:table2", "auto", 0)
+            .ledger_entry("bench:table2")
             .expect("table2 batch always runs traced");
         frodo_obs::append_entry(std::path::Path::new(&path), &entry)
             .expect("append --ledger entry");

@@ -50,7 +50,8 @@ impl KindCalibration {
 /// One calibration run: every statement kind the suite exercises.
 #[derive(Debug, Clone)]
 pub struct CalibrationReport {
-    /// Where the measurements came from: `"vm"` or `"native"`.
+    /// Where the measurements came from: `"vm"`, `"native"` or
+    /// `"native-sanitized"`.
     pub source: &'static str,
     /// Per-kind summaries, sorted by kind label.
     pub kinds: Vec<KindCalibration>,
@@ -93,8 +94,9 @@ impl CalibrationReport {
         out
     }
 
-    /// Folds the report into a perf-ledger entry (label `calibrate`,
-    /// engine = the measurement source) carrying one
+    /// Folds the report into a perf-ledger entry (label
+    /// `calibrate:<source>`: `calibrate:vm`, `calibrate:native` or
+    /// `calibrate:native-sanitized`) carrying one
     /// `calib_<kind>_ratio_{p50,p95}_x1000` counter pair plus a
     /// `calib_<kind>_samples` counter per kind — flat, diffable, and
     /// round-trippable like every other ledger line.
@@ -109,7 +111,7 @@ impl CalibrationReport {
             }
         }
         let agg = frodo_obs::aggregate(&trace.snapshot());
-        LedgerEntry::from_agg(&agg, "calibrate", self.source, 0, 0, wall_ns)
+        LedgerEntry::from_agg(&agg, &format!("calibrate:{}", self.source), 0, wall_ns)
     }
 }
 
@@ -370,8 +372,7 @@ mod tests {
     fn ledger_entry_round_trips_with_calib_counters() {
         let report = calibrate_vm(1);
         let entry = report.ledger_entry(123_456);
-        assert_eq!(entry.label, "calibrate");
-        assert_eq!(entry.engine, "vm");
+        assert_eq!(entry.label, "calibrate:vm");
         let back = LedgerEntry::from_line(&entry.to_line()).expect("parses");
         for k in &report.kinds {
             assert_eq!(

@@ -126,36 +126,50 @@ pub struct BenchModel {
     pub model: Model,
 }
 
-/// The full suite, in Table-1 order.
-pub fn all() -> Vec<BenchModel> {
-    let rows = table1();
-    let models = [
-        audio_process(),
-        decryption(),
-        high_pass(),
-        hermitian_transpose(),
-        kalman(),
-        back(),
-        maintenance(),
-        manufacture(),
-        running_diff(),
-        simpson(),
+/// Each Table-1 row with the builder of its model, in Table-1 order.
+fn rows_with_builders() -> impl Iterator<Item = (Table1Row, fn() -> Model)> {
+    let builders: [fn() -> Model; 10] = [
+        audio_process,
+        decryption,
+        high_pass,
+        hermitian_transpose,
+        kalman,
+        back,
+        maintenance,
+        manufacture,
+        running_diff,
+        simpson,
     ];
-    rows.iter()
-        .zip(models)
-        .map(|(row, model)| BenchModel {
-            name: row.name,
-            functionality: row.functionality,
-            model,
-        })
-        .collect()
+    table1().into_iter().zip(builders)
 }
 
-/// Looks up one benchmark by (case-insensitive) name.
+#[cfg(test)]
+thread_local! {
+    /// Models [`build`] made on this thread, so a test can count them.
+    static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn build((row, model): (Table1Row, fn() -> Model)) -> BenchModel {
+    #[cfg(test)]
+    BUILT.with(|n| n.set(n.get() + 1));
+    BenchModel {
+        name: row.name,
+        functionality: row.functionality,
+        model: model(),
+    }
+}
+
+/// The full suite, in Table-1 order.
+pub fn all() -> Vec<BenchModel> {
+    rows_with_builders().map(build).collect()
+}
+
+/// Looks up one benchmark by (case-insensitive) name, building only its
+/// model.
 pub fn by_name(name: &str) -> Option<BenchModel> {
-    all()
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(name))
+    rows_with_builders()
+        .find(|(row, _)| row.name.eq_ignore_ascii_case(name))
+        .map(build)
 }
 
 /// Resolves a model *spec*: either a Table-1 benchmark name (via
@@ -237,6 +251,26 @@ mod tests {
         assert!(by_name("kalman").is_some());
         assert!(by_name("KALMAN").is_some());
         assert!(by_name("nope").is_none());
+    }
+
+    #[test]
+    fn by_name_builds_only_the_matching_all_entry() {
+        let built = || BUILT.with(std::cell::Cell::get);
+        for bench in all() {
+            let name = bench.name;
+            for query in [
+                name.to_string(),
+                name.to_ascii_lowercase(),
+                name.to_ascii_uppercase(),
+            ] {
+                let before = built();
+                let found = by_name(&query).unwrap_or_else(|| panic!("{query} not found"));
+                assert_eq!(built() - before, 1, "{query}: built more than one model");
+                assert_eq!(found.name, name);
+                assert_eq!(found.functionality, bench.functionality);
+                assert_eq!(found.model, bench.model, "{query}");
+            }
+        }
     }
 
     #[test]

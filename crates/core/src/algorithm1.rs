@@ -20,12 +20,20 @@
 //!   feeding only terminators dissolve), and stateful blocks (`UnitDelay`)
 //!   need their whole input regardless of consumption, which also breaks
 //!   feedback cycles.
+//!
+//! All three engines — the recursion ([`determine_ranges`]), the reference
+//! sweep ([`reference_ranges`]) and the region-incremental walk
+//! ([`crate::incremental`]) — compute each port through one function,
+//! `port_range`: a plain union of [`frodo_ranges::PortMap::apply`] results
+//! in the allocating [`IndexSet`] algebra. Nothing is memoized below the
+//! per-port ranges themselves: on the Table-1 suite, re-applying a mapping
+//! measured cheaper than looking it up (README, *Performance*).
 
 use crate::IoMappings;
 use frodo_graph::Dfg;
 use frodo_model::{BlockId, BlockKind, InPort, OutPort};
-use frodo_ranges::{IndexSet, Interval, PortMap, Scratch};
-use std::collections::{BTreeMap, HashMap};
+use frodo_ranges::IndexSet;
+use std::collections::BTreeMap;
 
 /// Tuning knobs for range determination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,92 +42,6 @@ pub struct RangeOptions {
     /// (dead-code elimination) instead of the paper's conservative full
     /// range. Off by default for paper fidelity.
     pub eliminate_dead_ends: bool,
-}
-
-/// Hot-path instrumentation from one range-determination run.
-///
-/// Exposed so the pipeline can attach the numbers to the `ranges` trace
-/// span and the benchmarks can report cache effectiveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RangeStats {
-    /// I/O-mapping apply-cache hits (identical `(mapping, request)` replayed).
-    pub iomap_cache_hits: u64,
-    /// I/O-mapping apply-cache misses (result computed and memoized).
-    pub iomap_cache_misses: u64,
-    /// In-place set operations that stayed in the inline one-interval
-    /// representation (no heap touched).
-    pub set_ops_inline: u64,
-    /// In-place set operations that spilled to the heap scratch buffer.
-    pub set_ops_spilled: u64,
-}
-
-/// Content-addressed memo of [`PortMap::apply`] results.
-///
-/// Data-intensive models repeat the same block parameters and shapes many
-/// times, and fan-in unions re-request identical ranges, so the non-trivial
-/// mappings profit from applying once and replaying. The O(1) mappings
-/// (`Elementwise`, `All`, `None`, `Dynamic`) bypass the cache: hashing the
-/// request would cost more than the apply itself.
-#[derive(Debug, Default)]
-struct ApplyCache {
-    map: HashMap<PortMap, HashMap<IndexSet, IndexSet>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ApplyCache {
-    fn cacheable(map: &PortMap) -> bool {
-        !matches!(
-            map,
-            PortMap::Elementwise | PortMap::All { .. } | PortMap::None | PortMap::Dynamic { .. }
-        )
-    }
-
-    /// [`PortMap::apply_into`] through the memo.
-    fn apply_into(
-        &mut self,
-        map: &PortMap,
-        request: &IndexSet,
-        out: &mut IndexSet,
-        scratch: &mut Scratch,
-    ) {
-        if !Self::cacheable(map) {
-            map.apply_into(request, out, scratch);
-            return;
-        }
-        if let Some(hit) = self.map.get(map).and_then(|c| c.get(request)) {
-            self.hits += 1;
-            out.clone_from(hit);
-            return;
-        }
-        self.misses += 1;
-        map.apply_into(request, out, scratch);
-        self.map
-            .entry(map.clone())
-            .or_default()
-            .insert(request.clone(), out.clone());
-    }
-}
-
-/// Reusable per-engine buffers: one warmed-up workspace makes Algorithm 1's
-/// inner loop allocation-free in steady state.
-#[derive(Debug, Default)]
-pub(crate) struct EngineCtx {
-    scratch: Scratch,
-    need: IndexSet,
-    mapped: IndexSet,
-    cache: ApplyCache,
-}
-
-impl EngineCtx {
-    pub(crate) fn stats(&self) -> RangeStats {
-        RangeStats {
-            iomap_cache_hits: self.cache.hits,
-            iomap_cache_misses: self.cache.misses,
-            set_ops_inline: self.scratch.stats.inline,
-            set_ops_spilled: self.scratch.stats.spilled,
-        }
-    }
 }
 
 /// The calculation range of every output port in a graph.
@@ -165,47 +87,41 @@ impl Ranges {
     }
 }
 
-/// Computes into `ctx.need` the elements a consumer block needs from one of
-/// its input ports, given a lookup of the consumer's own output ranges.
+/// The elements a consumer block needs from one of its input ports, given
+/// a lookup of the consumer's own output ranges: the union, over the
+/// consumer's outputs, of each output's I/O mapping applied to its range.
 ///
 /// `ranges_of` may return `None` for a range that is not final yet; that
 /// only happens inside delay cycles (whose input requirement is constant
 /// anyway), and the full output range is conservatively assumed.
-pub(crate) fn input_need_into<'r>(
+pub(crate) fn input_need<'r>(
     dfg: &Dfg,
     maps: &IoMappings,
     ranges_of: &mut dyn FnMut(OutPort) -> Option<&'r IndexSet>,
     port: InPort,
-    ctx: &mut EngineCtx,
-) {
+) -> IndexSet {
     let block = port.block;
     let kind = &dfg.model().block(block).kind;
-    let in_len = dfg.shapes().input(block, port.port).numel();
+    let full_input = || IndexSet::full(dfg.shapes().input(block, port.port).numel());
     match kind {
         // Model outputs must be produced in full.
-        BlockKind::Outport { .. } => ctx.need.set_single(Interval::new(0, in_len)),
+        BlockKind::Outport { .. } => full_input(),
         // Discarded data is never needed.
-        BlockKind::Terminator => ctx.need.clear(),
+        BlockKind::Terminator => IndexSet::new(),
         // State must be maintained every step, independent of consumption.
-        k if k.is_stateful() => ctx.need.set_single(Interval::new(0, in_len)),
+        k if k.is_stateful() => full_input(),
         _ => {
-            ctx.need.clear();
+            let mut need = IndexSet::new();
             for o in 0..kind.num_outputs() {
                 let p = OutPort::new(block, o);
-                let full;
-                let out_range = match ranges_of(p) {
-                    Some(r) => r,
-                    None => {
-                        // single-interval sets are inline: no allocation
-                        full = full_range_of(dfg, p);
-                        &full
-                    }
-                };
                 let m = maps.map(block, o, port.port);
-                ctx.cache
-                    .apply_into(m, out_range, &mut ctx.mapped, &mut ctx.scratch);
-                ctx.need.union_with(&ctx.mapped, &mut ctx.scratch);
+                let mapped = match ranges_of(p) {
+                    Some(r) => m.apply(r),
+                    None => m.apply(&full_range_of(dfg, p)),
+                };
+                need = need.union(&mapped);
             }
+            need
         }
     }
 }
@@ -224,7 +140,6 @@ pub(crate) fn port_range<'r>(
     opts: RangeOptions,
     port: OutPort,
     ranges_of: &mut dyn FnMut(OutPort) -> Option<&'r IndexSet>,
-    ctx: &mut EngineCtx,
 ) -> IndexSet {
     let consumers = dfg.consumers_of(port);
     if consumers.is_empty() {
@@ -236,17 +151,10 @@ pub(crate) fn port_range<'r>(
     } else {
         let mut r = IndexSet::new();
         for &c in consumers {
-            input_need_into(dfg, maps, ranges_of, c, ctx);
-            r.union_with(&ctx.need, &mut ctx.scratch);
+            r = r.union(&input_need(dfg, maps, ranges_of, c));
         }
         r
     }
-}
-
-/// Computes the calculation range of every output port (semantics in the
-/// module docs).
-pub fn determine_ranges(dfg: &Dfg, maps: &IoMappings, opts: RangeOptions) -> Ranges {
-    determine_ranges_with_stats(dfg, maps, opts).0
 }
 
 /// The no-elimination baseline: every output port keeps its full range.
@@ -264,9 +172,8 @@ pub fn full_ranges(dfg: &Dfg) -> Ranges {
     Ranges { map }
 }
 
-/// [`determine_ranges`] plus the run's hot-path instrumentation
-/// ([`RangeStats`]): apply-cache effectiveness and inline-vs-spilled set
-/// operations.
+/// Computes the calculation range of every output port (semantics in the
+/// module docs).
 ///
 /// The paper's depth-first traversal from the root blocks:
 /// `rangeDetermine` (Algorithm 1 lines 1–13) walks the roots; `recursive`
@@ -274,13 +181,8 @@ pub fn full_ranges(dfg: &Dfg) -> Ranges {
 /// memoize per output port so diamonds are computed once, and run the
 /// depth-first walk on an explicit work stack so arbitrarily deep models
 /// (thousands of chained blocks) cannot overflow the call stack.
-pub fn determine_ranges_with_stats(
-    dfg: &Dfg,
-    maps: &IoMappings,
-    opts: RangeOptions,
-) -> (Ranges, RangeStats) {
+pub fn determine_ranges(dfg: &Dfg, maps: &IoMappings, opts: RangeOptions) -> Ranges {
     let mut memo: BTreeMap<OutPort, IndexSet> = BTreeMap::new();
-    let mut ctx = EngineCtx::default();
 
     /// The output ports whose ranges a `Finish` of `port` will read:
     /// every output of every consumer whose input requirement actually
@@ -351,20 +253,14 @@ pub fn determine_ranges_with_stats(
                     }
                     continue;
                 }
-                let range = port_range(
-                    dfg,
-                    maps,
-                    opts,
-                    port,
-                    &mut |p| Some(memo.get(&p).expect("child ranges are final before Finish")),
-                    &mut ctx,
-                );
+                let range = port_range(dfg, maps, opts, port, &mut |p| {
+                    Some(memo.get(&p).expect("child ranges are final before Finish"))
+                });
                 memo.insert(port, range);
             }
         }
     }
-    let stats = ctx.stats();
-    (Ranges { map: memo }, stats)
+    Ranges { map: memo }
 }
 
 /// The reference engine: one sweep over the reverse topological order.
@@ -378,14 +274,13 @@ pub fn determine_ranges_with_stats(
 pub fn reference_ranges(dfg: &Dfg, maps: &IoMappings, opts: RangeOptions) -> Ranges {
     let order = dfg.schedule().expect("a valid Dfg always has a schedule");
     let mut map: BTreeMap<OutPort, IndexSet> = BTreeMap::new();
-    let mut ctx = EngineCtx::default();
     for &id in order.iter().rev() {
         let n_out = dfg.model().block(id).kind.num_outputs();
         for o in 0..n_out {
             let port = OutPort::new(id, o);
             // A consumer not yet final (`None`) can only be a delay cycle,
             // whose input need ignores the looked-up value.
-            let range = port_range(dfg, maps, opts, port, &mut |p| map.get(&p), &mut ctx);
+            let range = port_range(dfg, maps, opts, port, &mut |p| map.get(&p));
             map.insert(port, range);
         }
     }
@@ -709,41 +604,6 @@ mod tests {
                 "eliminate_dead_ends={eliminate_dead_ends}"
             );
         }
-    }
-
-    #[test]
-    fn apply_cache_replays_identical_requests() {
-        // three identical selectors fanned out from one gain: the first
-        // consumer's (map, request) pair is computed, the rest replay it
-        let mut m = Model::new("cache");
-        let i = m.add(Block::new(
-            "in",
-            BlockKind::Inport {
-                index: 0,
-                shape: Shape::Vector(100),
-            },
-        ));
-        let g = m.add(Block::new("g", BlockKind::Gain { gain: 2.0 }));
-        m.connect(i, 0, g, 0).unwrap();
-        for k in 0..3 {
-            let s = m.add(Block::new(
-                format!("s{k}"),
-                BlockKind::Selector {
-                    mode: SelectorMode::StartEnd { start: 10, end: 30 },
-                },
-            ));
-            let o = m.add(Block::new(format!("o{k}"), BlockKind::Outport { index: k }));
-            m.connect(g, 0, s, 0).unwrap();
-            m.connect(s, 0, o, 0).unwrap();
-        }
-        let dfg = Dfg::new(m, &frodo_obs::Trace::noop()).unwrap();
-        let maps = IoMappings::derive(&dfg);
-        let (_, stats) = determine_ranges_with_stats(&dfg, &maps, RangeOptions::default());
-        assert!(
-            stats.iomap_cache_hits >= 2,
-            "identical selector requests should hit: {stats:?}"
-        );
-        assert!(stats.iomap_cache_misses >= 1);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!
 //! [`port_range`]: crate::algorithm1
 
-use crate::algorithm1::{full_range_of, port_range, EngineCtx};
+use crate::algorithm1::{full_range_of, port_range};
 use crate::{Analysis, IoMappings, OptimizationReport, RangeOptions, Ranges};
 use frodo_graph::{partition_regions, Dfg, RegionPartition};
 use frodo_model::{BlockId, BlockKind, InPort, Model, ModelError, OutPort};
@@ -310,7 +310,6 @@ pub fn analyze_incremental(
     }
 
     let mut map: BTreeMap<OutPort, IndexSet> = BTreeMap::new();
-    let mut ctx = EngineCtx::default();
     let mut stats = IncrementalStats {
         regions: partition.len() as u64,
         ..IncrementalStats::default()
@@ -347,25 +346,13 @@ pub fn analyze_incremental(
                 // the partition order finalizes them first — so this is
                 // the same conservative fallback the engines use inside
                 // delay cycles
-                let r = port_range(
-                    &dfg,
-                    &mappings,
-                    options,
-                    port,
-                    &mut |p| map.get(&p),
-                    &mut ctx,
-                );
+                let r = port_range(&dfg, &mappings, options, port, &mut |p| map.get(&p));
                 map.insert(port, r.clone());
                 computed.push((port, r));
             }
         }
         cache.map.insert(key, computed);
     }
-    let engine_stats = ctx.stats();
-    span.count("iomap_cache_hits", engine_stats.iomap_cache_hits);
-    span.count("iomap_cache_misses", engine_stats.iomap_cache_misses);
-    span.count("set_ops_inline", engine_stats.set_ops_inline);
-    span.count("set_ops_spilled", engine_stats.set_ops_spilled);
     span.count("region_total", stats.regions);
     span.count("region_hits", stats.hits);
     span.count("region_misses", stats.misses);

@@ -59,10 +59,7 @@ pub mod incremental;
 mod iomap;
 mod pipeline;
 
-pub use algorithm1::{
-    determine_ranges, determine_ranges_with_stats, full_ranges, reference_ranges, RangeOptions,
-    RangeStats, Ranges,
-};
+pub use algorithm1::{determine_ranges, full_ranges, reference_ranges, RangeOptions, Ranges};
 pub use classify::{BlockStat, OptimizationReport};
 pub use iomap::IoMappings;
 pub use pipeline::Analysis;

@@ -1,6 +1,6 @@
 //! The end-to-end analysis pipeline: model → graph → mappings → ranges.
 
-use crate::{determine_ranges_with_stats, IoMappings, OptimizationReport, RangeOptions, Ranges};
+use crate::{determine_ranges, IoMappings, OptimizationReport, RangeOptions, Ranges};
 use frodo_graph::Dfg;
 use frodo_model::{BlockId, Model, ModelError, OutPort};
 use frodo_obs::Trace;
@@ -87,13 +87,8 @@ impl Analysis {
             IoMappings::derive(&dfg)
         };
         let ranges = {
-            let span = trace.span("ranges");
-            let (ranges, stats) = determine_ranges_with_stats(&dfg, &mappings, options);
-            span.count("iomap_cache_hits", stats.iomap_cache_hits);
-            span.count("iomap_cache_misses", stats.iomap_cache_misses);
-            span.count("set_ops_inline", stats.set_ops_inline);
-            span.count("set_ops_spilled", stats.set_ops_spilled);
-            ranges
+            let _span = trace.span("ranges");
+            determine_ranges(&dfg, &mappings, options)
         };
         let report = {
             let span = trace.span("classify");
@@ -219,10 +214,6 @@ mod tests {
         }
         assert_eq!(trace.counter_total("blocks_analyzed"), 5);
         assert_eq!(trace.counter_total("blocks_optimizable"), 1);
-        // hot-path instrumentation: every run applies at least one mapping
-        // and performs at least one set operation, all inline on this model
-        assert!(trace.counter_total("iomap_cache_misses") > 0);
-        assert!(trace.counter_total("set_ops_inline") > 0);
         assert_eq!(
             trace.counter_total("elements_eliminated") as usize,
             a.report().total_eliminated()

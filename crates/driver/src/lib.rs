@@ -1204,7 +1204,7 @@ mod tests {
             }
         );
         // counted once, from the results
-        let entry = report.ledger_entry("t", "recursive", 1).unwrap();
+        let entry = report.ledger_entry("t").unwrap();
         assert_eq!(entry.counter("svc_job_timeouts"), 0);
         assert_eq!(entry.svc.unwrap().job_timeouts, 1);
     }

@@ -263,13 +263,12 @@ impl BatchReport {
     /// and its timeouts counted from the results). `None` for untraced
     /// batches — the
     /// ledger only records runs that were measured.
-    pub fn ledger_entry(&self, label: &str, engine: &str, threads: u64) -> Option<LedgerEntry> {
+    pub fn ledger_entry(&self, label: &str) -> Option<LedgerEntry> {
         let trace = self.trace.as_ref()?;
         let snap = trace.snapshot();
         let agg = frodo_obs::aggregate(&snap);
         let wall_ns = self.wall.as_nanos() as u64;
-        let mut entry =
-            LedgerEntry::from_agg(&agg, label, engine, threads, self.workers as u64, wall_ns);
+        let mut entry = LedgerEntry::from_agg(&agg, label, self.workers as u64, wall_ns);
         let hist = |name: &str| {
             snap.histograms
                 .iter()

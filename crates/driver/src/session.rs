@@ -149,6 +149,11 @@ impl CompileSession {
         &self.options
     }
 
+    /// The region-size bound this session partitions with.
+    pub fn region_max(&self) -> usize {
+        self.region_max
+    }
+
     /// Cache effectiveness so far.
     pub fn stats(&self) -> SessionStats {
         self.stats

@@ -54,8 +54,8 @@ pub struct TraceAgg {
     /// schema stays stable across engines and model mixes.
     pub stages: Vec<(String, StageSummary)>,
     /// Counter totals summed across all spans, sorted by name. These are
-    /// the deterministic signals (`elements_eliminated`, `set_ops_*`,
-    /// `stmts`, `bytes_emitted`, …) that `obs diff` compares exactly.
+    /// the deterministic signals (`elements_eliminated`, `stmts`,
+    /// `bytes_emitted`, `region_hits`, …) that `obs diff` compares exactly.
     pub counters: Vec<(String, i64)>,
     /// Number of per-model jobs in the trace (spans named `job:*`).
     pub jobs: u64,

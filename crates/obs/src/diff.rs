@@ -17,9 +17,8 @@ pub struct Diff {
     /// Wall-time regressions past the tolerance band:
     /// `(what, old_ns, new_ns, pct_over)`.
     pub regressions: Vec<(String, u64, u64, f64)>,
-    /// Informational differences that do not fail the gate (engine or
-    /// thread-count changes, counters present on one side only by
-    /// design).
+    /// Informational differences that do not fail the gate (a changed
+    /// worker count).
     pub notes: Vec<String>,
 }
 
@@ -61,22 +60,12 @@ impl Diff {
 /// exactly; a counter present on one side only is a drift too (the set
 /// of counters a deterministic pipeline emits is itself deterministic).
 /// When `fail_over_pct > 0`, per-stage wall sums and the total wall time
-/// in `new` may exceed `old` by at most that percentage. Engine or
-/// configuration differences are reported as notes, not failures — the
-/// caller chose to compare those runs.
+/// in `new` may exceed `old` by at most that percentage. A worker-count
+/// difference is reported as a note, not a failure — the caller chose to
+/// compare those runs.
 pub fn diff_entries(old: &LedgerEntry, new: &LedgerEntry, fail_over_pct: f64) -> Diff {
     let mut d = Diff::default();
 
-    if old.engine != new.engine {
-        d.notes
-            .push(format!("engine changed: {} -> {}", old.engine, new.engine));
-    }
-    if old.threads != new.threads {
-        d.notes.push(format!(
-            "threads changed: {} -> {}",
-            old.threads, new.threads
-        ));
-    }
     if old.workers != new.workers {
         d.notes.push(format!(
             "workers changed: {} -> {}",
@@ -156,7 +145,7 @@ mod tests {
             }
         }
         let agg = aggregate(&t.snapshot());
-        let mut entry = LedgerEntry::from_agg(&agg, "m", "dense", 1, 1, wall_ns);
+        let mut entry = LedgerEntry::from_agg(&agg, "m", 1, wall_ns);
         // pin the measured stage times so the band assertions are exact
         for (_, s) in &mut entry.stages {
             *s = crate::agg::StageSummary::default();
@@ -218,12 +207,11 @@ mod tests {
     fn config_changes_are_notes_not_failures() {
         let a = entry_with(&[("stmts", 1)], 1000);
         let mut b = entry_with(&[("stmts", 1)], 1000);
-        b.engine = "parallel".to_string();
-        b.threads = 4;
+        b.workers = 4;
         let d = diff_entries(&a, &b, 0.0);
         assert!(d.ok());
-        assert_eq!(d.notes.len(), 2);
-        assert!(d.render().contains("engine changed: dense -> parallel"));
+        assert_eq!(d.notes.len(), 1);
+        assert!(d.render().contains("workers changed: 1 -> 4"));
     }
 
     #[test]

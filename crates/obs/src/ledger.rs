@@ -1,6 +1,6 @@
 //! The append-only perf ledger: one flat NDJSON line per run, recording
-//! git revision, engine, thread/worker counts, per-stage summaries,
-//! deterministic counters, and optional service-level metrics. The flat
+//! git revision, worker count, per-stage summaries, deterministic
+//! counters, and optional service-level metrics. The flat
 //! key scheme (`stage_<name>_<stat>`, `counter_<name>`, `svc_*`) keeps
 //! entries round-trippable through the same zero-dependency parser that
 //! validates trace exports ([`crate::ndjson::parse_line`]).
@@ -13,8 +13,9 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-/// Current ledger line schema version.
-pub const LEDGER_SCHEMA: u64 = 1;
+/// Current ledger line schema version. Schema 2 dropped the always-equal
+/// `engine` and `threads` fields, and its `svc_*` block is always whole.
+pub const LEDGER_SCHEMA: u64 = 2;
 
 /// Service-level metrics from the batch driver: artifact-cache traffic,
 /// queue wait, and worker utilization.
@@ -70,13 +71,9 @@ pub struct LedgerEntry {
     pub ts_unix: u64,
     /// Short git revision of the working tree (or `unknown`).
     pub git_rev: String,
-    /// What ran: a model name, `batch:<n>`, `serve`, or `calibrate`.
+    /// What ran: a model name, `batch:<n>`, `serve`, or
+    /// `calibrate:<source>`.
     pub label: String,
-    /// Range-analysis engine (`recursive` for compiles; calibration
-    /// entries record their measurement source here).
-    pub engine: String,
-    /// Intra-model threads per compile (`1`; `0` for calibration).
-    pub threads: u64,
     /// Batch worker threads.
     pub workers: u64,
     /// Jobs (models) compiled in the run.
@@ -95,20 +92,11 @@ pub struct LedgerEntry {
 impl LedgerEntry {
     /// Builds an entry from an aggregated trace plus run identity. The
     /// timestamp is sampled now; the git revision via [`git_rev`].
-    pub fn from_agg(
-        agg: &TraceAgg,
-        label: &str,
-        engine: &str,
-        threads: u64,
-        workers: u64,
-        wall_ns: u64,
-    ) -> LedgerEntry {
+    pub fn from_agg(agg: &TraceAgg, label: &str, workers: u64, wall_ns: u64) -> LedgerEntry {
         LedgerEntry {
             ts_unix: unix_now(),
             git_rev: git_rev(),
             label: label.to_string(),
-            engine: engine.to_string(),
-            threads,
             workers,
             jobs: agg.jobs,
             wall_ns,
@@ -152,13 +140,10 @@ impl LedgerEntry {
         let _ = write!(
             out,
             "{{\"type\":\"ledger\",\"schema\":{LEDGER_SCHEMA},\"ts_unix\":{},\"git_rev\":\"{}\",\
-             \"label\":\"{}\",\"engine\":\"{}\",\"threads\":{},\"workers\":{},\"jobs\":{},\
-             \"wall_ns\":{}",
+             \"label\":\"{}\",\"workers\":{},\"jobs\":{},\"wall_ns\":{}",
             self.ts_unix,
             json_escape(&self.git_rev),
             json_escape(&self.label),
-            json_escape(&self.engine),
-            self.threads,
             self.workers,
             self.jobs,
             self.wall_ns
@@ -262,14 +247,12 @@ impl LedgerEntry {
                 worker_busy_ns: num("svc_worker_busy_ns")?,
                 utilization_pct: get("svc_utilization_pct")
                     .and_then(|v| v.as_num())
-                    .unwrap_or(0.0),
-                // introduced after schema-1 entries existed; absent in
-                // old ledgers, so they read back as zero
-                cache_evictions: num("svc_cache_evictions").unwrap_or(0),
-                job_timeouts: num("svc_job_timeouts").unwrap_or(0),
-                requests_total: num("svc_requests_total").unwrap_or(0),
-                request_p50_ns: num("svc_request_p50_ns").unwrap_or(0),
-                request_max_ns: num("svc_request_max_ns").unwrap_or(0),
+                    .ok_or("ledger line missing numeric field \"svc_utilization_pct\"")?,
+                cache_evictions: num("svc_cache_evictions")?,
+                job_timeouts: num("svc_job_timeouts")?,
+                requests_total: num("svc_requests_total")?,
+                request_p50_ns: num("svc_request_p50_ns")?,
+                request_max_ns: num("svc_request_max_ns")?,
             })
         } else {
             None
@@ -278,8 +261,6 @@ impl LedgerEntry {
             ts_unix: num("ts_unix")?,
             git_rev: text("git_rev")?,
             label: text("label")?,
-            engine: text("engine")?,
-            threads: num("threads")?,
             workers: num("workers")?,
             jobs: num("jobs")?,
             wall_ns: num("wall_ns")?,
@@ -370,7 +351,7 @@ mod tests {
             }
         }
         let agg = aggregate(&t.snapshot());
-        let mut entry = LedgerEntry::from_agg(&agg, "batch:1", "parallel", 2, 4, 123_456_789);
+        let mut entry = LedgerEntry::from_agg(&agg, "batch:1", 4, 123_456_789);
         entry.svc = Some(ServiceMetrics {
             cache_hits: 3,
             cache_misses: 1,
@@ -391,13 +372,11 @@ mod tests {
     fn ledger_line_roundtrips() {
         let entry = sample_entry();
         let line = entry.to_line();
-        assert!(line.starts_with("{\"type\":\"ledger\",\"schema\":1,"));
+        assert!(line.starts_with("{\"type\":\"ledger\",\"schema\":2,"));
         assert!(!line.contains('\n'));
         let back = LedgerEntry::from_line(&line).expect("parses");
         // utilization survives only to 2 decimals; compare the rest exactly
         assert_eq!(back.label, entry.label);
-        assert_eq!(back.engine, entry.engine);
-        assert_eq!(back.threads, entry.threads);
         assert_eq!(back.workers, entry.workers);
         assert_eq!(back.jobs, 1);
         assert_eq!(back.wall_ns, entry.wall_ns);
@@ -415,27 +394,6 @@ mod tests {
         assert_eq!(svc.requests_total, 17);
         assert_eq!(svc.request_p50_ns, 2_000);
         assert_eq!(svc.request_max_ns, 9_000);
-    }
-
-    #[test]
-    fn pre_eviction_ledger_lines_read_back_with_zeroes() {
-        // entries written before the eviction/timeout fields (and the
-        // later daemon request rollups) existed lack those svc keys;
-        // they must still parse
-        let line = sample_entry().to_line();
-        let old = line
-            .replace(",\"svc_cache_evictions\":2", "")
-            .replace(",\"svc_job_timeouts\":1", "")
-            .replace(",\"svc_requests_total\":17", "")
-            .replace(",\"svc_request_p50_ns\":2000", "")
-            .replace(",\"svc_request_max_ns\":9000", "");
-        let back = LedgerEntry::from_line(&old).expect("parses");
-        let svc = back.svc.expect("svc metrics");
-        assert_eq!(svc.cache_evictions, 0);
-        assert_eq!(svc.job_timeouts, 0);
-        assert_eq!(svc.requests_total, 0);
-        assert_eq!(svc.request_p50_ns, 0);
-        assert_eq!(svc.request_max_ns, 0);
     }
 
     #[test]
@@ -465,11 +423,19 @@ mod tests {
     fn from_line_rejects_foreign_and_stale_lines() {
         assert!(LedgerEntry::from_line("{\"type\":\"span\",\"id\":1}").is_err());
         assert!(LedgerEntry::from_line("not json").is_err());
-        let stale = sample_entry()
-            .to_line()
-            .replacen("\"schema\":1", "\"schema\":99", 1);
-        let err = LedgerEntry::from_line(&stale).unwrap_err();
-        assert!(err.contains("schema 99"), "{err}");
+        let line = sample_entry().to_line();
+        for (from, to) in [
+            ("\"schema\":2", "\"schema\":99"),
+            ("\"schema\":2", "\"schema\":1"),
+        ] {
+            let stale = line.replacen(from, to, 1);
+            let err = LedgerEntry::from_line(&stale).unwrap_err();
+            assert!(err.contains(&to.replace("\"schema\":", "schema ")), "{err}");
+        }
+        // a schema-2 line carries the whole svc block; a gap is an error
+        let partial = line.replace(",\"svc_job_timeouts\":1", "");
+        let err = LedgerEntry::from_line(&partial).unwrap_err();
+        assert!(err.contains("svc_job_timeouts"), "{err}");
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //!
 //! - [`Interval`] — a half-open index range `[start, end)`.
 //! - [`IndexSet`] — a canonical union of disjoint intervals over flattened
-//!   (row-major) element indices, with the usual set algebra.
+//!   (row-major) element indices, with the usual set algebra. Every
+//!   operation returns a fresh set; a set of at most one interval is
+//!   stored inline, so the common single-run range never allocates.
 //! - [`Shape`] — scalar / vector / matrix tensor shapes.
 //! - [`PortMap`] — the *I/O mapping* of one (output-request → input-requirement)
-//!   edge of a block, as recorded in the block property library.
+//!   edge of a block, as recorded in the block property library;
+//!   [`PortMap::apply`] is the one way to apply it.
 //!
 //! # Example
 //!
@@ -35,7 +38,7 @@ mod interval;
 mod mapping;
 mod shape;
 
-pub use indexset::{IndexSet, Scratch, SetOpStats};
+pub use indexset::IndexSet;
 pub use interval::Interval;
 pub use mapping::PortMap;
 pub use shape::Shape;

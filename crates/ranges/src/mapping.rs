@@ -6,7 +6,7 @@
 //! a set of output elements is the union of the requirements of its members —
 //! which is what makes calculation-range determination exact and monotone.
 
-use crate::{IndexSet, Interval, Scratch};
+use crate::{IndexSet, Interval};
 
 /// The I/O mapping of one (output port → input port) dependency of a block.
 ///
@@ -205,91 +205,6 @@ impl PortMap {
         }
     }
 
-    /// [`PortMap::apply`] writing its result into an existing set.
-    ///
-    /// Reuses `out`'s buffers, so the frequent mappings (`Elementwise`,
-    /// `Shift`, `Window`, `Segment`, …) derive their requirement without
-    /// heap allocation once the destination has warmed up. The rare
-    /// order-scrambling mappings (`Transpose`, `Gather`) fall back to
-    /// [`PortMap::apply`]. The result is always identical to `apply`.
-    pub fn apply_into(&self, request: &IndexSet, out: &mut IndexSet, scratch: &mut Scratch) {
-        if request.is_empty() {
-            out.clear();
-            return;
-        }
-        match self {
-            PortMap::Elementwise => out.clone_from(request),
-            PortMap::All { input_len } | PortMap::Dynamic { input_len } => {
-                out.assign_merged([Interval::new(0, *input_len)]);
-            }
-            PortMap::None => out.clear(),
-            PortMap::Shift { offset, input_len } => {
-                // a saturating left shift keeps starts non-decreasing, so
-                // the merging assignment stays canonical
-                out.assign_merged(
-                    request
-                        .intervals()
-                        .iter()
-                        .map(|iv| iv.shift(*offset).clamp_to(*input_len)),
-                );
-            }
-            PortMap::Window {
-                left,
-                right,
-                input_len,
-            } => {
-                out.assign_merged(request.intervals().iter().map(|iv| {
-                    Interval::new(iv.start.saturating_sub(*left), iv.end + *right)
-                        .clamp_to(*input_len)
-                }));
-            }
-            PortMap::Stride {
-                stride,
-                phase,
-                input_len,
-            } => {
-                let s = (*stride).max(1);
-                let len = *input_len;
-                out.assign_merged(
-                    request
-                        .iter()
-                        .map(move |i| i * s + phase)
-                        .filter(move |&i| i < len)
-                        .map(Interval::point),
-                );
-            }
-            PortMap::Segment {
-                start_in_output,
-                len,
-            } => {
-                let seg = Interval::new(*start_in_output, start_in_output + len);
-                let down = -(*start_in_output as isize);
-                out.assign_merged(
-                    request
-                        .intervals()
-                        .iter()
-                        .map(|iv| iv.intersect(&seg).shift(down)),
-                );
-            }
-            PortMap::ExceptSegment { start, end } => {
-                out.clone_from(request);
-                out.subtract_with(&IndexSet::from_range(*start, *end), scratch);
-            }
-            PortMap::RowsOf { out_cols, in_cols } => {
-                // per-interval row spans are non-decreasing in start, and
-                // touching spans merge exactly like the row-set union
-                out.assign_merged(request.intervals().iter().map(|iv| {
-                    let r0 = iv.start / out_cols;
-                    let r1 = (iv.end - 1) / out_cols + 1;
-                    Interval::new(r0 * in_cols, r1 * in_cols)
-                }));
-            }
-            // index tables and transposes scramble interval order; the
-            // allocating path's sort is the simplest correct answer
-            PortMap::Transpose { .. } | PortMap::Gather(_) => *out = self.apply(request),
-        }
-    }
-
     /// Whether this mapping can ever shrink a request (i.e. whether a block
     /// behind it is a candidate for redundancy elimination).
     ///
@@ -465,54 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_into_matches_apply_for_every_variant() {
-        let maps = [
-            PortMap::Elementwise,
-            PortMap::all(17),
-            PortMap::None,
-            PortMap::shift(5, 60),
-            PortMap::shift(-3, 10),
-            PortMap::window(10, 0, 60),
-            PortMap::Stride {
-                stride: 3,
-                phase: 1,
-                input_len: 20,
-            },
-            PortMap::Transpose {
-                out_rows: 2,
-                out_cols: 3,
-            },
-            PortMap::Segment {
-                start_in_output: 10,
-                len: 15,
-            },
-            PortMap::ExceptSegment { start: 3, end: 6 },
-            PortMap::RowsOf {
-                out_cols: 3,
-                in_cols: 5,
-            },
-            PortMap::Gather(vec![4, 2, 0, 2]),
-            PortMap::Dynamic { input_len: 12 },
-        ];
-        let requests = [
-            IndexSet::new(),
-            IndexSet::point(0),
-            IndexSet::point(3),
-            IndexSet::from_range(0, 6),
-            IndexSet::from_range(2, 30),
-            IndexSet::from_indices([0, 2, 5, 11, 12, 40]),
-        ];
-        let mut scratch = Scratch::new();
-        let mut out = IndexSet::new();
-        for m in &maps {
-            for req in &requests {
-                m.apply_into(req, &mut out, &mut scratch);
-                assert_eq!(out, m.apply(req), "{m:?} applied to {req}");
-            }
-        }
-    }
-
-    #[test]
     fn dynamic_is_conservative() {
         let d = PortMap::Dynamic { input_len: 12 };
         assert_eq!(d.apply(&IndexSet::point(3)), IndexSet::full(12));
@@ -590,14 +457,6 @@ mod tests {
                 let lhs = m.apply(&a.union(&b));
                 let rhs = m.apply(&a).union(&m.apply(&b));
                 prop_assert_eq!(lhs, rhs);
-            }
-
-            #[test]
-            fn prop_apply_into_matches_apply(m in arb_map(), a in arb_request(64), w in arb_request(64)) {
-                let mut scratch = Scratch::new();
-                let mut out = w; // arbitrary pre-existing destination state
-                m.apply_into(&a, &mut out, &mut scratch);
-                prop_assert_eq!(out, m.apply(&a));
             }
 
             #[test]

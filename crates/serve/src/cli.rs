@@ -172,9 +172,8 @@ pub fn cmd_client(args: &[String]) -> Result<(), String> {
             let session = flag_value(args, &["--session"])
                 .ok_or("client recompile: missing --session NAME")?;
             let style = flag_value(args, &["-s", "--style"]);
-            let region_max: usize =
-                parse_num(args, &["--region-max"], "--region-max")?.unwrap_or(0);
-            let line = client::recompile_request(session, model, style, &options, region_max);
+            let cap = parse_num(args, &["--region-max"], "--region-max")?;
+            let line = client::recompile_request_with_cap(session, model, style, &options, cap);
             let response = conn.request_one(&line)?;
             handle_result_line(&response, output)
         }

@@ -230,7 +230,9 @@ pub fn batch_request(
 }
 
 /// Builds a `recompile` request line: a compile through the named
-/// server-side incremental session.
+/// server-side incremental session. A `region_max` of 0 states no cap, so
+/// the daemon partitions with its default; see
+/// [`recompile_request_with_cap`] to state any cap, 0 included.
 pub fn recompile_request(
     session: &str,
     model: &str,
@@ -238,13 +240,26 @@ pub fn recompile_request(
     options: &proto::RequestOptions,
     region_max: usize,
 ) -> String {
+    let cap = (region_max > 0).then_some(region_max);
+    recompile_request_with_cap(session, model, style, options, cap)
+}
+
+/// Builds a `recompile` request line that states `region_max` whenever
+/// `cap` is `Some` (`Some(0)` = one region per connected component).
+pub fn recompile_request_with_cap(
+    session: &str,
+    model: &str,
+    style: Option<&str>,
+    options: &proto::RequestOptions,
+    cap: Option<usize>,
+) -> String {
     let mut w = request("recompile");
     w.field_str("session", session).field_str("model", model);
     if let Some(style) = style {
         w.field_str("style", style);
     }
-    if region_max > 0 {
-        w.field_num("region_max", region_max as u64);
+    if let Some(cap) = cap {
+        w.field_num("region_max", cap as u64);
     }
     write_options(&mut w, options, None);
     w.finish()
@@ -348,9 +363,24 @@ mod tests {
             } => {
                 assert_eq!(session, "s1");
                 assert_eq!(model, "random:42:60");
-                assert_eq!(region_max, 16);
+                assert_eq!(region_max, Some(16));
             }
             other => panic!("expected recompile, got {other:?}"),
+        }
+        for (line, cap) in [
+            (
+                recompile_request("s1", "m", None, &Default::default(), 0),
+                None,
+            ),
+            (
+                recompile_request_with_cap("s1", "m", None, &Default::default(), Some(0)),
+                Some(0),
+            ),
+        ] {
+            match parse_request(&line).unwrap() {
+                Request::Recompile { region_max, .. } => assert_eq!(region_max, cap, "{line}"),
+                other => panic!("expected recompile, got {other:?}"),
+            }
         }
 
         assert!(matches!(

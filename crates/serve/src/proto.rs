@@ -24,8 +24,11 @@
 //! connections without one get a per-connection bucket. `recompile`
 //! compiles through a named server-side [`frodo_driver::CompileSession`]:
 //! resubmitting an edited model under the same `session` re-analyzes only
-//! the regions the edit dirtied (the session pins the first request's
-//! style and options).
+//! the regions the edit dirtied. The session pins the first request's
+//! style, compile options and `region_max` (absent =
+//! [`frodo_driver::DEFAULT_REGION_MAX`], `0` = one region per connected
+//! component); a later request that differs in any of them gets an
+//! `error`.
 //!
 //! Response kinds: `result` (one per job; `ok` 0/1; `recompile` results
 //! add `regions`/`region_hits`/`dirty_blocks`/`fragment_hits`),
@@ -133,9 +136,10 @@ pub enum Request {
         style: GeneratorStyle,
         /// Compile options (pinned at creation).
         options: RequestOptions,
-        /// Region-size cap for the partition (`0` = the driver default;
-        /// pinned at creation).
-        region_max: usize,
+        /// Region-size cap for the partition, when the request states one
+        /// (`0` = one region per connected component, as on the CLI; absent
+        /// = [`frodo_driver::DEFAULT_REGION_MAX`]; pinned at creation).
+        region_max: Option<usize>,
     },
     /// Report queue, cache, and worker metrics.
     Status,
@@ -250,7 +254,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 None => GeneratorStyle::Frodo,
             },
             options: options_from(&fields)?,
-            region_max: ndjson::get_num(&fields, "region_max").unwrap_or(0.0) as usize,
+            region_max: ndjson::get_num(&fields, "region_max").map(|n| n as usize),
         }),
         "status" => Ok(Request::Status),
         "metrics" => Ok(Request::Metrics),
@@ -599,9 +603,17 @@ mod tests {
                 assert_eq!(session, "edit-loop");
                 assert_eq!(model, "random:42:60");
                 assert_eq!(style, GeneratorStyle::Frodo);
-                assert_eq!(region_max, 8);
+                assert_eq!(region_max, Some(8));
             }
             other => panic!("expected recompile, got {other:?}"),
+        }
+        // a stated 0 is kept apart from an absent cap
+        for (field, expected) in [(r#","region_max":0"#, Some(0)), ("", None)] {
+            let line = format!(r#"{{"type":"recompile","session":"s","model":"Kalman"{field}}}"#);
+            match parse_request(&line).unwrap() {
+                Request::Recompile { region_max, .. } => assert_eq!(region_max, expected, "{line}"),
+                other => panic!("expected recompile, got {other:?}"),
+            }
         }
         assert!(parse_request(r#"{"type":"recompile","model":"Kalman"}"#)
             .unwrap_err()

@@ -538,9 +538,11 @@ fn handle_batch(
 }
 
 /// Compiles through a named incremental session, creating it on first
-/// use. The session pins the style, options, and region cap of the
-/// request that created it; a later request naming the same session with
-/// a different style is refused rather than silently recompiled cold.
+/// use. The session pins the style, compile options, and region cap of
+/// the request that created it (an absent cap is
+/// [`frodo_driver::DEFAULT_REGION_MAX`]); a later request naming the same
+/// session with any of them different is refused, not compiled with the
+/// session's.
 /// Runs inline on the connection handler (sessions own in-memory caches,
 /// so their compiles cannot move across pool workers); the map lock is
 /// held only for the lookup, so distinct sessions compile concurrently.
@@ -550,34 +552,44 @@ fn handle_recompile(
     model_ref: &str,
     style: GeneratorStyle,
     options: RequestOptions,
-    region_max: usize,
+    region_max: Option<usize>,
 ) -> String {
     let model = match resolve_model(model_ref) {
         Ok(m) => m,
         Err(message) => return proto::render_error(&message),
     };
+    let compile_options = options.compile_options();
+    let region_max = region_max.unwrap_or(frodo_driver::DEFAULT_REGION_MAX);
     let entry = {
         let mut sessions = shared.sessions.lock().unwrap();
         Arc::clone(sessions.entry(session.to_string()).or_insert_with(|| {
             Arc::new(Mutex::new(
                 CompileSession::builder(style)
-                    .options(options.compile_options())
-                    .region_max(if region_max == 0 {
-                        frodo_driver::DEFAULT_REGION_MAX
-                    } else {
-                        region_max
-                    })
+                    .options(compile_options)
+                    .region_max(region_max)
                     .build(),
             ))
         }))
     };
     let mut sess = entry.lock().unwrap();
-    if sess.style() != style {
-        return proto::render_error(&format!(
-            "session '{session}' is pinned to style {}; open another session for {}",
+    let clash = if sess.style() != style {
+        Some(format!(
+            "style {}; open another session for {}",
             sess.style().label(),
             style.label()
-        ));
+        ))
+    } else if *sess.options() != compile_options {
+        Some("other compile options; open another session for these".to_string())
+    } else if sess.region_max() != region_max {
+        Some(format!(
+            "region_max {}; open another session for {region_max}",
+            sess.region_max()
+        ))
+    } else {
+        None
+    };
+    if let Some(pinned) = clash {
+        return proto::render_error(&format!("session '{session}' is pinned to {pinned}"));
     }
     let trace = Trace::new();
     let result = sess.compile(&job_name(model_ref), model, &trace);
@@ -635,8 +647,7 @@ fn flush_ledger(shared: &Shared) -> Option<String> {
     let agg = shared.agg.lock().unwrap().finish();
     let wall_ns = shared.started.elapsed().as_nanos() as u64;
     let pool = shared.pool.snapshot();
-    let mut entry =
-        LedgerEntry::from_agg(&agg, "serve", "recursive", 1, pool.workers as u64, wall_ns);
+    let mut entry = LedgerEntry::from_agg(&agg, "serve", pool.workers as u64, wall_ns);
     let cache = shared.service.cache_stats();
     let capacity_ns = wall_ns.saturating_mul(pool.workers as u64);
     // request-level rollup across every verb, over the daemon's lifetime

@@ -10,7 +10,10 @@
 //! frodo batch    <models...> [--workers N] [--verify] [--cache-dir D]
 //!                [-s STYLES] [-o DIR] [--vectorize M] [--window-reuse]
 //!                [--trace] [--trace-out out.ndjson]
-//!                [--ledger | --ledger-out F] [--incremental [--region-max N]]
+//!                [--ledger | --ledger-out F]
+//! frodo batch    <models...> --incremental [--region-max N] [-s STYLES]
+//!                [-o DIR] [--verify] [--vectorize M] [--window-reuse]
+//!                [--trace] [--trace-out out.ndjson] [--ledger | --ledger-out F]
 //! frodo serve    [--socket PATH|--tcp ADDR] [--workers N] [--queue-cap N]
 //!                [--cache-cap BYTES] [--cache-dir D] [--ledger | --ledger-out F]
 //! frodo client   [--socket PATH|--tcp ADDR] compile|recompile|lint|batch|status|metrics|shutdown ...
@@ -97,6 +100,7 @@ fn print_usage() {
          \x20                [--cache-dir DIR] [--ledger | --ledger-out F]\n\
          \x20 frodo client   [--socket PATH|--tcp ADDR] compile <model> [-s STYLE] [--verify] [--analyze] [--timeout MS] [-o out.c]\n\
          \x20 frodo client   [--socket PATH|--tcp ADDR] batch <models...> [-s STYLES|all] [-o DIR]\n\
+         \x20 frodo client   [--socket PATH|--tcp ADDR] recompile <model> --session NAME [-s STYLE] [--region-max N]\n\
          \x20 frodo client   [--socket PATH|--tcp ADDR] lint <model> | status | metrics | shutdown\n\
          \x20 frodo simulate <model> [--seed N] [--steps N]\n\
          \x20 frodo bench    <model>\n\
@@ -115,7 +119,9 @@ fn print_usage() {
          .frodo/ledger.ndjson) or --ledger-out FILE for an explicit path.\n\
          batch --incremental compiles jobs sequentially through one compile\n\
          session per style: resubmitting an edited model re-analyzes only the\n\
-         dirtied regions (with --ledger, one entry per job).\n\
+         dirtied regions (with --ledger, one entry per job). It alone takes\n\
+         --region-max N (0 = one region per connected component), and it takes\n\
+         none of --workers, --machine, --cache-dir, --cache-cap, --no-cache.\n\
          --verify runs the range-soundness checker (frodo-verify) on every\n\
          fresh compile and fails closed with F1xx diagnostics; frodo lint\n\
          reports F0xx model diagnostics (exit 1 on errors, not warnings);\n\
@@ -534,14 +540,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     }
     if let (Some(path), Some(t)) = (&ledger, &trace) {
         let agg = frodo::obs::aggregate(&t.snapshot());
-        let entry = frodo::obs::LedgerEntry::from_agg(
-            &agg,
-            &r.job,
-            LEDGER_ENGINE,
-            1,
-            1,
-            r.timings.total().as_nanos() as u64,
-        );
+        let entry =
+            frodo::obs::LedgerEntry::from_agg(&agg, &r.job, 1, r.timings.total().as_nanos() as u64);
         frodo::obs::append_entry(path, &entry)?;
         eprintln!("appended ledger entry to {}", path.display());
     }
@@ -554,10 +554,6 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The range engine every perf-ledger entry of a compile records, next to
-/// its one intra-model thread.
-const LEDGER_ENGINE: &str = "recursive";
-
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let styles = match flag_value(args, &["-s", "--styles", "--style"]) {
         None => vec![GeneratorStyle::Frodo],
@@ -568,36 +564,47 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     let want_tree = args.iter().any(|a| a == "--trace");
     let trace_out = flag_value(args, &["--trace-out"]);
     let ledger = ledger_path(args);
+    let incremental = args.iter().any(|a| a == "--incremental");
 
-    // positional args are model references; flag values are not
+    // positional args are model references; flag values are not. Each
+    // mode accepts exactly the flags it reads: the service's pool and
+    // artifact cache, or the compile sessions' region cap.
+    let (mode_values, mode_bools): (&[&str], &[&str]) = if incremental {
+        (&["--region-max"], &["--incremental"])
+    } else {
+        (
+            &["--workers", "-j", "--cache-dir", "--cache-cap"],
+            &["--no-cache", "--machine"],
+        )
+    };
     let model_refs = positionals(
         args,
         &[
-            "--workers",
-            "-j",
-            "--cache-dir",
-            "--cache-cap",
-            "-s",
-            "--styles",
-            "--style",
-            "-o",
-            "--output",
-            "--trace-out",
-            "--ledger-out",
-            "--region-max",
-            "--vectorize",
-        ],
+            &[
+                "-s",
+                "--styles",
+                "--style",
+                "-o",
+                "--output",
+                "--trace-out",
+                "--ledger-out",
+                "--vectorize",
+            ],
+            mode_values,
+        ]
+        .concat(),
         &[
-            "--no-cache",
-            "--machine",
-            "--trace",
-            "--ledger",
-            "--verify",
-            "--analyze",
-            "--incremental",
-            "--window-reuse",
-            "--profile",
-        ],
+            &[
+                "--trace",
+                "--ledger",
+                "--verify",
+                "--analyze",
+                "--window-reuse",
+                "--profile",
+            ],
+            mode_bools,
+        ]
+        .concat(),
     )?;
     if model_refs.is_empty() {
         return Err("batch: no models given (paths or benchmark names; see 'frodo list')".into());
@@ -610,7 +617,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         .window_reuse(args.iter().any(|a| a == "--window-reuse"))
         .profile(args.iter().any(|a| a == "--profile"))
         .build();
-    if args.iter().any(|a| a == "--incremental") {
+    if incremental {
         return cmd_batch_incremental(args, &model_refs, &styles, options);
     }
     let mut specs = Vec::new();
@@ -655,7 +662,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     if let Some(path) = &ledger {
         let label = format!("batch:{}", model_refs.len());
         let entry = report
-            .ledger_entry(&label, LEDGER_ENGINE, 1)
+            .ledger_entry(&label)
             .ok_or("batch: ledger requested but no trace was recorded")?;
         frodo::obs::append_entry(path, &entry)?;
         eprintln!("appended ledger entry to {}", path.display());
@@ -768,8 +775,6 @@ fn cmd_batch_incremental(
                 let entry = frodo::obs::LedgerEntry::from_agg(
                     &agg,
                     &r.job,
-                    LEDGER_ENGINE,
-                    1,
                     1,
                     r.timings.total().as_nanos() as u64,
                 );
@@ -1055,9 +1060,7 @@ fn diff_side(path: &str) -> Result<frodo::obs::LedgerEntry, String> {
         .max()
         .unwrap_or(0);
     let agg = frodo::obs::aggregate(&snap);
-    Ok(frodo::obs::LedgerEntry::from_agg(
-        &agg, path, "trace", 0, 0, wall_ns,
-    ))
+    Ok(frodo::obs::LedgerEntry::from_agg(&agg, path, 0, wall_ns))
 }
 
 fn cmd_obs_diff(args: &[String]) -> Result<(), String> {
@@ -1108,8 +1111,8 @@ fn cmd_obs_report(args: &[String]) -> Result<(), String> {
         return Err(format!("{path}: ledger file has no entries"));
     }
     println!(
-        "{:<10} {:<14} {:<9} {:>7} {:>7} {:>5} {:>10} {:>10} {:>6} {:>7}",
-        "rev", "label", "engine", "threads", "workers", "jobs", "wall", "alg1", "cache%", "region%"
+        "{:<10} {:<14} {:>7} {:>5} {:>10} {:>10} {:>6} {:>7}",
+        "rev", "label", "workers", "jobs", "wall", "alg1", "cache%", "region%"
     );
     for e in &entries {
         let alg1_ns: u64 = ["dfg", "iomap", "ranges", "classify"]
@@ -1127,11 +1130,9 @@ fn cmd_obs_report(args: &[String]) -> Result<(), String> {
             .map(|r| format!("{r:.0}"))
             .unwrap_or_else(|| "-".to_string());
         println!(
-            "{:<10} {:<14} {:<9} {:>7} {:>7} {:>5} {:>10} {:>10} {:>6} {:>7}",
+            "{:<10} {:<14} {:>7} {:>5} {:>10} {:>10} {:>6} {:>7}",
             e.git_rev,
             e.label,
-            e.engine,
-            e.threads,
             e.workers,
             e.jobs,
             frodo::obs::fmt_duration(std::time::Duration::from_nanos(e.wall_ns)),

@@ -289,6 +289,31 @@ fn unknown_flags_fail_and_every_read_flag_is_accepted() {
     for (args, flag) in [
         (&["compile", "Kalman", "--bogus", "2"][..], "--bogus"),
         (&["batch", "Kalman", "-x"], "-x"),
+        // each batch mode takes only the flags it reads: the incremental
+        // sessions no pool or artifact cache, the plain batch no region cap
+        (
+            &[
+                "batch",
+                "Kalman",
+                "--incremental",
+                "--machine",
+                "--workers",
+                "4",
+                "--cache-dir",
+                "D",
+                "--no-cache",
+            ],
+            "--machine",
+        ),
+        (
+            &["batch", "Kalman", "--incremental", "--workers", "4"],
+            "--workers",
+        ),
+        (
+            &["batch", "Kalman", "--incremental", "--no-cache"],
+            "--no-cache",
+        ),
+        (&["batch", "Kalman", "--region-max", "5"], "--region-max"),
         (
             &["analyze", "Kalman", "--vectorize", "batch:8"],
             "--vectorize",

@@ -4,8 +4,10 @@
 //! answer with backpressure instead of blocking or dropping, round-robin
 //! admission must keep a small client from starving behind a big batch,
 //! shutdown must drain the backlog before the listener goes away, every
-//! model reference form the CLI takes must work over the wire, and an
-//! over-long request line must be refused without being buffered.
+//! model reference form the CLI takes must work over the wire, a
+//! `recompile` session must refuse requests that differ from what it
+//! pinned, and an over-long request line must be refused without being
+//! buffered.
 
 use frodo::obs::ndjson;
 use frodo::prelude::*;
@@ -220,6 +222,103 @@ fn recompile_sessions_reuse_regions_and_match_one_shot_compiles() {
     assert_eq!(str_field(&clash, "type"), "error");
     assert!(str_field(&clash, "message").contains("pinned"), "{clash}");
 
+    client
+        .request_one(&frodo::serve::client::simple_request("shutdown", None))
+        .unwrap();
+    server.wait();
+}
+
+/// A session pins the compile options and region cap of the request that
+/// created it: a request with other options, or another cap, gets an
+/// `error` naming the session instead of C compiled with the session's,
+/// and a request with the pinned ones still compiles and reuses regions.
+#[test]
+fn recompile_sessions_refuse_other_options_and_region_caps() {
+    let server = start_server("pinned-options", 1, 0);
+    let mut client = Client::connect(server.endpoint()).expect("daemon is up");
+    let mut recompile = |options: &RequestOptions, region_max: usize| {
+        client
+            .request_one(&frodo::serve::client::recompile_request(
+                "pinned",
+                "AudioProcess",
+                None,
+                options,
+                region_max,
+            ))
+            .unwrap()
+    };
+    let plain = RequestOptions::default();
+    let cold = recompile(&plain, 0);
+    assert_eq!(num_field(&cold, "ok"), 1.0, "{cold}");
+
+    let window_reuse = RequestOptions {
+        window_reuse: true,
+        ..RequestOptions::default()
+    };
+    for (options, region_max) in [(&window_reuse, 0), (&plain, 8)] {
+        let clash = recompile(options, region_max);
+        assert_eq!(str_field(&clash, "type"), "error", "{clash}");
+        assert!(
+            str_field(&clash, "message").contains("session 'pinned' is pinned"),
+            "{clash}"
+        );
+    }
+
+    let warm = recompile(&plain, 0);
+    assert_eq!(num_field(&warm, "ok"), 1.0, "{warm}");
+    assert_eq!(
+        num_field(&warm, "region_hits"),
+        num_field(&warm, "regions"),
+        "{warm}"
+    );
+    assert_eq!(str_field(&warm, "code"), str_field(&cold, "code"));
+
+    client
+        .request_one(&frodo::serve::client::simple_request("shutdown", None))
+        .unwrap();
+    server.wait();
+}
+
+/// The `regions hits/total` a `frodo` run reports on stderr.
+fn reported_regions(out: &std::process::Output) -> String {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    let at = err
+        .find("regions ")
+        .unwrap_or_else(|| panic!("no region report: {err}"));
+    err[at..].split_whitespace().nth(1).unwrap().to_string()
+}
+
+/// `client recompile --region-max 0` partitions like `batch --incremental
+/// --region-max 0` (one region per connected component), and without the
+/// flag both use the driver's default cap.
+#[test]
+fn recompile_region_max_zero_partitions_like_batch_incremental() {
+    let server = start_server("region-max", 1, 0);
+    let socket = socket_path("region-max");
+    let frodo = || std::process::Command::new(env!("CARGO_BIN_EXE_frodo"));
+    let mut seen = Vec::new();
+    for (session, cap) in [("zero", &["--region-max", "0"][..]), ("default", &[])] {
+        let batch = frodo()
+            .args(["batch", "random:3:40", "--incremental"])
+            .args(cap)
+            .output()
+            .expect("runs");
+        let daemon = frodo()
+            .arg("client")
+            .arg("--socket")
+            .arg(&socket)
+            .args(["recompile", "random:3:40", "--session", session])
+            .args(cap)
+            .output()
+            .expect("runs");
+        let expected = reported_regions(&batch);
+        assert_eq!(reported_regions(&daemon), expected, "{cap:?}");
+        seen.push(expected);
+    }
+    assert_ne!(seen[0], seen[1], "the two caps partition this model alike");
+
+    let mut client = Client::connect(server.endpoint()).expect("daemon is up");
     client
         .request_one(&frodo::serve::client::simple_request("shutdown", None))
         .unwrap();
