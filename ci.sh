@@ -32,9 +32,9 @@ if grep -qv '^{.*}$' "$trace_out"; then
 fi
 
 # counter determinism: two traced compiles of the same model must agree
-# exactly on every deterministic counter (set-op stats, cache traffic,
-# statement counts); --fail-over 0 turns wall-time gating off, so only
-# counters are compared
+# exactly on every deterministic counter (cache traffic, statement
+# counts, bytes emitted); --fail-over 0 turns wall-time gating off, so
+# only counters are compared
 trace_out2="$(mktemp)"
 ./target/release/frodo compile --verify --analyze --trace "$trace_out2" Kalman >/dev/null
 ./target/release/frodo obs diff "$trace_out" "$trace_out2" --fail-over 0
@@ -113,6 +113,20 @@ if command -v gcc >/dev/null 2>&1; then
             gcc -fsanitize=address,undefined -fno-sanitize-recover=all \
                 -g -O1 -o "$san_dir/harness" "$san_dir/harness.c" -lm
             "$san_dir/harness" >/dev/null 2>&1
+        done
+        # every model with a window statement, in every style: the
+        # boundary-peeled head, steady, blocked and tail loops must stay
+        # inside their buffers, and the baselines' full-range windows run
+        # the most head and tail outputs
+        for model in AudioProcess HighPass Kalman Back Maintenance \
+            Maunfacture RunningDiff; do
+            for style in simulink dfsynth hcg frodo; do
+                ./target/release/frodo compile "$model" -s "$style" \
+                    --harness 5 -o "$san_dir/harness.c" 2>/dev/null
+                gcc -fsanitize=address,undefined -fno-sanitize-recover=all \
+                    -g -O1 -o "$san_dir/harness" "$san_dir/harness.c" -lm
+                "$san_dir/harness" >/dev/null 2>&1
+            done
         done
         # and the full Table-1 suite via the calibrate path: every
         # benchmark's generated step function under ASan/UBSan
@@ -299,7 +313,7 @@ rm -rf "$prof_dir"
 
 # cost-model calibration gate: the VM calibration must report a ratio
 # for every exercised statement kind inside the committed bands, and
-# append a label:"calibrate" ledger entry
+# append a label:"calibrate:vm" ledger entry
 calib_ledger="$(mktemp)"
 ./target/release/frodo calibrate --check CALIBRATION_BANDS.ndjson \
     --ledger-out "$calib_ledger" >/dev/null

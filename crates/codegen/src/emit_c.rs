@@ -471,6 +471,53 @@ impl<'a> Emitter<'a> {
         }
     }
 
+    /// A window statement's run `[k0, k1)`, boundary-peeled: the outputs
+    /// before and after the steady range go through the clamped
+    /// `boundary(a, b)` snippet, the steady ones through
+    /// [`library::WINDOW_STEADY`], or [`library::WINDOW_BLOCKED`] when the
+    /// window is longer than [`library::UNROLLED_WINDOW_MAX`] (full blocks
+    /// of [`library::WINDOW_BLOCK`] outputs, then one block of the rest).
+    fn emit_window(
+        &mut self,
+        k0: usize,
+        k1: usize,
+        output: &str,
+        w: &Window,
+        boundary: impl Fn(usize, usize) -> Result<String, library::RenderError>,
+    ) {
+        let s0 = w.steady.0.clamp(k0, k1);
+        let s1 = w.steady.1.clamp(s0, k1);
+        // blocked, [s0, full) holds the full blocks and [full, s1) the rest;
+        // unblocked, [s0, full) is the whole steady range
+        let (template, full) = if w.len <= library::UNROLLED_WINDOW_MAX {
+            (&library::WINDOW_STEADY, s1)
+        } else {
+            let block = library::WINDOW_BLOCK;
+            (&library::WINDOW_BLOCKED, s0 + (s1 - s0) / block * block)
+        };
+        let mut code = Vec::new();
+        if k0 < s0 {
+            code.push(boundary(k0, s0));
+        }
+        for (a, b) in [(s0, full), (full, s1)].into_iter().filter(|&(a, b)| a < b) {
+            code.push(template.render(&[
+                ("k0", a.to_string()),
+                ("k1", b.to_string()),
+                ("Lanes", (b - a).min(library::WINDOW_BLOCK).to_string()),
+                ("Window", w.len.to_string()),
+                ("Term", w.term.clone()),
+                ("Scale", w.scale.clone()),
+                ("Output", output.to_string()),
+            ]));
+        }
+        if s1 < k1 {
+            code.push(boundary(s1, k1));
+        }
+        for text in code {
+            self.block_text(&text.expect("window template complete"));
+        }
+    }
+
     /// One statement, wrapped in the per-statement timing hooks when
     /// profiling is on. The wrapper braces give the hook's `t0` local its
     /// own scope, so statement bodies (including the conv helper's early
@@ -777,27 +824,58 @@ impl<'a> Emitter<'a> {
                     self.line(&call);
                     return;
                 }
-                let subs = [
-                    ("k0", k0.to_string()),
-                    ("k1", k1.to_string()),
-                    ("k", k0.to_string()),
-                    ("Input1", self.buf_expr(u)),
-                    ("Input1_size", u_len.to_string()),
-                    ("Input2", self.buf_expr(v)),
-                    ("Input2_size", v_len.to_string()),
-                    ("Output", self.buf_expr(dst)),
-                ];
+                let (ub, vb, out) = (self.buf_expr(u), self.buf_expr(v), self.buf_expr(dst));
+                let subs = |a: usize, b: usize| {
+                    [
+                        ("k0", a.to_string()),
+                        ("k1", b.to_string()),
+                        ("k", a.to_string()),
+                        ("Input1", ub.clone()),
+                        ("Input1_size", u_len.to_string()),
+                        ("Input2", vb.clone()),
+                        ("Input2_size", v_len.to_string()),
+                        ("Output", out.clone()),
+                    ]
+                };
                 let batched = (style == ConvStyle::Tight && k1 - k0 > 1)
                     .then(|| self.conv_batch_width())
                     .flatten();
                 let code = match (style, batched) {
                     (ConvStyle::Tight, Some(w)) => library::render_text(
                         &library::conv_batched_template(w, &self.style_tag()),
-                        &subs,
+                        &subs(k0, k1),
                     ),
-                    (ConvStyle::Tight, None) if k1 - k0 == 1 => library::CONV_SINGLE.render(&subs),
-                    (ConvStyle::Tight, None) => library::CONV_RUN.render(&subs),
-                    (ConvStyle::Branchy, _) => library::CONV_BRANCHY.render(&subs),
+                    (ConvStyle::Tight, None) if k1 - k0 == 1 => {
+                        library::CONV_SINGLE.render(&subs(k0, k1))
+                    }
+                    (ConvStyle::Tight, None) => {
+                        // steady outputs sum min(u_len, v_len) terms: the
+                        // kernel slides along u, or u along the kernel
+                        let window = if v_len <= u_len {
+                            Window {
+                                steady: (v_len - 1, u_len),
+                                len: v_len,
+                                term: format!(
+                                    "{ub}[{} + t] * {vb}[{} - t]",
+                                    minus("k", v_len - 1),
+                                    v_len - 1
+                                ),
+                                scale: String::new(),
+                            }
+                        } else {
+                            Window {
+                                steady: (u_len - 1, v_len),
+                                len: u_len,
+                                term: format!("{ub}[t] * {vb}[k - t]"),
+                                scale: String::new(),
+                            }
+                        };
+                        self.emit_window(k0, k1, &out, &window, |a, b| {
+                            library::CONV_RUN.render(&subs(a, b))
+                        });
+                        return;
+                    }
+                    (ConvStyle::Branchy, _) => library::CONV_BRANCHY.render(&subs(k0, k1)),
                 }
                 .expect("conv template complete");
                 self.block_text(&code);
@@ -810,17 +888,27 @@ impl<'a> Emitter<'a> {
                 k0,
                 k1,
             } => {
-                let code = library::FIR_RUN
-                    .render(&[
-                        ("k0", k0.to_string()),
-                        ("k1", k1.to_string()),
+                let (cb, sb, out) = (
+                    self.buf_expr(coeffs),
+                    self.buf_expr(src),
+                    self.buf_expr(dst),
+                );
+                let window = Window {
+                    steady: (taps - 1, k1),
+                    len: taps,
+                    term: format!("{cb}[t] * {sb}[k - t]"),
+                    scale: String::new(),
+                };
+                self.emit_window(k0, k1, &out, &window, |a, b| {
+                    library::FIR_RUN.render(&[
+                        ("k0", a.to_string()),
+                        ("k1", b.to_string()),
                         ("Taps", taps.to_string()),
-                        ("Coeffs", self.buf_expr(coeffs)),
-                        ("Input", self.buf_expr(src)),
-                        ("Output", self.buf_expr(dst)),
+                        ("Coeffs", cb.clone()),
+                        ("Input", sb.clone()),
+                        ("Output", out.clone()),
                     ])
-                    .expect("fir template complete");
-                self.block_text(&code);
+                });
             }
             &Stmt::MovingAvg {
                 dst,
@@ -829,16 +917,22 @@ impl<'a> Emitter<'a> {
                 k0,
                 k1,
             } => {
-                let code = library::MOVAVG_RUN
-                    .render(&[
-                        ("k0", k0.to_string()),
-                        ("k1", k1.to_string()),
+                let (sb, out) = (self.buf_expr(src), self.buf_expr(dst));
+                let shape = Window {
+                    steady: (window - 1, k1),
+                    len: window,
+                    term: format!("{sb}[{} + t]", minus("k", window - 1)),
+                    scale: format!(" / (double){window}"),
+                };
+                self.emit_window(k0, k1, &out, &shape, |a, b| {
+                    library::MOVAVG_RUN.render(&[
+                        ("k0", a.to_string()),
+                        ("k1", b.to_string()),
                         ("Window", window.to_string()),
-                        ("Input", self.buf_expr(src)),
-                        ("Output", self.buf_expr(dst)),
+                        ("Input", sb.clone()),
+                        ("Output", out.clone()),
                     ])
-                    .expect("movavg template complete");
-                self.block_text(&code);
+                });
             }
             &Stmt::CumSum { dst, src, k_end } => {
                 let code = library::CUMSUM_RUN
@@ -951,6 +1045,28 @@ impl<'a> Emitter<'a> {
     }
 }
 
+/// A window statement's steady range and the sum each steady output
+/// computes there (see [`library::WINDOW_STEADY`]).
+struct Window {
+    /// Outputs `[start, end)` whose window lies inside the input(s).
+    steady: (usize, usize),
+    /// Terms per steady output: the window loop's trip count.
+    len: usize,
+    /// The term of output `k` at window position `t`.
+    term: String,
+    /// Appended to the accumulator on the store.
+    scale: String,
+}
+
+/// `v - d`, or `v` when `d` is 0.
+fn minus(v: &str, d: usize) -> String {
+    if d == 0 {
+        v.to_string()
+    } else {
+        format!("{v} - {d}")
+    }
+}
+
 /// Writes the values of a buffer's `{…}` initializer as shortest
 /// round-trip literals separated by `, `, then closes it with `};`.
 fn write_initializer(head: &mut String, values: &[f64]) {
@@ -1051,8 +1167,202 @@ mod tests {
         let p = generate(&figure1(), GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
         let c = emit_c(&p);
         assert!(c.contains("void conv_step(const double *in0, double *out0)"));
-        assert!(c.contains("for (int k = 5; k < 55; ++k)"));
+        // the selected outputs [5, 55), peeled at the kernel's edges: the
+        // 11-term window lies inside the 50-element input for k in [10, 50)
+        let loops = top_level_loops(&c);
+        let heads: Vec<&str> = loops.iter().map(|l| l.lines().next().unwrap()).collect();
+        assert_eq!(
+            heads,
+            [
+                "for (int k = 5; k < 10; ++k) {",
+                "for (int k = 10; k < 50; ++k) {",
+                "for (int k = 50; k < 55; ++k) {",
+            ]
+        );
+        assert!(loops[1].contains("for (int t = 0; t < 11; ++t)"));
+        assert!(loops[1].contains("acc += in0[k - 10 + t] * g_k[10 - t];"));
         assert!(!c.contains("if (k - j >= 0"));
+    }
+
+    /// The step function's top-level `for` loops, each with its body.
+    fn top_level_loops(c: &str) -> Vec<String> {
+        let mut loops: Vec<String> = Vec::new();
+        let mut open = false;
+        for line in c.lines() {
+            if line.starts_with("    for (") {
+                loops.push(String::new());
+                open = true;
+            } else if !line.starts_with("        ") && line != "    }" {
+                open = false;
+            }
+            if open {
+                let last = loops.last_mut().unwrap();
+                last.push_str(&line[4..]);
+                last.push('\n');
+            }
+        }
+        loops
+    }
+
+    /// A one-statement program over an input of `u_len` and a constant of
+    /// `v_len` elements, writing an output of `out_len`.
+    fn window_program(stmt: Stmt, u_len: usize, v_len: usize, out_len: usize) -> Program {
+        use crate::lir::{Buffer, BufferRole};
+        Program {
+            name: "win".into(),
+            style: GeneratorStyle::Frodo,
+            buffers: vec![
+                Buffer {
+                    name: "u".into(),
+                    len: u_len,
+                    role: BufferRole::Input(0),
+                },
+                Buffer {
+                    name: "y".into(),
+                    len: out_len,
+                    role: BufferRole::Output(0),
+                },
+                Buffer {
+                    name: "v".into(),
+                    len: v_len,
+                    role: BufferRole::Const(vec![0.5; v_len]),
+                },
+            ],
+            stmts: vec![stmt],
+        }
+    }
+
+    fn conv(u_len: usize, v_len: usize, k0: usize, k1: usize) -> Program {
+        let stmt = Stmt::Conv {
+            dst: BufId(1),
+            u: BufId(0),
+            u_len,
+            v: BufId(2),
+            v_len,
+            k0,
+            k1,
+            style: ConvStyle::Tight,
+        };
+        window_program(stmt, u_len, v_len, u_len + v_len - 1)
+    }
+
+    fn moving_avg(window: usize, k0: usize, k1: usize) -> Program {
+        let stmt = Stmt::MovingAvg {
+            dst: BufId(1),
+            src: BufId(0),
+            window,
+            k0,
+            k1,
+        };
+        window_program(stmt, k1, 1, k1)
+    }
+
+    fn fir(taps: usize, k0: usize, k1: usize) -> Program {
+        let stmt = Stmt::Fir {
+            dst: BufId(1),
+            src: BufId(0),
+            coeffs: BufId(2),
+            taps,
+            k0,
+            k1,
+        };
+        window_program(stmt, k1, taps, k1)
+    }
+
+    /// The first line of each top-level loop, and whether its body holds
+    /// a `?:` clamp.
+    fn loop_shapes(p: &Program) -> Vec<(String, bool)> {
+        top_level_loops(&emit_c(p))
+            .iter()
+            .map(|l| (l.lines().next().unwrap().to_string(), l.contains('?')))
+            .collect()
+    }
+
+    fn shapes(expected: &[(&str, bool)]) -> Vec<(String, bool)> {
+        expected.iter().map(|&(l, c)| (l.to_string(), c)).collect()
+    }
+
+    #[test]
+    fn window_steady_ranges_carry_no_clamp() {
+        let steady = |k0, k1| (format!("for (int k = {k0}; k < {k1}; ++k) {{"), false);
+        let head = |k0, k1| (format!("for (int k = {k0}; k < {k1}; ++k) {{"), true);
+        // head only, head + steady, steady only
+        assert_eq!(loop_shapes(&moving_avg(8, 0, 5)), [head(0, 5)]);
+        assert_eq!(
+            loop_shapes(&moving_avg(8, 2, 30)),
+            [head(2, 7), steady(7, 30)]
+        );
+        assert_eq!(loop_shapes(&moving_avg(8, 10, 30)), [steady(10, 30)]);
+        assert_eq!(loop_shapes(&fir(9, 0, 40)), [head(0, 8), steady(8, 40)]);
+        // a convolution is peeled at both ends: kernel shorter than u, and
+        // longer (the steady sum then runs over all of u)
+        assert_eq!(
+            loop_shapes(&conv(40, 11, 0, 50)),
+            [head(0, 10), steady(10, 40), head(40, 50)]
+        );
+        assert_eq!(
+            loop_shapes(&conv(6, 15, 2, 18)),
+            [head(2, 5), steady(5, 15), head(15, 18)]
+        );
+        let c = emit_c(&conv(6, 15, 2, 18));
+        assert!(c.contains("for (int t = 0; t < 6; ++t)"));
+        assert!(c.contains("acc += in0[t] * g_v[k - t];"));
+        // the steady sums keep the clamped loop's terms and order
+        assert!(emit_c(&moving_avg(8, 2, 30)).contains("acc += in0[k - 7 + t];"));
+        assert!(emit_c(&fir(9, 0, 40)).contains("acc += g_v[t] * in0[k - t];"));
+    }
+
+    #[test]
+    fn long_windows_run_in_blocks_of_32_with_the_window_loop_outside() {
+        use library::{UNROLLED_WINDOW_MAX, WINDOW_BLOCK};
+        let at = UNROLLED_WINDOW_MAX;
+        // at the threshold the steady range is one loop
+        let c = emit_c(&moving_avg(at, at - 1, at + 99));
+        assert!(!c.contains("kb"));
+        // one term longer, it is blocked; remainders 0, 1 and 31 each get
+        // one block of their own width
+        for rem in [0, 1, WINDOW_BLOCK - 1] {
+            let (s0, n) = (at, 2 * WINDOW_BLOCK + rem);
+            let p = moving_avg(at + 1, s0, s0 + n);
+            let full = s0 + 2 * WINDOW_BLOCK;
+            let mut expected = vec![(
+                format!("for (int kb = {s0}; kb < {full}; kb += {WINDOW_BLOCK}) {{"),
+                false,
+            )];
+            if rem > 0 {
+                expected.push((
+                    format!("for (int kb = {full}; kb < {}; kb += {rem}) {{", full + rem),
+                    false,
+                ));
+            }
+            assert_eq!(loop_shapes(&p), expected, "remainder {rem}");
+        }
+        let c = emit_c(&fir(at + 4, 0, 100));
+        let loops = top_level_loops(&c);
+        assert_eq!(loops.len(), 3);
+        assert!(loops[0].contains('?'));
+        assert!(loops[1].contains("double acc[32] = {0.0};"));
+        assert!(loops[1].contains(&format!(
+            "    for (int t = 0; t < {}; ++t) {{\n        for (int l = 0; l < 32; ++l) {{",
+            at + 4
+        )));
+        assert!(loops[1].contains("acc[l] += g_v[t] * in0[k - t];"));
+        assert!(loops[1].contains("out0[kb + l] = acc[l];"));
+        assert!(!loops[1].contains('?') && !loops[2].contains('?'));
+    }
+
+    #[test]
+    fn batched_and_branchy_convolutions_keep_their_templates() {
+        let p = generate(&figure1(), GeneratorStyle::Hcg, &frodo_obs::Trace::noop());
+        let c = emit_c(&p);
+        assert!(c.contains("for (int k = 0; k < 60; ++k)"));
+        assert!(!c.contains("for (int t = 0;"));
+        let p = generate(
+            &figure1(),
+            GeneratorStyle::SimulinkCoder,
+            &frodo_obs::Trace::noop(),
+        );
+        assert!(!emit_c(&p).contains("for (int t = 0;"));
     }
 
     #[test]

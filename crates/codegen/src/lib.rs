@@ -64,3 +64,13 @@ pub use emit_c::{
 pub use fragment::{generate_from_fragments, FragmentCache, FragmentStats};
 pub use lower::{generate, generate_with, LowerOptions};
 pub use style::GeneratorStyle;
+
+/// Revision of the C the emitter writes. The artifact cache digests it
+/// into every key, so a change to the C emitted for an unchanged model and
+/// unchanged options must bump it: otherwise a cache directory filled
+/// before the change keeps serving the old C. `tests/emitted_c.rs` records
+/// the revision next to its digests and refuses to re-bless changed
+/// digests at the same revision.
+///
+/// Revision 2 peels the window loops at their boundaries.
+pub const EMIT_REVISION: u32 = 2;

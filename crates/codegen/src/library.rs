@@ -7,6 +7,17 @@
 //! `$Input2_size$`) with the block's actual parameters. The C emitter
 //! ([`crate::emit_c`]) renders every complex-block statement through these
 //! templates.
+//!
+//! The window statements (convolution, FIR, moving average) are emitted
+//! boundary-peeled, since every bound is a compile-time constant: only the
+//! outputs whose window crosses an edge of the input go through the clamped
+//! consecutive-elements snippet ([`CONV_RUN`], [`FIR_RUN`],
+//! [`MOVAVG_RUN`]); the *steady* outputs in between go through
+//! [`WINDOW_STEADY`], whose window loop has a constant trip count and no
+//! per-element boundary judgment (paper §4.1), or through
+//! [`WINDOW_BLOCKED`] when the window is longer than
+//! [`UNROLLED_WINDOW_MAX`]. Every output sums the same terms in the same
+//! order under all three shapes.
 
 use std::fmt;
 
@@ -154,8 +165,10 @@ pub fn conv_batched_template(width: usize, tag: &str) -> String {
     t
 }
 
-/// Convolution, consecutive-elements snippet (paper Figure 4 ②):
-/// exact loop bounds, no per-element branching.
+/// Convolution, consecutive-elements snippet (paper Figure 4 ②): exact
+/// loop bounds, no per-element branching. The emitter uses it for the
+/// outputs whose window crosses an edge of either operand; the steady
+/// outputs go through [`WINDOW_STEADY`] or [`WINDOW_BLOCKED`].
 pub const CONV_RUN: CodeTemplate = CodeTemplate::new(
     "for (int k = $k0$; k < $k1$; ++k) {\n\
      \x20   int lo = k >= $Input2_size$ ? k - ($Input2_size$ - 1) : 0;\n\
@@ -254,7 +267,8 @@ pub const WINDOW_REUSE_RUN: CodeTemplate = CodeTemplate::new(
      }",
 );
 
-/// FIR filter, consecutive-elements snippet.
+/// FIR filter, consecutive-elements snippet for the head outputs `k <
+/// $Taps$ - 1`, whose taps run past the start of the input.
 pub const FIR_RUN: CodeTemplate = CodeTemplate::new(
     "for (int k = $k0$; k < $k1$; ++k) {\n\
      \x20   int tmax = k < $Taps$ - 1 ? k : $Taps$ - 1;\n\
@@ -266,7 +280,8 @@ pub const FIR_RUN: CodeTemplate = CodeTemplate::new(
      }",
 );
 
-/// Trailing moving average, consecutive-elements snippet.
+/// Trailing moving average, consecutive-elements snippet for the head
+/// outputs `k < $Window$ - 1`, whose window starts before the input.
 pub const MOVAVG_RUN: CodeTemplate = CodeTemplate::new(
     "for (int k = $k0$; k < $k1$; ++k) {\n\
      \x20   int lo = k >= $Window$ - 1 ? k - ($Window$ - 1) : 0;\n\
@@ -275,6 +290,55 @@ pub const MOVAVG_RUN: CodeTemplate = CodeTemplate::new(
      \x20       acc += $Input$[j];\n\
      \x20   }\n\
      \x20   $Output$[k] = acc / (double)$Window$;\n\
+     }",
+);
+
+/// The longest window whose steady range is emitted as [`WINDOW_STEADY`].
+/// `gcc -O3 -march=native` (12.2) unrolls a constant window loop of up to
+/// 20 terms completely and then vectorizes the loop over outputs; a longer
+/// one stays a serial reduction, one scalar add per term, so its steady
+/// range is emitted as [`WINDOW_BLOCKED`] instead. A threshold of 16,
+/// which blocks AudioProcess's 17-tap convolutions, made its step 1.10×
+/// slower and its gcc run about 1.5× longer (EXPERIMENTS.md, ablation 8).
+pub const UNROLLED_WINDOW_MAX: usize = 20;
+
+/// Outputs per block of [`WINDOW_BLOCKED`]: 32 doubles, eight AVX2 vectors
+/// of accumulators. Blocks of 8 or 16 outputs made the long-window models
+/// slower than the clamped loop, because gcc then vectorized the window
+/// loop instead of the lane loop.
+pub const WINDOW_BLOCK: usize = 32;
+
+/// Steady range of a window statement: every output in `[k0, k1)` sums
+/// `$Window$` terms `$Term$` (an expression in `k` and the window position
+/// `t`), so the window loop has a constant trip count and no boundary
+/// judgment. `$Scale$` is appended to the accumulator on the store (`" /
+/// (double)8"` for a moving average, empty for a dot product).
+pub const WINDOW_STEADY: CodeTemplate = CodeTemplate::new(
+    "for (int k = $k0$; k < $k1$; ++k) {\n\
+     \x20   double acc = 0.0;\n\
+     \x20   for (int t = 0; t < $Window$; ++t) {\n\
+     \x20       acc += $Term$;\n\
+     \x20   }\n\
+     \x20   $Output$[k] = acc$Scale$;\n\
+     }",
+);
+
+/// [`WINDOW_STEADY`] in blocks of `$Lanes$` outputs (`$k1$ - $k0$` is a
+/// multiple of it), with the window loop outside the lane loop: each
+/// output still adds its terms in window order, and the lane loop is the
+/// one the compiler vectorizes.
+pub const WINDOW_BLOCKED: CodeTemplate = CodeTemplate::new(
+    "for (int kb = $k0$; kb < $k1$; kb += $Lanes$) {\n\
+     \x20   double acc[$Lanes$] = {0.0};\n\
+     \x20   for (int t = 0; t < $Window$; ++t) {\n\
+     \x20       for (int l = 0; l < $Lanes$; ++l) {\n\
+     \x20           int k = kb + l;\n\
+     \x20           acc[l] += $Term$;\n\
+     \x20       }\n\
+     \x20   }\n\
+     \x20   for (int l = 0; l < $Lanes$; ++l) {\n\
+     \x20       $Output$[kb + l] = acc[l]$Scale$;\n\
+     \x20   }\n\
      }",
 );
 
@@ -351,6 +415,27 @@ mod tests {
     fn branchy_template_contains_boundary_judgment() {
         assert!(CONV_BRANCHY.text().contains("if (k - j >= 0"));
         assert!(!CONV_RUN.text().contains("if (k - j"));
+    }
+
+    #[test]
+    fn steady_window_templates_carry_no_boundary_judgment() {
+        for t in [WINDOW_STEADY, WINDOW_BLOCKED] {
+            assert!(!t.text().contains('?') && !t.text().contains("if ("));
+        }
+        let code = WINDOW_BLOCKED
+            .render(&[
+                ("k0", "20".into()),
+                ("k1", "84".into()),
+                ("Lanes", "32".into()),
+                ("Window", "21".into()),
+                ("Term", "x[k - 20 + t]".into()),
+                ("Scale", " / (double)21".into()),
+                ("Output", "y".into()),
+            ])
+            .unwrap();
+        assert!(code.contains("for (int kb = 20; kb < 84; kb += 32)"));
+        assert!(code.contains("acc[l] += x[k - 20 + t];"));
+        assert!(code.contains("y[kb + l] = acc[l] / (double)21;"));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   admission control, per-client fairness and drain.
 //! - **Content-addressed caching** — every artifact is keyed by a digest
 //!   ([`frodo_slx::fnv`]) of the *flattened* model plus every option that
-//!   affects the generated C ([`cache_key`]). The model's fields go into
+//!   affects the generated C and the emitter's revision ([`cache_key`]),
+//!   so artifacts of an older emitter miss. The model's fields go into
 //!   the digest by value ([`Model::digest_into`]), so nothing is
 //!   formatted to hash it. Resubmitting an unchanged model skips
 //!   analysis and emission entirely; an optional on-disk layer persists
@@ -785,8 +786,9 @@ pub fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
     }
 }
 
-/// The artifact-cache key: a content digest over the flattened model,
-/// the generator style, and every keyed option. Taking [`KeyedOptions`]
+/// The artifact-cache key: a content digest over the emitter revision
+/// ([`frodo_codegen::EMIT_REVISION`]), the flattened model, the
+/// generator style, and every keyed option. Taking [`KeyedOptions`]
 /// (not [`CompileOptions`]) makes it impossible for an execution-only
 /// knob to split the cache.
 ///
@@ -797,6 +799,16 @@ pub fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
 /// until it is digested. Nothing is formatted, so the key does not
 /// depend on how a toolchain prints a value.
 pub fn cache_key(flat: &Model, style: GeneratorStyle, options: &KeyedOptions) -> ContentDigest {
+    cache_key_at(flat, style, options, frodo_codegen::EMIT_REVISION)
+}
+
+/// [`cache_key`] for the C of emitter revision `revision`.
+fn cache_key_at(
+    flat: &Model,
+    style: GeneratorStyle,
+    options: &KeyedOptions,
+    revision: u32,
+) -> ContentDigest {
     let KeyedOptions {
         range: RangeOptions {
             eliminate_dead_ends,
@@ -819,6 +831,7 @@ pub fn cache_key(flat: &Model, style: GeneratorStyle, options: &KeyedOptions) ->
         VectorMode::Batch(w) => (3, w),
     };
     let mut digest = DigestWriter::new();
+    digest.update(&revision.to_le_bytes());
     flat.digest_into(&mut digest);
     digest.update(style.label().as_bytes());
     digest.update(&[
@@ -895,6 +908,25 @@ mod tests {
         let mut prof = opts;
         prof.emit.profile = true;
         assert_ne!(k0, cache_key(&base, GeneratorStyle::Frodo, &prof));
+    }
+
+    #[test]
+    fn cache_key_changes_with_the_emitter_revision() {
+        let flat = gain_model(2.0)
+            .flattened(&frodo_obs::Trace::noop())
+            .unwrap();
+        let opts = KeyedOptions::default();
+        let rev = frodo_codegen::EMIT_REVISION;
+        let key = cache_key(&flat, GeneratorStyle::Frodo, &opts);
+        assert_eq!(key, cache_key_at(&flat, GeneratorStyle::Frodo, &opts, rev));
+        assert_ne!(
+            key,
+            cache_key_at(&flat, GeneratorStyle::Frodo, &opts, rev - 1)
+        );
+        assert_ne!(
+            key,
+            cache_key_at(&flat, GeneratorStyle::Frodo, &opts, rev + 1)
+        );
     }
 
     #[test]

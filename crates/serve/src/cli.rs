@@ -154,6 +154,9 @@ pub fn cmd_client(args: &[String]) -> Result<(), String> {
     let kind = *pos.first().ok_or(
         "client: missing request kind (compile|recompile|lint|batch|status|metrics|shutdown)",
     )?;
+    if kind == "recompile" && flag_value(args, &["--timeout"]).is_some() {
+        return Err("client recompile: --timeout is not supported (a recompile runs inline in its session and takes no timeout)".into());
+    }
     let mut conn = Client::connect(&endpoint(args)?)?;
     let options = request_options(args)?;
     let client_id = parse_num(args, &["--client"], "--client")?;

@@ -13,7 +13,7 @@
 //! | `compile` | `model`, optional `style`, `verify`, `analyze`, `trace`, `timeout_ms`, `vectorize`, `window_reuse`, `client` |
 //! | `lint` | `model` |
 //! | `batch` | `models` (array), optional `styles` (comma list or `all`), plus the `compile` options |
-//! | `recompile` | `session`, `model`, optional `style`, `region_max`, plus the `compile` options |
+//! | `recompile` | `session`, `model`, optional `style`, `region_max`, plus the `compile` options except `timeout_ms` |
 //! | `status` | — |
 //! | `metrics` | — |
 //! | `shutdown` | — |
@@ -244,18 +244,30 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 client,
             })
         }
-        "recompile" => Ok(Request::Recompile {
-            session: ndjson::get_str(&fields, "session")
-                .map(str::to_string)
-                .ok_or("recompile request has no \"session\" field")?,
-            model: model()?,
-            style: match ndjson::get_str(&fields, "style") {
-                Some(s) => parse_style(s)?,
-                None => GeneratorStyle::Frodo,
-            },
-            options: options_from(&fields)?,
-            region_max: ndjson::get_num(&fields, "region_max").map(|n| n as usize),
-        }),
+        "recompile" => {
+            let options = options_from(&fields)?;
+            if options.timeout_ms > 0 {
+                // the session compiles inline on the connection's thread,
+                // where no per-job budget can stop it
+                return Err(
+                    "recompile request carries \"timeout_ms\": a recompile runs \
+                     inline in its session and takes no timeout"
+                        .into(),
+                );
+            }
+            Ok(Request::Recompile {
+                session: ndjson::get_str(&fields, "session")
+                    .map(str::to_string)
+                    .ok_or("recompile request has no \"session\" field")?,
+                model: model()?,
+                style: match ndjson::get_str(&fields, "style") {
+                    Some(s) => parse_style(s)?,
+                    None => GeneratorStyle::Frodo,
+                },
+                options,
+                region_max: ndjson::get_num(&fields, "region_max").map(|n| n as usize),
+            })
+        }
         "status" => Ok(Request::Status),
         "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
@@ -618,6 +630,15 @@ mod tests {
         assert!(parse_request(r#"{"type":"recompile","model":"Kalman"}"#)
             .unwrap_err()
             .contains("session"));
+        // a recompile runs inline and cannot honor a budget; 0 states none
+        let err =
+            parse_request(r#"{"type":"recompile","session":"s","model":"Kalman","timeout_ms":50}"#)
+                .unwrap_err();
+        assert!(err.contains("\"timeout_ms\""), "{err}");
+        assert!(parse_request(
+            r#"{"type":"recompile","session":"s","model":"Kalman","timeout_ms":0}"#
+        )
+        .is_ok());
     }
 
     #[test]

@@ -42,7 +42,11 @@
 //! let analysis = Analysis::run(m)?;
 //! let program = generate(&analysis, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
 //! let c_code = emit_c(&program);
-//! assert!(c_code.contains("for (int k = 5; k < 55; ++k)"));
+//! // only the 50 selected outputs [5, 55) are computed; the 40 whose
+//! // 11-term window lies inside the input carry no boundary test
+//! assert!(c_code.contains("for (int k = 5; k < 10; ++k)"));
+//! assert!(c_code.contains("for (int k = 10; k < 50; ++k)"));
+//! assert!(c_code.contains("for (int k = 50; k < 55; ++k)"));
 //! # Ok(())
 //! # }
 //! ```

@@ -3,9 +3,11 @@
 //! emission knob and with the self-checking native harness (`frodo compile
 //! M --profile --harness 5`), against the committed list in
 //! `tests/emitted_c.digests`. A change to the code generator that alters
-//! one byte of C fails here.
+//! one byte of C fails here, and re-blessing the digests fails too until
+//! the change bumps `frodo_codegen::EMIT_REVISION`, which the artifact
+//! cache keys on.
 
-use frodo::codegen::{emit_c_harness_with, GeneratorStyle, VectorMode};
+use frodo::codegen::{emit_c_harness_with, GeneratorStyle, VectorMode, EMIT_REVISION};
 use frodo::prelude::*;
 use frodo::slx::fnv::fnv1a_64;
 
@@ -57,38 +59,73 @@ fn digest_lines() -> Vec<String> {
     lines
 }
 
+/// The committed file's emitter revision (its `revision N` line) and
+/// digest lines.
+fn parse_committed(text: &str) -> (Option<u32>, Vec<&str>) {
+    let mut revision = None;
+    let mut lines = Vec::new();
+    for line in text
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+    {
+        match line.strip_prefix("revision ") {
+            Some(r) => revision = r.parse().ok(),
+            None => lines.push(line),
+        }
+    }
+    (revision, lines)
+}
+
 #[test]
 fn emitted_c_matches_the_committed_digests() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(DIGESTS);
     let actual = digest_lines();
-    if std::env::var_os("FRODO_BLESS_DIGESTS").is_some() {
-        let header = "\
-# FNV-1a-64 of the C emitted for each Table-1 model: model, style,
-# --vectorize mode, emission variant, digest. tests/emitted_c.rs checks it.
-# Regenerate after an intended change to the emitted C with
-#   FRODO_BLESS_DIGESTS=1 cargo test --test emitted_c
-";
-        std::fs::write(&path, format!("{header}{}\n", actual.join("\n"))).expect("write digests");
-        return;
-    }
-    let committed = std::fs::read_to_string(&path).expect("read digests");
-    let expected: Vec<&str> = committed
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-        .collect();
     assert_eq!(
         actual.len(),
         200,
         "10 models x (4 styles x 4 modes + 4 variants)"
     );
+    let bless = std::env::var_os("FRODO_BLESS_DIGESTS").is_some();
+    let committed = match std::fs::read_to_string(&path) {
+        Err(_) if bless => String::new(),
+        read => read.expect("read digests"),
+    };
+    let (revision, expected) = parse_committed(&committed);
     let changed: Vec<String> = actual
         .iter()
         .zip(&expected)
         .filter(|(a, e)| a != e)
         .map(|(a, e)| format!("  expected {e}\n  actual   {a}"))
         .collect();
+    let differs = !changed.is_empty() || actual.len() != expected.len();
+    if bless {
+        // the artifact cache keys on the revision: new C at an old
+        // revision would be served stale from every existing cache
+        assert!(
+            !differs || revision != Some(EMIT_REVISION),
+            "emitted C changed in {} configurations at unchanged revision {EMIT_REVISION}: \
+             bump the revision (frodo_codegen::EMIT_REVISION), then re-bless:\n{}",
+            changed.len().max(1),
+            changed.join("\n")
+        );
+        let header = "\
+# FNV-1a-64 of the C emitted for each Table-1 model: model, style,
+# --vectorize mode, emission variant, digest, at the emitter revision
+# below. tests/emitted_c.rs checks it. Regenerate after an intended
+# change to the emitted C, with frodo_codegen::EMIT_REVISION bumped, with
+#   FRODO_BLESS_DIGESTS=1 cargo test --test emitted_c
+";
+        let body = format!("revision {EMIT_REVISION}\n{}\n", actual.join("\n"));
+        std::fs::write(&path, format!("{header}{body}")).expect("write digests");
+        return;
+    }
+    assert_eq!(
+        revision,
+        Some(EMIT_REVISION),
+        "{DIGESTS} was blessed at another emitter revision: re-bless"
+    );
     assert!(
-        changed.is_empty() && actual.len() == expected.len(),
+        !differs,
         "emitted C changed in {} of {} configurations ({} committed):\n{}",
         changed.len(),
         actual.len(),

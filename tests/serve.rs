@@ -6,8 +6,8 @@
 //! shutdown must drain the backlog before the listener goes away, every
 //! model reference form the CLI takes must work over the wire, a
 //! `recompile` session must refuse requests that differ from what it
-//! pinned, and an over-long request line must be refused without being
-//! buffered.
+//! pinned or that state a timeout, and an over-long request line must be
+//! refused without being buffered.
 
 use frodo::obs::ndjson;
 use frodo::prelude::*;
@@ -272,6 +272,64 @@ fn recompile_sessions_refuse_other_options_and_region_caps() {
         "{warm}"
     );
     assert_eq!(str_field(&warm, "code"), str_field(&cold, "code"));
+
+    client
+        .request_one(&frodo::serve::client::simple_request("shutdown", None))
+        .unwrap();
+    server.wait();
+}
+
+/// A recompile runs inline in its session, where no per-job budget can
+/// stop it: a request stating `timeout_ms` is an error naming the field,
+/// the session keeps serving its pinned request, and `frodo client
+/// recompile` refuses `--timeout`.
+#[test]
+fn a_recompile_with_a_timeout_is_refused_and_the_session_keeps_serving() {
+    let server = start_server("recompile-timeout", 1, 0);
+    let mut client = Client::connect(server.endpoint()).expect("daemon is up");
+    let line = |options: &RequestOptions| {
+        frodo::serve::client::recompile_request("timed", "Kalman", None, options, 0)
+    };
+    let plain = RequestOptions::default();
+    let cold = client.request_one(&line(&plain)).unwrap();
+    assert_eq!(num_field(&cold, "ok"), 1.0, "{cold}");
+
+    let timed = RequestOptions {
+        timeout_ms: 50,
+        ..RequestOptions::default()
+    };
+    let refused = client.request_one(&line(&timed)).unwrap();
+    assert_eq!(str_field(&refused, "type"), "error", "{refused}");
+    assert!(
+        str_field(&refused, "message").contains("\"timeout_ms\""),
+        "{refused}"
+    );
+
+    let warm = client.request_one(&line(&plain)).unwrap();
+    assert_eq!(num_field(&warm, "ok"), 1.0, "{warm}");
+    assert_eq!(
+        num_field(&warm, "region_hits"),
+        num_field(&warm, "regions"),
+        "{warm}"
+    );
+    assert_eq!(str_field(&warm, "code"), str_field(&cold, "code"));
+
+    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_frodo"))
+        .arg("client")
+        .arg("--socket")
+        .arg(socket_path("recompile-timeout"))
+        .args([
+            "recompile",
+            "Kalman",
+            "--session",
+            "timed",
+            "--timeout",
+            "50",
+        ])
+        .output()
+        .expect("runs");
+    assert!(!cli.status.success());
+    assert!(String::from_utf8_lossy(&cli.stderr).contains("--timeout"));
 
     client
         .request_one(&frodo::serve::client::simple_request("shutdown", None))
