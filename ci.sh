@@ -73,21 +73,15 @@ for model in AudioProcess Decryption HighPass HT Kalman Back \
     Maintenance Maunfacture RunningDiff Simpson; do
     ./target/release/frodo lint "$model" >/dev/null
     ./target/release/frodo compile --no-cache --verify "$model" >/dev/null
-    # the SIMD/window-reuse modes must stay range-sound too: the
-    # two-invocation checker treats stale ring-buffer state as poison
-    ./target/release/frodo compile --no-cache --verify \
-        --vectorize batch --window-reuse "$model" >/dev/null
 done
 
 # dataflow-analysis gate: the injected-defect selftest must catch the
-# planted bug, and every benchmark — with and without the window-reuse
-# ring-buffer lowering — must come out with zero findings: no numeric
-# hazards (F2xx) and no residual redundancy (F204)
+# planted bug, and every benchmark must come out with zero findings: no
+# numeric hazards (F2xx) and no residual redundancy (F204)
 ./target/release/frodo analyze --selftest >/dev/null
 for model in AudioProcess Decryption HighPass HT Kalman Back \
     Maintenance Maunfacture RunningDiff Simpson; do
     ./target/release/frodo analyze "$model" --gate >/dev/null
-    ./target/release/frodo analyze "$model" --window-reuse --gate >/dev/null
 done
 # ...while the Simulink-style baseline must trip the residual detector
 # on a convolution benchmark: over-computation is real and detectable
@@ -99,8 +93,8 @@ fi
     | grep -q '"code":"F204"'
 
 # sanitizer lane: the self-profiling native harness must run clean under
-# AddressSanitizer and UndefinedBehaviorSanitizer (buffer sizing, ring
-# indices, and the profiling hooks are all exercised); probed first since
+# AddressSanitizer and UndefinedBehaviorSanitizer (buffer sizing, state
+# copies, and the profiling hooks are all exercised); probed first since
 # some toolchains ship without libasan
 if command -v gcc >/dev/null 2>&1; then
     san_dir="$(mktemp -d)"
@@ -203,20 +197,9 @@ if command -v gcc >/dev/null 2>&1; then
 fi
 rm -rf "$simd_dir"
 
-# window-reuse gate: the delta-update rewrite must cut arch-independent
-# FLOPs on the convolution-heavy benchmarks (ablation study 7, columns:
-# model, rewritten, FLOPs scalar, FLOPs reuse, est. before, est. after)
-ablation_out="$(mktemp)"
-cargo run --release --offline --quiet -p frodo-bench --bin ablation > "$ablation_out"
-for model in AudioProcess HighPass; do
-    line="$(sed -n '/Ablation 7/,$p' "$ablation_out" | grep "^$model ")"
-    rewritten="$(echo "$line" | awk '{print $2}')"
-    scalar_flops="$(echo "$line" | awk '{print $3}')"
-    reuse_flops="$(echo "$line" | awk '{print $4}')"
-    test "$rewritten" -ge 1
-    test "$reuse_flops" -lt "$scalar_flops"
-done
-rm -f "$ablation_out"
+# the ablation studies (range elimination, coalescing, dead ends, shared
+# helper, folding, vector modes) must still run to completion
+cargo run --release --offline --quiet -p frodo-bench --bin ablation >/dev/null
 
 # the SARIF rendering keeps the minimal schema code-scanning UIs need,
 # for the model-lint families and the analyze (F2xx) family

@@ -11,17 +11,14 @@
 //! 5. **Expression folding** — the optional LIR fusion pass.
 //! 6. **Vectorization mode** — scalar vs hinted vs explicitly batched
 //!    emission, under the per-arch cost model.
-//! 7. **Sliding-window reuse** — the inter-invocation delta-update rewrite,
-//!    in arch-independent FLOPs and estimated time.
 
-use frodo_codegen::lir::Stmt;
-use frodo_codegen::optimize::{fold_expressions, window_reuse};
+use frodo_codegen::optimize::fold_expressions;
 use frodo_codegen::{
     emit_c, emit_c_with, generate, generate_with, CEmitOptions, GeneratorStyle, LowerOptions,
     VectorMode,
 };
 use frodo_core::{Analysis, RangeOptions};
-use frodo_sim::{program_flops, CostModel};
+use frodo_sim::CostModel;
 
 fn main() {
     let suite = frodo_benchmodels::all();
@@ -71,10 +68,7 @@ fn main() {
             let p = generate_with(
                 &analysis,
                 GeneratorStyle::Frodo,
-                LowerOptions {
-                    coalesce_gap: gap,
-                    ..Default::default()
-                },
+                LowerOptions { coalesce_gap: gap },
                 &frodo_obs::Trace::noop(),
             );
             cells.push(format!("{:.1}({})", cm.program_ns(&p) / 1e3, p.stmts.len()));
@@ -188,33 +182,6 @@ fn main() {
             batch / 1e3,
             off / batch,
             arm_batch / 1e3
-        );
-    }
-
-    println!();
-    println!("Ablation 7: sliding-window reuse (inter-invocation delta updates)");
-    println!(
-        "{:<14} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "model", "rewrit.", "FLOPs scalar", "FLOPs reuse", "est. before", "est. after"
-    );
-    println!("{}", "-".repeat(76));
-    for bench in &suite {
-        let analysis = Analysis::run(bench.model.clone()).expect("analyzes");
-        let p = generate(&analysis, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
-        let reused = window_reuse(&p);
-        let rewritten = reused
-            .stmts
-            .iter()
-            .filter(|s| matches!(s, Stmt::WindowedReuse { .. }))
-            .count();
-        println!(
-            "{:<14} {:>8} {:>12} {:>12} {:>10.1}us {:>10.1}us",
-            bench.name,
-            rewritten,
-            program_flops(&p),
-            program_flops(&reused),
-            cm.program_ns(&p) / 1e3,
-            cm.program_ns(&reused) / 1e3
         );
     }
 }

@@ -11,11 +11,9 @@
 //! The sets are **emission-invariant**: every [`VectorMode`]
 //! (`auto`/`off`/`hints`/`batch:W`) changes only the loop *shape* of the
 //! emitted C, never the set of elements a statement touches, so one
-//! accessor serves all vector modes. The only mode-dependent accesses in
-//! the IR are the `WindowedReuse` ring-buffer statements introduced by
-//! the window-reuse rewrite, and those are ordinary statements here: they
-//! read their clamped source window and write both the output run and the
-//! full retained state tail.
+//! accessor serves all vector modes. State crosses invocations only
+//! through the unit-delay statements (`StateLoad` reads the state buffer,
+//! `StateStore` writes it), whose sets here are plain runs.
 //!
 //! [`VectorMode`]: crate::VectorMode
 
@@ -334,35 +332,6 @@ pub fn stmt_access(program: &Program, stmt: &Stmt) -> Result<StmtAccess, Malform
             }
             acc.reads.push(run(*s, 0, *len, "src"));
             acc.writes.push(run(*state, 0, *len, "state"));
-        }
-        Stmt::WindowedReuse {
-            dst,
-            src: s,
-            src_len,
-            state,
-            window,
-            k0,
-            k1,
-            ..
-        } => {
-            if *k0 >= *k1 || *window == 0 || *src_len == 0 {
-                return malformed(*dst, "empty windowed-reuse run");
-            }
-            if *src_len > program.buffer(*s).len {
-                return malformed(*s, "windowed-reuse clamp beyond the source extent");
-            }
-            // union of the clamped windows over [k0, k1); the tail
-            // retention reads a subset of the same range
-            let lo = (*k0 + 1).saturating_sub(*window);
-            let hi = (*k1 - 1).min(*src_len - 1);
-            if lo > hi {
-                return malformed(*s, "windowed-reuse run past the source extent");
-            }
-            acc.reads.push(run(*s, lo, hi + 1 - lo, "src"));
-            acc.writes.push(run(*dst, *k0, *k1 - *k0, "dst"));
-            // the retained tail must be refreshed in full — this write is
-            // what the soundness checker's invocation carry-over validates
-            acc.writes.push(run(*state, 0, *window, "state"));
         }
     }
     Ok(acc)

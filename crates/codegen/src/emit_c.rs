@@ -1013,34 +1013,6 @@ impl<'a> Emitter<'a> {
                 let sb = self.buf_expr(src);
                 self.line(&format!("memcpy({d}, {sb}, {len} * sizeof(double));"));
             }
-            &Stmt::WindowedReuse {
-                dst,
-                src,
-                src_len,
-                state,
-                window,
-                scale,
-                k0,
-                k1,
-            } => {
-                let acc_out = match scale {
-                    crate::lir::WindowScale::Div(d) => format!("acc / {d:?}"),
-                    crate::lir::WindowScale::Mul(c) => format!("acc * {c:?}"),
-                };
-                let code = library::WINDOW_REUSE_RUN
-                    .render(&[
-                        ("k0", k0.to_string()),
-                        ("k1", k1.to_string()),
-                        ("Window", window.to_string()),
-                        ("SrcLen", src_len.to_string()),
-                        ("Input", self.buf_expr(src)),
-                        ("Output", self.buf_expr(dst)),
-                        ("State", self.buf_expr(state)),
-                        ("AccOut", acc_out),
-                    ])
-                    .expect("window reuse template complete");
-                self.block_text(&code);
-            }
         }
     }
 }
@@ -1462,49 +1434,6 @@ mod tests {
         assert!(VectorMode::parse("batch:1", 8).is_err());
         assert!(VectorMode::parse("batch:99", 8).is_err());
         assert!(VectorMode::parse("wide", 8).is_err());
-    }
-
-    #[test]
-    fn windowed_reuse_emits_rolling_accumulator_and_state_store() {
-        use crate::lir::{Buffer, BufferRole, WindowScale};
-        let p = Program {
-            name: "wr".into(),
-            style: GeneratorStyle::Frodo,
-            buffers: vec![
-                Buffer {
-                    name: "x".into(),
-                    len: 50,
-                    role: BufferRole::Input(0),
-                },
-                Buffer {
-                    name: "y".into(),
-                    len: 60,
-                    role: BufferRole::Output(0),
-                },
-                Buffer {
-                    name: "y_win".into(),
-                    len: 11,
-                    role: BufferRole::State(vec![0.0; 11]),
-                },
-            ],
-            stmts: vec![Stmt::WindowedReuse {
-                dst: BufId(1),
-                src: BufId(0),
-                src_len: 50,
-                state: BufId(2),
-                window: 11,
-                scale: WindowScale::Mul(0.1),
-                k0: 5,
-                k1: 55,
-            }],
-        };
-        let c = emit_c(&p);
-        assert!(c.contains("/* window_reuse: rolling window sum (window 11) */"));
-        assert!(c.contains("out0[5] = acc * 0.1;"));
-        assert!(c.contains("acc -= in0[k - 11];"));
-        assert!(c.contains("g_y_win[t] = (j >= 0 && j < 50) ? in0[j] : 0.0;"));
-        let open = c.matches('{').count();
-        assert_eq!(open, c.matches('}').count());
     }
 
     #[test]

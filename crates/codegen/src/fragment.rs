@@ -231,18 +231,7 @@ pub fn generate_from_fragments(
     }
 
     lw.push_state_stores();
-    let mut program = lw.into_program();
-    // window reuse runs post-stitch, so fragment keys stay independent of
-    // it (the cached fragments hold the pre-rewrite statements either way)
-    if opts.window_reuse {
-        program = crate::optimize::window_reuse(&program);
-        let rewritten = program
-            .stmts
-            .iter()
-            .filter(|s| matches!(s, Stmt::WindowedReuse { .. }))
-            .count();
-        span.count("window_reuse_stmts", rewritten as u64);
-    }
+    let program = lw.into_program();
     span.count("stmts", program.stmts.len() as u64);
     span.count("computed_elements", program.computed_elements() as u64);
     span.count("fragment_total", stats.regions);
@@ -349,42 +338,6 @@ mod tests {
                 assert_eq!(stats.misses, 0);
                 assert_eq!(stats.hits, stats.regions);
             }
-        }
-    }
-
-    #[test]
-    fn window_reuse_fragments_match_cold_compile() {
-        // the pass runs post-stitch, so warm replays must still produce
-        // exactly what a cold window-reuse compile produces
-        let opts = LowerOptions {
-            window_reuse: true,
-            ..LowerOptions::default()
-        };
-        let mut rc = RegionCache::new();
-        let mut fc = FragmentCache::new();
-        for _ in 0..2 {
-            let inc = analyze_incremental(
-                figure1(2.0),
-                RangeOptions::default(),
-                2,
-                &mut rc,
-                &Trace::noop(),
-            )
-            .unwrap();
-            let (stitched, _) = generate_from_fragments(
-                &inc.analysis,
-                GeneratorStyle::Frodo,
-                opts,
-                &inc.regions,
-                &mut fc,
-                &Trace::noop(),
-            );
-            let cold = generate_with(&inc.analysis, GeneratorStyle::Frodo, opts, &Trace::noop());
-            assert_eq!(stitched, cold);
-            assert!(stitched
-                .stmts
-                .iter()
-                .any(|s| matches!(s, Stmt::WindowedReuse { .. })));
         }
     }
 

@@ -234,39 +234,6 @@ pub const CONV_RUN_HCG: CodeTemplate = CodeTemplate::new(
      }",
 );
 
-/// Sliding-window sum with a rolling accumulator and a persistent
-/// ring-buffer handoff (the `window_reuse` pass): the seed element `k0` is
-/// summed once, every later element reuses the retained overlap by one
-/// delta add and one delta subtract, and the final window tail is stored
-/// into `$State$` for the next invocation. `$AccOut$` is the scaling
-/// expression over `acc` (`acc / (double)W` for a moving average, `acc *
-/// c` for a uniform kernel).
-pub const WINDOW_REUSE_RUN: CodeTemplate = CodeTemplate::new(
-    "/* window_reuse: rolling window sum (window $Window$) */\n\
-     {\n\
-     \x20   int lo = $k0$ + 1 >= $Window$ ? $k0$ + 1 - $Window$ : 0;\n\
-     \x20   int hi = $k0$ < $SrcLen$ - 1 ? $k0$ : $SrcLen$ - 1;\n\
-     \x20   double acc = 0.0;\n\
-     \x20   for (int j = lo; j <= hi; ++j) {\n\
-     \x20       acc += $Input$[j];\n\
-     \x20   }\n\
-     \x20   $Output$[$k0$] = $AccOut$;\n\
-     \x20   for (int k = $k0$ + 1; k < $k1$; ++k) {\n\
-     \x20       if (k <= $SrcLen$ - 1) {\n\
-     \x20           acc += $Input$[k];\n\
-     \x20       }\n\
-     \x20       if (k >= $Window$) {\n\
-     \x20           acc -= $Input$[k - $Window$];\n\
-     \x20       }\n\
-     \x20       $Output$[k] = $AccOut$;\n\
-     \x20   }\n\
-     \x20   for (int t = 0; t < $Window$; ++t) {\n\
-     \x20       int j = $k1$ - $Window$ + t;\n\
-     \x20       $State$[t] = (j >= 0 && j < $SrcLen$) ? $Input$[j] : 0.0;\n\
-     \x20   }\n\
-     }",
-);
-
 /// FIR filter, consecutive-elements snippet for the head outputs `k <
 /// $Taps$ - 1`, whose taps run past the start of the input.
 pub const FIR_RUN: CodeTemplate = CodeTemplate::new(
@@ -452,26 +419,6 @@ mod tests {
         assert!(w8.contains("((acc0 + acc1) + (acc2 + acc3)) + ((acc4 + acc5) + (acc6 + acc7))"));
         let w2 = conv_batched_template(2, "frodo");
         assert!(w2.contains("double acc = acc0 + acc1;"));
-    }
-
-    #[test]
-    fn window_reuse_snippet_renders_and_stores_state() {
-        let code = WINDOW_REUSE_RUN
-            .render(&[
-                ("k0", "5".into()),
-                ("k1", "55".into()),
-                ("Window", "11".into()),
-                ("SrcLen", "50".into()),
-                ("Input", "in0".into()),
-                ("Output", "g_conv".into()),
-                ("State", "g_conv_win".into()),
-                ("AccOut", "acc * 0.1".into()),
-            ])
-            .unwrap();
-        assert!(code.contains("g_conv[5] = acc * 0.1;"));
-        assert!(code.contains("acc -= in0[k - 11];"));
-        assert!(code.contains("g_conv_win[t] = (j >= 0 && j < 50) ? in0[j] : 0.0;"));
-        assert!(!code.contains('$'));
     }
 
     #[test]

@@ -191,18 +191,6 @@ pub enum ReduceOp {
     Max,
 }
 
-/// How a [`Stmt::WindowedReuse`] statement turns its rolling window sum
-/// into the output value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WindowScale {
-    /// `out[k] = acc / d` — a trailing moving average over a `d`-sample
-    /// window.
-    Div(f64),
-    /// `out[k] = acc * c` — a uniform-kernel convolution/FIR, whose dot
-    /// product degenerates to a scaled window sum.
-    Mul(f64),
-}
-
 /// How convolution loop boundaries are generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvStyle {
@@ -456,30 +444,6 @@ pub enum Stmt {
         /// Element count.
         len: usize,
     },
-    /// Sliding-window sum over run `[k0, k1)` with inter-invocation reuse
-    /// (the `window_reuse` LIR pass): `out[k] = scale(Σ src[lo..=hi])` with
-    /// `lo = max(0, k+1−window)`, `hi = min(k, src_len−1)`, computed with a
-    /// rolling accumulator instead of a fresh per-element sum, then the
-    /// retained window tail is stored into persistent ring-buffer `state`
-    /// (length `window`) for the next invocation.
-    WindowedReuse {
-        /// Destination buffer (absolute `k` indexing, like [`Stmt::Conv`]).
-        dst: BufId,
-        /// Input buffer.
-        src: BufId,
-        /// Input buffer length (for window clamping).
-        src_len: usize,
-        /// Persistent ring-buffer state holding the retained window tail.
-        state: BufId,
-        /// Window length in samples.
-        window: usize,
-        /// Scaling applied to the window sum.
-        scale: WindowScale,
-        /// First computed output index.
-        k0: usize,
-        /// One past the last computed output index.
-        k1: usize,
-    },
 }
 
 impl Stmt {
@@ -501,13 +465,13 @@ impl Stmt {
             | Stmt::StateLoad { .. }
             | Stmt::StateStore { .. } => true,
             Stmt::Conv { style, .. } => *style == ConvStyle::Tight,
-            // loop-carried rolling accumulator: inherently serial
+            // data-dependent choice, indexed or strided access, or a
+            // loop-carried running sum: no unit-stride body to widen
             Stmt::Select { .. }
             | Stmt::Gather { .. }
             | Stmt::DynGather { .. }
             | Stmt::CumSum { .. }
-            | Stmt::Transpose { .. }
-            | Stmt::WindowedReuse { .. } => false,
+            | Stmt::Transpose { .. } => false,
         }
     }
 
@@ -535,7 +499,6 @@ impl Stmt {
             Stmt::Transpose { .. } => "transpose",
             Stmt::StateLoad { .. } => "state_load",
             Stmt::StateStore { .. } => "state_store",
-            Stmt::WindowedReuse { .. } => "window_reuse",
         }
     }
 
@@ -585,16 +548,6 @@ impl Stmt {
             Stmt::CumSum { k_end, .. } => flops(*k_end),
             Stmt::Diff { k0, k1, .. } => flops(*k1 - *k0),
             Stmt::MatMul { k, n, r0, r1, .. } => flops(2 * (r1 - r0) * n * k),
-            Stmt::WindowedReuse {
-                src_len,
-                window,
-                k0,
-                k1,
-                ..
-            } => {
-                let seed = k0.min(&(src_len - 1)) + 1 - (k0 + 1).saturating_sub(*window);
-                flops(seed + 3 * (k1 - k0))
-            }
         }
     }
 
@@ -614,8 +567,7 @@ impl Stmt {
             Stmt::Conv { k0, k1, .. }
             | Stmt::Fir { k0, k1, .. }
             | Stmt::MovingAvg { k0, k1, .. }
-            | Stmt::Diff { k0, k1, .. }
-            | Stmt::WindowedReuse { k0, k1, .. } => k1 - k0,
+            | Stmt::Diff { k0, k1, .. } => k1 - k0,
             Stmt::CumSum { k_end, .. } => *k_end,
             Stmt::MatMul { n, r0, r1, .. } => (r1 - r0) * n,
             Stmt::Transpose { rows, cols, .. } => rows * cols,
@@ -776,22 +728,6 @@ mod tests {
             style: ConvStyle::Branchy
         }
         .is_vectorizable());
-    }
-
-    #[test]
-    fn windowed_reuse_is_serial_and_counts_its_run() {
-        let s = Stmt::WindowedReuse {
-            dst: BufId(0),
-            src: BufId(1),
-            src_len: 50,
-            state: BufId(2),
-            window: 11,
-            scale: WindowScale::Mul(0.1),
-            k0: 5,
-            k1: 55,
-        };
-        assert!(!s.is_vectorizable());
-        assert_eq!(s.output_elements(), 50);
     }
 
     #[test]

@@ -22,20 +22,11 @@ pub struct LowerOptions {
     /// the discontinuous-range overhead the paper's §5 discusses. `0`
     /// disables coalescing (one statement per exact run).
     pub coalesce_gap: usize,
-    /// Run the [`crate::optimize::window_reuse`] pass after lowering,
-    /// rewriting eligible sliding-window statements into rolling-accumulator
-    /// form with persistent ring-buffer state. Off by default: it changes
-    /// the emitted code shape and buffer allocation, so it is opt-in like
-    /// expression folding.
-    pub window_reuse: bool,
 }
 
 impl Default for LowerOptions {
     fn default() -> Self {
-        LowerOptions {
-            coalesce_gap: 16,
-            window_reuse: false,
-        }
+        LowerOptions { coalesce_gap: 16 }
     }
 }
 
@@ -58,18 +49,7 @@ pub fn generate_with(
     trace: &frodo_obs::Trace,
 ) -> Program {
     let span = trace.span("lower");
-    let mut program = Lowerer::new(analysis, style, opts).run();
-    if opts.window_reuse {
-        let before = program.stmts.len();
-        program = crate::optimize::window_reuse(&program);
-        let rewritten = program
-            .stmts
-            .iter()
-            .filter(|s| matches!(s, Stmt::WindowedReuse { .. }))
-            .count();
-        debug_assert_eq!(before, program.stmts.len());
-        span.count("window_reuse_stmts", rewritten as u64);
-    }
+    let program = Lowerer::new(analysis, style, opts).run();
     span.count("stmts", program.stmts.len() as u64);
     span.count("computed_elements", program.computed_elements() as u64);
     program
@@ -860,28 +840,6 @@ mod tests {
         m.connect(c, 0, s, 0).unwrap();
         m.connect(s, 0, o, 0).unwrap();
         Analysis::run(m).unwrap()
-    }
-
-    #[test]
-    fn window_reuse_option_rewrites_figure1_conv() {
-        let a = figure1();
-        let opts = LowerOptions {
-            window_reuse: true,
-            ..Default::default()
-        };
-        let p = generate_with(&a, GeneratorStyle::Frodo, opts, &frodo_obs::Trace::noop());
-        assert!(
-            p.stmts
-                .iter()
-                .any(|s| matches!(s, Stmt::WindowedReuse { .. })),
-            "{p}"
-        );
-        // the default path stays untouched
-        let d = generate(&a, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
-        assert!(!d
-            .stmts
-            .iter()
-            .any(|s| matches!(s, Stmt::WindowedReuse { .. })));
     }
 
     #[test]

@@ -6,15 +6,8 @@
 //! level so its interaction with redundancy elimination can be studied
 //! (`frodo-bench --bin ablation`). The pass is opt-in: the default pipeline
 //! leaves folding to the C compiler, like the paper's generators do.
-//!
-//! [`window_reuse`] is the second opt-in pass: it rewrites sliding-window
-//! statements (moving averages, uniform-kernel convolutions and FIR runs)
-//! into [`Stmt::WindowedReuse`] rolling-accumulator form with persistent
-//! ring-buffer state, eliminating the overlap recomputation between
-//! consecutive output elements and retaining the window tail across
-//! invocations.
 
-use crate::lir::{BufId, Buffer, BufferRole, ConvStyle, Program, Slice, Src, Stmt, WindowScale};
+use crate::lir::{Program, Slice, Src, Stmt};
 
 /// Fuses chains of elementwise unary statements into single loops.
 ///
@@ -159,7 +152,6 @@ fn writes_buffer(stmt: &Stmt, dst: Slice) -> bool {
         | Stmt::Transpose { dst: d, .. }
         | Stmt::StateLoad { dst: d, .. } => *d == dst.buf,
         Stmt::StateStore { state, .. } => *state == dst.buf,
-        Stmt::WindowedReuse { dst: d, state, .. } => *d == dst.buf || *state == dst.buf,
     }
 }
 
@@ -191,154 +183,13 @@ fn reads_buffer(stmt: &Stmt, buf: crate::lir::BufId) -> bool {
         Stmt::Transpose { src, .. } => *src == buf,
         Stmt::StateLoad { state, .. } => *state == buf,
         Stmt::StateStore { src, .. } => *src == buf,
-        Stmt::WindowedReuse { src, .. } => *src == buf,
-    }
-}
-
-/// Minimum window length for which the rolling accumulator pays off: the
-/// delta update costs ~2 flops per element against `window` flops for a
-/// fresh sum, so tiny windows are left alone.
-const MIN_WINDOW: usize = 4;
-
-/// Rewrites eligible sliding-window statements into rolling-accumulator
-/// [`Stmt::WindowedReuse`] form.
-///
-/// A statement qualifies when its read windows at consecutive output
-/// indices overlap and the per-element weights are uniform, so the window
-/// sum can be maintained incrementally (add the entering sample, subtract
-/// the leaving one) instead of recomputed from scratch:
-///
-/// - [`Stmt::MovingAvg`] always qualifies (scale `1/window`);
-/// - [`Stmt::Conv`] with [`ConvStyle::Tight`] qualifies when either
-///   operand is a uniform constant `c` (scale `c`, window over the other
-///   operand — convolution is commutative);
-/// - [`Stmt::Fir`] qualifies when all taps are the same constant `c`.
-///
-/// Each rewrite appends a persistent [`BufferRole::State`] ring buffer of
-/// `window` elements holding the retained window tail, so a subsequent
-/// invocation of a streaming deployment can seed its accumulator from the
-/// previous input's trailing samples instead of recomputing the overlap.
-/// Windows shorter than `MIN_WINDOW` and runs shorter than two elements
-/// are left untouched (no overlap worth reusing).
-pub fn window_reuse(program: &Program) -> Program {
-    let mut buffers = program.buffers.clone();
-    let mut stmts = Vec::with_capacity(program.stmts.len());
-    let mut rewritten = 0usize;
-    for stmt in &program.stmts {
-        match window_candidate(program, stmt) {
-            Some((dst, src, src_len, window, scale, k0, k1)) => {
-                let state = BufId(buffers.len());
-                let dst_name = buffers[dst.0].name.clone();
-                buffers.push(Buffer {
-                    name: format!("{dst_name}_win{rewritten}"),
-                    len: window,
-                    role: BufferRole::State(vec![0.0; window]),
-                });
-                rewritten += 1;
-                stmts.push(Stmt::WindowedReuse {
-                    dst,
-                    src,
-                    src_len,
-                    state,
-                    window,
-                    scale,
-                    k0,
-                    k1,
-                });
-            }
-            None => stmts.push(stmt.clone()),
-        }
-    }
-    Program {
-        name: program.name.clone(),
-        style: program.style,
-        buffers,
-        stmts,
-    }
-}
-
-/// Returns the `(dst, src, src_len, window, scale, k0, k1)` pieces of a
-/// [`Stmt::WindowedReuse`] rewrite when `stmt` qualifies.
-#[allow(clippy::type_complexity)]
-fn window_candidate(
-    program: &Program,
-    stmt: &Stmt,
-) -> Option<(BufId, BufId, usize, usize, WindowScale, usize, usize)> {
-    let (dst, src, src_len, window, scale, k0, k1) = match *stmt {
-        Stmt::MovingAvg {
-            dst,
-            src,
-            window,
-            k0,
-            k1,
-        } => (
-            dst,
-            src,
-            program.buffers[src.0].len,
-            window,
-            WindowScale::Div(window as f64),
-            k0,
-            k1,
-        ),
-        Stmt::Conv {
-            dst,
-            u,
-            u_len,
-            v,
-            v_len,
-            k0,
-            k1,
-            style: ConvStyle::Tight,
-        } => {
-            if let Some(c) = uniform_const(program, v) {
-                (dst, u, u_len, v_len, WindowScale::Mul(c), k0, k1)
-            } else if let Some(c) = uniform_const(program, u) {
-                (dst, v, v_len, u_len, WindowScale::Mul(c), k0, k1)
-            } else {
-                return None;
-            }
-        }
-        Stmt::Fir {
-            dst,
-            src,
-            coeffs,
-            taps,
-            k0,
-            k1,
-        } => {
-            let c = uniform_const(program, coeffs)?;
-            (
-                dst,
-                src,
-                program.buffers[src.0].len,
-                taps,
-                WindowScale::Mul(c),
-                k0,
-                k1,
-            )
-        }
-        _ => return None,
-    };
-    (window >= MIN_WINDOW && k1 - k0 >= 2).then_some((dst, src, src_len, window, scale, k0, k1))
-}
-
-/// The single value every element of a constant buffer holds, if the
-/// buffer is constant, non-empty, and bit-identical throughout.
-fn uniform_const(program: &Program, buf: BufId) -> Option<f64> {
-    match &program.buffers[buf.0].role {
-        BufferRole::Const(data) if !data.is_empty() => {
-            let first = data[0];
-            data.iter()
-                .all(|d| d.to_bits() == first.to_bits())
-                .then_some(first)
-        }
-        _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lir::{BufId, Buffer, BufferRole};
     use crate::{generate, GeneratorStyle};
     use frodo_core::Analysis;
     use frodo_model::{Block, BlockKind, Model};
@@ -582,118 +433,5 @@ mod tests {
         let input: Vec<f64> = (0..16).map(|i| i as f64 - 8.0).collect();
         let before = mini_eval(&p, &input).expect("subset ops are in repertoire");
         assert_eq!(Some(before), mini_eval(&folded, &input));
-    }
-
-    fn uniform_conv_program(kernel: Vec<f64>) -> Program {
-        let v_len = kernel.len();
-        Program {
-            name: "conv".into(),
-            style: GeneratorStyle::Frodo,
-            buffers: vec![
-                Buffer {
-                    name: "u".into(),
-                    len: 50,
-                    role: BufferRole::Input(0),
-                },
-                Buffer {
-                    name: "h".into(),
-                    len: v_len,
-                    role: BufferRole::Const(kernel),
-                },
-                Buffer {
-                    name: "y".into(),
-                    len: 50 + v_len - 1,
-                    role: BufferRole::Output(0),
-                },
-            ],
-            stmts: vec![Stmt::Conv {
-                dst: BufId(2),
-                u: BufId(0),
-                u_len: 50,
-                v: BufId(1),
-                v_len,
-                k0: 5,
-                k1: 55,
-                style: ConvStyle::Tight,
-            }],
-        }
-    }
-
-    #[test]
-    fn window_reuse_rewrites_uniform_kernel_conv() {
-        // the figure-1 shape: x * [0.1; 11] truncated to a trailing run
-        let p = uniform_conv_program(vec![0.1; 11]);
-        let reused = window_reuse(&p);
-        assert_eq!(reused.stmts.len(), 1);
-        match &reused.stmts[0] {
-            Stmt::WindowedReuse {
-                dst,
-                src,
-                src_len,
-                state,
-                window,
-                scale,
-                k0,
-                k1,
-            } => {
-                assert_eq!((*dst, *src, *src_len), (BufId(2), BufId(0), 50));
-                assert_eq!((*window, *k0, *k1), (11, 5, 55));
-                assert_eq!(*scale, WindowScale::Mul(0.1));
-                assert_eq!(*state, BufId(3));
-            }
-            other => panic!("expected WindowedReuse, got {other:?}"),
-        }
-        // one persistent ring buffer of `window` zeros was appended
-        assert_eq!(reused.buffers.len(), p.buffers.len() + 1);
-        let ring = reused.buffers.last().unwrap();
-        assert_eq!(ring.name, "y_win0");
-        assert_eq!(ring.len, 11);
-        assert_eq!(ring.role, BufferRole::State(vec![0.0; 11]));
-    }
-
-    #[test]
-    fn window_reuse_skips_non_uniform_and_tiny_windows() {
-        // non-uniform taps: the weighted sum cannot roll
-        let varying: Vec<f64> = (0..11).map(|i| 0.01 * i as f64).collect();
-        let p = uniform_conv_program(varying);
-        assert_eq!(window_reuse(&p).stmts, p.stmts);
-        // uniform but below MIN_WINDOW: delta update would not pay off
-        let tiny = uniform_conv_program(vec![0.5; 3]);
-        assert_eq!(window_reuse(&tiny).stmts, tiny.stmts);
-    }
-
-    #[test]
-    fn window_reuse_rewrites_moving_average() {
-        let p = Program {
-            name: "avg".into(),
-            style: GeneratorStyle::Frodo,
-            buffers: vec![
-                Buffer {
-                    name: "u".into(),
-                    len: 40,
-                    role: BufferRole::Input(0),
-                },
-                Buffer {
-                    name: "y".into(),
-                    len: 40,
-                    role: BufferRole::Output(0),
-                },
-            ],
-            stmts: vec![Stmt::MovingAvg {
-                dst: BufId(1),
-                src: BufId(0),
-                window: 8,
-                k0: 10,
-                k1: 40,
-            }],
-        };
-        let reused = window_reuse(&p);
-        match &reused.stmts[0] {
-            Stmt::WindowedReuse { scale, window, .. } => {
-                assert_eq!(*scale, WindowScale::Div(8.0));
-                assert_eq!(*window, 8);
-            }
-            other => panic!("expected WindowedReuse, got {other:?}"),
-        }
     }
 }

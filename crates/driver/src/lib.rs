@@ -163,24 +163,6 @@ pub struct CompileOptionsBuilder {
 }
 
 impl CompileOptionsBuilder {
-    /// Full range-determination options (keyed).
-    pub fn range(mut self, range: RangeOptions) -> Self {
-        self.options.keyed.range = range;
-        self
-    }
-
-    /// Dead-end elimination in range determination (keyed).
-    pub fn eliminate_dead_ends(mut self, on: bool) -> Self {
-        self.options.keyed.range.eliminate_dead_ends = on;
-        self
-    }
-
-    /// Coalescing gap for fragmented calculation ranges (keyed).
-    pub fn coalesce_gap(mut self, gap: usize) -> Self {
-        self.options.keyed.lower.coalesce_gap = gap;
-        self
-    }
-
     /// Shared convolution helper emission (keyed).
     pub fn shared_conv_helper(mut self, on: bool) -> Self {
         self.options.keyed.emit.shared_conv_helper = on;
@@ -198,12 +180,6 @@ impl CompileOptionsBuilder {
     /// must never share a cache slot).
     pub fn profile(mut self, on: bool) -> Self {
         self.options.keyed.emit.profile = on;
-        self
-    }
-
-    /// Sliding-window reuse pass after lowering (keyed).
-    pub fn window_reuse(mut self, on: bool) -> Self {
-        self.options.keyed.lower.window_reuse = on;
         self
     }
 
@@ -813,10 +789,7 @@ fn cache_key_at(
         range: RangeOptions {
             eliminate_dead_ends,
         },
-        lower: LowerOptions {
-            coalesce_gap,
-            window_reuse,
-        },
+        lower: LowerOptions { coalesce_gap },
         emit:
             CEmitOptions {
                 shared_conv_helper,
@@ -836,7 +809,6 @@ fn cache_key_at(
     digest.update(style.label().as_bytes());
     digest.update(&[
         eliminate_dead_ends as u8,
-        window_reuse as u8,
         shared_conv_helper as u8,
         profile as u8,
         mode,
@@ -900,10 +872,6 @@ mod tests {
         let mut vec = opts;
         vec.emit.vectorize = frodo_codegen::VectorMode::Batch(8);
         assert_ne!(k0, cache_key(&base, GeneratorStyle::Frodo, &vec));
-        // different reuse setting
-        let mut reuse = opts;
-        reuse.lower.window_reuse = true;
-        assert_ne!(k0, cache_key(&base, GeneratorStyle::Frodo, &reuse));
         // profiled emission must not share a slot with plain emission
         let mut prof = opts;
         prof.emit.profile = true;

@@ -149,7 +149,7 @@ pub fn cmd_client(args: &[String]) -> Result<(), String> {
         "--region-max",
         "--vectorize",
     ];
-    let bool_flags = ["--verify", "--analyze", "--trace", "--window-reuse"];
+    let bool_flags = ["--verify", "--analyze", "--trace"];
     let pos = positionals(args, &value_flags, &bool_flags)?;
     let kind = *pos.first().ok_or(
         "client: missing request kind (compile|recompile|lint|batch|status|metrics|shutdown)",
@@ -235,7 +235,6 @@ fn request_options(args: &[String]) -> Result<RequestOptions, String> {
         trace: args.iter().any(|a| a == "--trace"),
         timeout_ms: parse_num(args, &["--timeout"], "--timeout")?.unwrap_or(0),
         vectorize,
-        window_reuse: args.iter().any(|a| a == "--window-reuse"),
     })
 }
 

@@ -300,9 +300,6 @@ fn write_options(w: &mut ndjson::ObjWriter, options: &proto::RequestOptions, cli
             w.field_str("vectorize", &format!("batch:{width}"));
         }
     }
-    if options.window_reuse {
-        w.field_num("window_reuse", 1);
-    }
     if let Some(client) = client {
         w.field_num("client", client);
     }

@@ -10,7 +10,7 @@
 //!
 //! | type | fields |
 //! |------|--------|
-//! | `compile` | `model`, optional `style`, `verify`, `analyze`, `trace`, `timeout_ms`, `vectorize`, `window_reuse`, `client` |
+//! | `compile` | `model`, optional `style`, `verify`, `analyze`, `trace`, `timeout_ms`, `vectorize`, `client` |
 //! | `lint` | `model` |
 //! | `batch` | `models` (array), optional `styles` (comma list or `all`), plus the `compile` options |
 //! | `recompile` | `session`, `model`, optional `style`, `region_max`, plus the `compile` options except `timeout_ms` |
@@ -29,6 +29,9 @@
 //! [`frodo_driver::DEFAULT_REGION_MAX`], `0` = one region per connected
 //! component); a later request that differs in any of them gets an
 //! `error`.
+//!
+//! `window_reuse` is retired: a `compile`, `batch` or `recompile` request
+//! that states it nonzero gets an `error` naming it; `0` is accepted.
 //!
 //! Response kinds: `result` (one per job; `ok` 0/1; `recompile` results
 //! add `regions`/`region_hits`/`dirty_blocks`/`fragment_hits`),
@@ -79,8 +82,6 @@ pub struct RequestOptions {
     pub timeout_ms: u64,
     /// Vectorization mode of the emitted C (`vectorize`, as a label).
     pub vectorize: VectorMode,
-    /// Run the sliding-window reuse pass (`window_reuse`, as 0/1).
-    pub window_reuse: bool,
 }
 
 impl RequestOptions {
@@ -91,7 +92,6 @@ impl RequestOptions {
             .analyze(self.analyze)
             .timeout_ms(self.timeout_ms)
             .vectorize(self.vectorize)
-            .window_reuse(self.window_reuse)
             .build()
     }
 }
@@ -178,6 +178,11 @@ fn options_from(fields: &[(String, Value)]) -> Result<RequestOptions, String> {
         None => VectorMode::default(),
         Some(s) => VectorMode::parse(s, 8)?,
     };
+    // the sliding-window reuse pass is gone; a request that still asks
+    // for it must not get C it did not ask for
+    if ndjson::get(fields, "window_reuse").is_some_and(|v| v.as_num() != Some(0.0)) {
+        return Err("\"window_reuse\" is no longer supported: send 0 or omit it".into());
+    }
     let num = |key: &str| ndjson::get_num(fields, key).unwrap_or(0.0);
     Ok(RequestOptions {
         verify: num("verify") != 0.0,
@@ -185,7 +190,6 @@ fn options_from(fields: &[(String, Value)]) -> Result<RequestOptions, String> {
         trace: num("trace") != 0.0,
         timeout_ms: num("timeout_ms") as u64,
         vectorize,
-        window_reuse: num("window_reuse") != 0.0,
     })
 }
 
@@ -531,7 +535,7 @@ mod tests {
     #[test]
     fn request_roundtrip_covers_every_kind() {
         let r = parse_request(
-            r#"{"type":"compile","model":"Kalman","style":"hcg","verify":1,"timeout_ms":500,"vectorize":"batch:4","window_reuse":1,"client":7}"#,
+            r#"{"type":"compile","model":"Kalman","style":"hcg","verify":1,"timeout_ms":500,"vectorize":"batch:4","client":7}"#,
         )
         .unwrap();
         match r {
@@ -548,11 +552,9 @@ mod tests {
                 assert_eq!(options.timeout_ms, 500);
                 assert_eq!(client, Some(7));
                 assert_eq!(options.vectorize, VectorMode::Batch(4));
-                assert!(options.window_reuse);
                 let co = options.compile_options();
                 assert_eq!(co.exec.timeout_ms, 500);
                 assert_eq!(co.keyed.emit.vectorize, VectorMode::Batch(4));
-                assert!(co.keyed.lower.window_reuse);
             }
             other => panic!("expected compile, got {other:?}"),
         }
@@ -584,6 +586,32 @@ mod tests {
             parse_request(r#"{"type":"shutdown"}"#).unwrap(),
             Request::Shutdown
         ));
+    }
+
+    #[test]
+    fn a_nonzero_window_reuse_is_refused_and_zero_is_the_default() {
+        for head in [
+            r#""type":"compile","model":"Kalman""#,
+            r#""type":"batch","models":["Kalman"]"#,
+            r#""type":"recompile","session":"s","model":"Kalman""#,
+        ] {
+            for value in ["1", "2", "\"on\""] {
+                let err =
+                    parse_request(&format!("{{{head},\"window_reuse\":{value}}}")).unwrap_err();
+                assert!(err.contains("\"window_reuse\""), "{head}: {err}");
+            }
+            let options = |line: &str| match parse_request(line).unwrap() {
+                Request::Compile { options, .. }
+                | Request::Batch { options, .. }
+                | Request::Recompile { options, .. } => options,
+                other => panic!("expected a compiling request, got {other:?}"),
+            };
+            assert_eq!(
+                options(&format!("{{{head},\"window_reuse\":0}}")),
+                RequestOptions::default()
+            );
+            assert_eq!(options(&format!("{{{head}}}")), RequestOptions::default());
+        }
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! [`ReferenceSimulator`](crate::ReferenceSimulator) validates both the IR
 //! lowering and, transitively, the C emitter that prints the same IR.
 
-use frodo_codegen::lir::{
-    BinOp, BufferRole, ConvStyle, Program, ReduceOp, Slice, Src, Stmt, UnOp, WindowScale,
-};
+use frodo_codegen::lir::{BinOp, BufferRole, ConvStyle, Program, ReduceOp, Slice, Src, Stmt, UnOp};
 use frodo_obs::{CounterRecord, Histogram, SpanRecord, TraceSnapshot, NO_PARENT};
 use std::time::Instant;
 
@@ -447,49 +445,6 @@ impl Vm {
                     self.bufs[state.0][i] = self.bufs[src.0][i];
                 }
             }
-            Stmt::WindowedReuse {
-                dst,
-                src,
-                src_len,
-                state,
-                window,
-                scale,
-                k0,
-                k1,
-            } => {
-                // mirrors the WINDOW_REUSE_RUN C snippet operation for
-                // operation: same seed order, same conditional add/subtract
-                // order, so VM and compiled output round identically
-                let out = |acc: f64| match scale {
-                    WindowScale::Div(d) => acc / d,
-                    WindowScale::Mul(c) => acc * c,
-                };
-                let lo = (k0 + 1).saturating_sub(window);
-                let hi = k0.min(src_len - 1);
-                let mut acc = 0.0;
-                for j in lo..=hi {
-                    acc += self.bufs[src.0][j];
-                }
-                self.bufs[dst.0][k0] = out(acc);
-                for k in k0 + 1..k1 {
-                    if k < src_len {
-                        acc += self.bufs[src.0][k];
-                    }
-                    if k >= window {
-                        acc -= self.bufs[src.0][k - window];
-                    }
-                    self.bufs[dst.0][k] = out(acc);
-                }
-                // retain the window tail for the next invocation
-                for t in 0..window {
-                    let j = (k1 + t) as i64 - window as i64;
-                    self.bufs[state.0][t] = if j >= 0 && (j as usize) < src_len {
-                        self.bufs[src.0][j as usize]
-                    } else {
-                        0.0
-                    };
-                }
-            }
         }
     }
 }
@@ -856,84 +811,5 @@ mod tests {
         let o1 = Vm::new(&tight).step(&tight, std::slice::from_ref(&input));
         let o2 = Vm::new(&branchy).step(&branchy, &[input]);
         assert_eq!(o1, o2);
-    }
-
-    #[test]
-    fn window_reuse_matches_reference_across_three_invocations() {
-        use frodo_codegen::{generate_with, LowerOptions};
-        let a = figure1();
-        let opts = LowerOptions {
-            window_reuse: true,
-            ..LowerOptions::default()
-        };
-        let p = generate_with(&a, GeneratorStyle::Frodo, opts, &frodo_obs::Trace::noop());
-        assert!(
-            p.stmts
-                .iter()
-                .any(|s| matches!(s, Stmt::WindowedReuse { .. })),
-            "figure1's uniform kernel must trigger the rewrite"
-        );
-        let mut reference = crate::ReferenceSimulator::new(a.dfg().clone());
-        let mut vm = Vm::new(&p);
-        let mut rng = crate::rng::Rng::seed_from_u64(0xF20D0_2024);
-        for inv in 0..3 {
-            let input: Vec<f64> = (0..50).map(|_| rng.uniform(-4.0, 4.0)).collect();
-            let expected = reference.step(&[Tensor::vector(input.clone())]).unwrap();
-            let out = vm.step(&p, std::slice::from_ref(&input));
-            let worst: f64 = out[0]
-                .iter()
-                .zip(expected[0].data())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            assert!(worst < 1e-9, "invocation {inv} deviates by {worst}");
-        }
-    }
-
-    /// Property tests (gated: the `proptest` crate is not vendored, so the
-    /// default offline build compiles these out; re-add the dev-dependency
-    /// and run `cargo test --features proptest` to enable them).
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use frodo_codegen::{generate_with, LowerOptions};
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Reuse-transformed programs agree element-for-element
-            /// (within the verification tolerance) with the reference
-            /// simulator over 3+ consecutive invocations with random
-            /// workloads, for every window width the pass accepts.
-            #[test]
-            fn prop_window_reuse_matches_reference_over_invocations(
-                seed in any::<u64>(),
-                window in 4usize..16,
-                invocations in 3usize..6,
-            ) {
-                let mut m = Model::new("avg");
-                let i = m.add(Block::new(
-                    "in",
-                    BlockKind::Inport { index: 0, shape: Shape::Vector(40) },
-                ));
-                let avg = m.add(Block::new("avg", BlockKind::MovingAverage { window }));
-                let o = m.add(Block::new("out", BlockKind::Outport { index: 0 }));
-                m.connect(i, 0, avg, 0).unwrap();
-                m.connect(avg, 0, o, 0).unwrap();
-                let a = Analysis::run(m).unwrap();
-                let opts = LowerOptions { window_reuse: true, ..LowerOptions::default() };
-                let p = generate_with(&a, GeneratorStyle::Frodo, opts, &frodo_obs::Trace::noop());
-                prop_assert!(p.stmts.iter().any(|s| matches!(s, Stmt::WindowedReuse { .. })));
-                let mut reference = crate::ReferenceSimulator::new(a.dfg().clone());
-                let mut vm = Vm::new(&p);
-                let mut rng = crate::rng::Rng::seed_from_u64(seed);
-                for _ in 0..invocations {
-                    let input: Vec<f64> = (0..40).map(|_| rng.uniform(-8.0, 8.0)).collect();
-                    let expected = reference.step(&[Tensor::vector(input.clone())]).unwrap();
-                    let out = vm.step(&p, std::slice::from_ref(&input));
-                    for (x, y) in out[0].iter().zip(expected[0].data()) {
-                        prop_assert!((x - y).abs() < 1e-9);
-                    }
-                }
-            }
-        }
     }
 }

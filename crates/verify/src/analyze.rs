@@ -28,9 +28,7 @@ use crate::dataflow::{run_one_pass, run_to_fixpoint, Direction, Transfer};
 use crate::diag::Diagnostic;
 use crate::soundness::{output_demands, OutputDemand};
 use frodo_codegen::access::{stmt_access, Malformed, StmtAccess};
-use frodo_codegen::lir::{
-    BinOp, BufId, BufferRole, Program, ReduceOp, Src, Stmt, UnOp, WindowScale,
-};
+use frodo_codegen::lir::{BinOp, BufId, BufferRole, Program, ReduceOp, Src, Stmt, UnOp};
 use frodo_core::Analysis;
 use frodo_ranges::IndexSet;
 
@@ -673,38 +671,6 @@ impl Transfer for IntervalAnalysis<'_> {
             Stmt::StateStore { state: st, src, .. } => {
                 let out = self.buf_range(state, *src);
                 self.finish(program, i, *st, out, state);
-            }
-            Stmt::WindowedReuse {
-                dst,
-                src,
-                state: st,
-                window,
-                scale,
-                ..
-            } => {
-                let r = self.buf_range(state, *src);
-                let sum = vsum_up_to(*window, r);
-                let out = match scale {
-                    WindowScale::Div(d) => {
-                        if *d == 0.0 {
-                            self.flag(
-                                program,
-                                i,
-                                "F201",
-                                *dst,
-                                "possible division by zero: windowed-reuse scale divisor is 0"
-                                    .to_string(),
-                            );
-                            self.top()
-                        } else {
-                            vmul(sum, ValRange::point(1.0 / *d))
-                        }
-                    }
-                    WindowScale::Mul(c) => vmul(sum, ValRange::point(*c)),
-                };
-                self.finish(program, i, *dst, out, state);
-                // the ring buffer retains raw source values
-                self.finish(program, i, *st, r, state);
             }
         }
     }

@@ -65,9 +65,9 @@ impl SoundnessReport {
 /// output's demanded range the way Algorithm 1 anchors it (the `Outport`'s
 /// full input extent) and runs the written-set interpretation across **two
 /// consecutive invocations** (see [`check_program_invocations`]) — the
-/// second invocation proves that persistent state handed to the next step
-/// was fully refreshed by the first, which is what makes rewrites carrying
-/// inter-invocation state (`Stmt::WindowedReuse`) sound to deploy.
+/// second invocation proves that the unit-delay state a step hands to the
+/// next (`Stmt::StateStore`, read back by `Stmt::StateLoad`) was fully
+/// refreshed by the first.
 pub fn check_compile(analysis: &Analysis, program: &Program) -> SoundnessReport {
     check_program_invocations(program, &output_demands(analysis, program), 2)
 }
@@ -467,82 +467,6 @@ mod tests {
         assert!(report.is_sound(), "{:?}", report.diagnostics);
         assert_eq!(report.stmts_checked, 6);
         assert_eq!(report.outputs_checked, 1);
-    }
-
-    #[test]
-    fn windowed_reuse_rewrite_is_sound_across_invocations() {
-        use frodo_codegen::lir::{ConvStyle, WindowScale};
-        // a Conv run [5, 55) over in(50) * uniform(11), rewritten to
-        // rolling form with an 11-deep ring buffer
-        let reuse = Stmt::WindowedReuse {
-            dst: BufId(2),
-            src: BufId(0),
-            src_len: 50,
-            state: BufId(3),
-            window: 11,
-            scale: WindowScale::Mul(0.1),
-            k0: 5,
-            k1: 55,
-        };
-        let conv = Stmt::Conv {
-            dst: BufId(2),
-            u: BufId(0),
-            u_len: 50,
-            v: BufId(1),
-            v_len: 11,
-            k0: 5,
-            k1: 55,
-            style: ConvStyle::Tight,
-        };
-        let program = |stmt: Stmt| Program {
-            name: "wr".into(),
-            style: GeneratorStyle::Frodo,
-            buffers: vec![
-                buffer("in0", 50, BufferRole::Input(0)),
-                buffer("k", 11, BufferRole::Const(vec![0.1; 11])),
-                buffer("out0", 60, BufferRole::Output(0)),
-                buffer("out0_win0", 11, BufferRole::State(vec![0.0; 11])),
-            ],
-            stmts: vec![stmt],
-        };
-        let demands = vec![OutputDemand {
-            index: 0,
-            range: IndexSet::from_range(5, 55),
-            block: Some("out".into()),
-        }];
-        // the rewrite writes the same output run as the Conv it replaced,
-        // and its state store survives the invocation-boundary carry-over
-        for p in [program(reuse), program(conv)] {
-            let report = check_program_invocations(&p, &demands, 2);
-            assert!(report.is_sound(), "{:?}", report.diagnostics);
-        }
-    }
-
-    #[test]
-    fn windowed_reuse_past_the_source_extent_is_malformed() {
-        use frodo_codegen::lir::WindowScale;
-        let p = Program {
-            name: "bad".into(),
-            style: GeneratorStyle::Frodo,
-            buffers: vec![
-                buffer("in0", 50, BufferRole::Input(0)),
-                buffer("out0", 200, BufferRole::Output(0)),
-                buffer("win", 11, BufferRole::State(vec![0.0; 11])),
-            ],
-            stmts: vec![Stmt::WindowedReuse {
-                dst: BufId(1),
-                src: BufId(0),
-                src_len: 50,
-                state: BufId(2),
-                window: 11,
-                // every window in this run starts past the source's end
-                k0: 120,
-                k1: 130,
-                scale: WindowScale::Div(11.0),
-            }],
-        };
-        let report = check_program(&p, &[]);
-        assert!(report.diagnostics.iter().any(|d| d.code == "F105"));
     }
 
     #[test]

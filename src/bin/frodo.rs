@@ -4,15 +4,15 @@
 //! frodo analyze  <model>                           redundancy-elimination report
 //! frodo lint     <model> [--format human|json|sarif]  static model diagnostics
 //! frodo compile  <model> [-s STYLE] [--verify] [--cache-dir D]
-//!                [--vectorize M] [--window-reuse] [--shared-helper]
+//!                [--vectorize M] [--shared-helper]
 //!                [--profile] [--harness ITERS]
 //!                [--trace out.ndjson] [--ledger | --ledger-out F] [-o out.c]
 //! frodo batch    <models...> [--workers N] [--verify] [--cache-dir D]
-//!                [-s STYLES] [-o DIR] [--vectorize M] [--window-reuse]
+//!                [-s STYLES] [-o DIR] [--vectorize M]
 //!                [--trace] [--trace-out out.ndjson]
 //!                [--ledger | --ledger-out F]
 //! frodo batch    <models...> --incremental [--region-max N] [-s STYLES]
-//!                [-o DIR] [--verify] [--vectorize M] [--window-reuse]
+//!                [-o DIR] [--verify] [--vectorize M]
 //!                [--trace] [--trace-out out.ndjson] [--ledger | --ledger-out F]
 //! frodo serve    [--socket PATH|--tcp ADDR] [--workers N] [--queue-cap N]
 //!                [--cache-cap BYTES] [--cache-dir D] [--ledger | --ledger-out F]
@@ -86,15 +86,15 @@ fn print_usage() {
         "frodo — redundancy-eliminating code generation for Simulink models\n\
          \n\
          USAGE:\n\
-         \x20 frodo analyze  <model> [-s STYLE] [--window-reuse] [--format human|json|sarif] [-o out]\n\
+         \x20 frodo analyze  <model> [-s STYLE] [--format human|json|sarif] [-o out]\n\
          \x20                [--gate] [--trace] | analyze --selftest\n\
          \x20 frodo lint     <model> [--format human|json|sarif] [-o out] | lint --explain CODE\n\
          \x20 frodo compile  <model> [-s simulink|dfsynth|hcg|frodo] [--vectorize auto|off|hints|batch[:W]]\n\
-         \x20                [--window-reuse] [--shared-helper] [--profile] [--harness ITERS]\n\
+         \x20                [--shared-helper] [--profile] [--harness ITERS]\n\
          \x20                [--verify] [--analyze] [--cache-dir DIR] [--cache-cap BYTES] [--no-cache]\n\
          \x20                [--trace out.ndjson] [--ledger | --ledger-out F] [-o out.c]\n\
          \x20 frodo batch    <models...> [--workers N] [--verify] [--analyze] [--cache-dir DIR] [-s STYLES|all] [-o DIR] [--machine]\n\
-         \x20                [--vectorize M] [--window-reuse] [--profile] [--cache-cap BYTES] [--no-cache] [--trace]\n\
+         \x20                [--vectorize M] [--profile] [--cache-cap BYTES] [--no-cache] [--trace]\n\
          \x20                [--trace-out out.ndjson] [--ledger | --ledger-out F] [--incremental [--region-max N]]\n\
          \x20 frodo serve    [--socket PATH|--tcp ADDR] [--workers N] [--queue-cap N] [--cache-cap BYTES]\n\
          \x20                [--cache-dir DIR] [--ledger | --ledger-out F]\n\
@@ -139,8 +139,7 @@ fn print_usage() {
          with --cache-dir add --no-cache. --shared-helper emits one shared\n\
          convolution helper instead of a loop nest per convolution (paper §5).\n\
          --vectorize shapes loops for SIMD (hints adds restrict/alignment,\n\
-         batch[:W] emits W-wide bodies); --window-reuse rewrites sliding-\n\
-         window statements into delta updates over a persistent ring buffer.\n\
+         batch[:W] emits W-wide bodies).\n\
          --profile emits self-profiling C: per-statement call counts, wall\n\
          nanoseconds, and FLOP tallies, dumped as obs-schema NDJSON by the\n\
          generated frodo_prof_dump() (the harness dumps to stderr on exit);\n\
@@ -190,7 +189,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let pos = positionals(
         args,
         &["-s", "--style", "--format", "-f", "-o", "--output"],
-        &["--trace", "--window-reuse", "--gate"],
+        &["--trace", "--gate"],
     )?;
     let model_ref = pos.first().ok_or("analyze: missing model path or name")?;
     let want_trace = args.iter().any(|a| a == "--trace");
@@ -223,11 +222,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     // static analysis: lower with the requested style and run the
     // dataflow analyses over the statement IR
     let style = style(args)?;
-    let lower = frodo::codegen::LowerOptions {
-        window_reuse: args.iter().any(|a| a == "--window-reuse"),
-        ..Default::default()
-    };
-    let program = frodo::codegen::generate_with(&analysis, style, lower, &frodo_obs::Trace::noop());
+    let program = frodo::codegen::generate(&analysis, style, &frodo_obs::Trace::noop());
     let report = frodo::verify::analyze_compile(
         &analysis,
         &program,
@@ -470,7 +465,6 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
             "--ledger",
             "--verify",
             "--analyze",
-            "--window-reuse",
             "--profile",
             "--shared-helper",
         ],
@@ -485,7 +479,6 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         .verify(args.iter().any(|a| a == "--verify"))
         .analyze(args.iter().any(|a| a == "--analyze"))
         .vectorize(vector_mode(args)?)
-        .window_reuse(args.iter().any(|a| a == "--window-reuse"))
         .profile(args.iter().any(|a| a == "--profile"))
         .shared_conv_helper(args.iter().any(|a| a == "--shared-helper"))
         .build();
@@ -594,14 +587,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         ]
         .concat(),
         &[
-            &[
-                "--trace",
-                "--ledger",
-                "--verify",
-                "--analyze",
-                "--window-reuse",
-                "--profile",
-            ],
+            &["--trace", "--ledger", "--verify", "--analyze", "--profile"],
             mode_bools,
         ]
         .concat(),
@@ -614,7 +600,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         .verify(args.iter().any(|a| a == "--verify"))
         .analyze(args.iter().any(|a| a == "--analyze"))
         .vectorize(vector_mode(args)?)
-        .window_reuse(args.iter().any(|a| a == "--window-reuse"))
         .profile(args.iter().any(|a| a == "--profile"))
         .build();
     if incremental {

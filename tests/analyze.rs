@@ -1,47 +1,41 @@
 //! Acceptance suite for the `analyze` dataflow stage: every bundled
-//! benchmark comes out clean under every lowering mode, the
-//! residual-redundancy detector is zero on FRODO output and nonzero on
-//! the Simulink-style baseline, injected defects are caught, and the
-//! combined diagnostic stream is byte-identical from run to run.
+//! benchmark comes out clean, the residual-redundancy detector is zero on
+//! FRODO output and nonzero on the Simulink-style baseline, injected
+//! defects are caught, and the combined diagnostic stream is
+//! byte-identical from run to run.
 
 use frodo::codegen::lir::{BufId, Buffer, BufferRole, ConvStyle, Program, Slice, Stmt};
 use frodo::codegen::{generate_with, LowerOptions};
 use frodo::prelude::*;
 use frodo::verify::{analyze_compile, analyze_program, AnalyzeOptions};
 
-/// The headline gate: every bundled benchmark, with and without
-/// window-reuse lowering, produces a program with zero residual
-/// redundancy, zero numeric findings, and zero dead stores. (SIMD vector
-/// modes shape emission, not the statement IR the analyses run over, so
-/// lowering modes are the axis that matters here.)
+/// The headline gate: every bundled benchmark produces a FRODO program
+/// with zero residual redundancy, zero numeric findings, and zero dead
+/// stores. The SIMD vector modes shape emission, not the statement IR
+/// the analyses run over, so one program per benchmark covers them all.
 #[test]
 fn all_benchmarks_are_clean_under_every_engine_and_lowering_mode() {
     for bench in frodo::benchmodels::all() {
         let analysis = Analysis::run(bench.model).unwrap();
-        for window_reuse in [false, true] {
-            let program = generate_with(
-                &analysis,
-                GeneratorStyle::Frodo,
-                LowerOptions {
-                    window_reuse,
-                    ..Default::default()
-                },
-                &frodo::obs::Trace::noop(),
-            );
-            let report = analyze_compile(&analysis, &program, &AnalyzeOptions::default());
-            assert!(
-                report.is_clean(),
-                "{}/window_reuse={window_reuse}: {:?}",
-                bench.name,
-                report.diagnostics
-            );
-            assert_eq!(
-                report.residual_elements, 0,
-                "{}: residual redundancy in FRODO output",
-                bench.name
-            );
-            assert_eq!(report.lifetime.dead_store_elements, 0);
-        }
+        let program = generate_with(
+            &analysis,
+            GeneratorStyle::Frodo,
+            LowerOptions::default(),
+            &frodo::obs::Trace::noop(),
+        );
+        let report = analyze_compile(&analysis, &program, &AnalyzeOptions::default());
+        assert!(
+            report.is_clean(),
+            "{}: {:?}",
+            bench.name,
+            report.diagnostics
+        );
+        assert_eq!(
+            report.residual_elements, 0,
+            "{}: residual redundancy in FRODO output",
+            bench.name
+        );
+        assert_eq!(report.lifetime.dead_store_elements, 0);
     }
 }
 

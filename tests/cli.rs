@@ -289,6 +289,26 @@ fn unknown_flags_fail_and_every_read_flag_is_accepted() {
     for (args, flag) in [
         (&["compile", "Kalman", "--bogus", "2"][..], "--bogus"),
         (&["batch", "Kalman", "-x"], "-x"),
+        // `--window-reuse` is refused like any unknown flag, by `client`
+        // before it connects
+        (&["compile", "Kalman", "--window-reuse"], "--window-reuse"),
+        (&["batch", "Kalman", "--window-reuse"], "--window-reuse"),
+        (
+            &["batch", "Kalman", "--incremental", "--window-reuse"],
+            "--window-reuse",
+        ),
+        (&["analyze", "Kalman", "--window-reuse"], "--window-reuse"),
+        (
+            &[
+                "client",
+                "--socket",
+                "/nonexistent.sock",
+                "compile",
+                "Kalman",
+                "--window-reuse",
+            ],
+            "--window-reuse",
+        ),
         // each batch mode takes only the flags it reads: the incremental
         // sessions no pool or artifact cache, the plain batch no region cap
         (

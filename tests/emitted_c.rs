@@ -26,7 +26,7 @@ fn digest_lines() -> Vec<String> {
             configs.push((style, vectorize, "plain"));
         }
     }
-    for variant in ["window-reuse", "profile", "shared-helper", "harness"] {
+    for variant in ["profile", "shared-helper", "harness"] {
         configs.push((GeneratorStyle::Frodo, "auto", variant));
     }
     let mut lines = Vec::new();
@@ -34,7 +34,6 @@ fn digest_lines() -> Vec<String> {
         for &(style, vectorize, variant) in &configs {
             let options = CompileOptions::builder()
                 .vectorize(VectorMode::parse(vectorize, 8).expect("vector mode"))
-                .window_reuse(variant == "window-reuse")
                 .profile(matches!(variant, "profile" | "harness"))
                 .shared_conv_helper(variant == "shared-helper")
                 .build();
@@ -82,8 +81,8 @@ fn emitted_c_matches_the_committed_digests() {
     let actual = digest_lines();
     assert_eq!(
         actual.len(),
-        200,
-        "10 models x (4 styles x 4 modes + 4 variants)"
+        190,
+        "10 models x (4 styles x 4 modes + 3 variants)"
     );
     let bless = std::env::var_os("FRODO_BLESS_DIGESTS").is_some();
     let committed = match std::fs::read_to_string(&path) {

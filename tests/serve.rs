@@ -9,6 +9,7 @@
 //! pinned or that state a timeout, and an over-long request line must be
 //! refused without being buffered.
 
+use frodo::codegen::VectorMode;
 use frodo::obs::ndjson;
 use frodo::prelude::*;
 use frodo::serve::{Client, Endpoint, RequestOptions, Server, ServerConfig};
@@ -251,11 +252,11 @@ fn recompile_sessions_refuse_other_options_and_region_caps() {
     let cold = recompile(&plain, 0);
     assert_eq!(num_field(&cold, "ok"), 1.0, "{cold}");
 
-    let window_reuse = RequestOptions {
-        window_reuse: true,
+    let batched = RequestOptions {
+        vectorize: VectorMode::Batch(8),
         ..RequestOptions::default()
     };
-    for (options, region_max) in [(&window_reuse, 0), (&plain, 8)] {
+    for (options, region_max) in [(&batched, 0), (&plain, 8)] {
         let clash = recompile(options, region_max);
         assert_eq!(str_field(&clash, "type"), "error", "{clash}");
         assert!(
