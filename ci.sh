@@ -8,7 +8,7 @@ cargo fmt --all -- --check
 cargo build --release --offline
 cargo test -q --offline
 cargo test -q --workspace --offline
-cargo clippy --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # the benchmark package (its own workspace) must build against the changed
 # crates, and its determinism self-test must pass

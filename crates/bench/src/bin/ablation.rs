@@ -9,8 +9,8 @@
 //! 4. **Shared convolution helper** — the §5 code-size remedy (generic
 //!    function interface with range parameters).
 //! 5. **Expression folding** — the optional LIR fusion pass.
-//! 6. **Vectorization mode** — scalar vs hinted vs explicitly batched
-//!    emission, under the per-arch cost model.
+//! 6. **Vectorization mode** — the default (scalar FRODO) vs hinted vs
+//!    explicitly batched emission, under the per-arch cost model.
 
 use frodo_codegen::optimize::fold_expressions;
 use frodo_codegen::{
@@ -92,7 +92,6 @@ fn main() {
             bench.model.clone(),
             RangeOptions {
                 eliminate_dead_ends: true,
-                ..Default::default()
             },
         )
         .expect("analyzes");
@@ -163,24 +162,24 @@ fn main() {
     println!("Ablation 6: vectorization mode (FRODO emission, per-arch estimate)");
     println!(
         "{:<14} {:>10} {:>10} {:>10} {:>10} {:>10}  (us)",
-        "model", "off", "hints", "batch:8", "x86 gain", "arm batch:2"
+        "model", "auto", "hints", "batch:8", "x86 gain", "arm batch:2"
     );
     println!("{}", "-".repeat(72));
     let arm = CostModel::arm_gcc();
     for bench in &suite {
         let analysis = Analysis::run(bench.model.clone()).expect("analyzes");
         let p = generate(&analysis, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
-        let off = cm.program_ns_with(&p, VectorMode::Off);
+        let auto = cm.program_ns_with(&p, VectorMode::Auto);
         let hints = cm.program_ns_with(&p, VectorMode::Hints);
         let batch = cm.program_ns_with(&p, VectorMode::Batch(cm.lanes()));
         let arm_batch = arm.program_ns_with(&p, VectorMode::Batch(arm.lanes()));
         println!(
             "{:<14} {:>10.1} {:>10.1} {:>10.1} {:>9.2}x {:>10.1}",
             bench.name,
-            off / 1e3,
+            auto / 1e3,
             hints / 1e3,
             batch / 1e3,
-            off / batch,
+            auto / batch,
             arm_batch / 1e3
         );
     }

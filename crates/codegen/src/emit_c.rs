@@ -12,7 +12,7 @@ use crate::GeneratorStyle;
 use std::fmt::Write;
 
 /// How aggressively the emitter shapes loops for SIMD execution
-/// (`--vectorize off|hints|batch[:W]` on the CLI).
+/// (`--vectorize auto|hints|batch[:W]` on the CLI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VectorMode {
     /// Historical per-style behavior: HCG batches vectorizable loops four
@@ -21,8 +21,6 @@ pub enum VectorMode {
     /// produced before [`VectorMode`] existed.
     #[default]
     Auto,
-    /// Plain scalar loops for every style, including HCG.
-    Off,
     /// Scalar loop bodies, but the step function takes `restrict`-qualified
     /// pointers, asserts 64-byte buffer alignment, and marks vectorizable
     /// loops with `#pragma GCC ivdep` so the compiler's auto-vectorizer has
@@ -39,7 +37,7 @@ impl VectorMode {
     /// Lane widths accepted by [`VectorMode::parse`].
     pub const WIDTH_RANGE: std::ops::RangeInclusive<usize> = 2..=16;
 
-    /// Parses the CLI syntax `off | hints | batch[:W]`; bare `batch` takes
+    /// Parses the CLI syntax `auto | hints | batch[:W]`; bare `batch` takes
     /// `default_width` (callers map this from the target cost model's lane
     /// count).
     ///
@@ -50,7 +48,6 @@ impl VectorMode {
     pub fn parse(s: &str, default_width: usize) -> Result<Self, String> {
         match s {
             "auto" => return Ok(VectorMode::Auto),
-            "off" => return Ok(VectorMode::Off),
             "hints" => return Ok(VectorMode::Hints),
             "batch" => return Ok(VectorMode::Batch(default_width)),
             _ => {}
@@ -73,7 +70,7 @@ impl VectorMode {
             return Ok(VectorMode::Batch(w));
         }
         Err(format!(
-            "unknown vectorize mode '{s}' (expected auto|off|hints|batch[:W], W in {}..={})",
+            "unknown vectorize mode '{s}' (expected auto|hints|batch[:W], W in {}..={})",
             Self::WIDTH_RANGE.start(),
             Self::WIDTH_RANGE.end()
         ))
@@ -1250,10 +1247,6 @@ mod tests {
             .collect()
     }
 
-    fn shapes(expected: &[(&str, bool)]) -> Vec<(String, bool)> {
-        expected.iter().map(|&(l, c)| (l.to_string(), c)).collect()
-    }
-
     #[test]
     fn window_steady_ranges_carry_no_clamp() {
         let steady = |k0, k1| (format!("for (int k = {k0}; k < {k1}; ++k) {{"), false);
@@ -1357,20 +1350,6 @@ mod tests {
     }
 
     #[test]
-    fn vectorize_off_strips_hcg_batching() {
-        let p = generate(&figure1(), GeneratorStyle::Hcg, &frodo_obs::Trace::noop());
-        let c = emit_c_with(
-            &p,
-            CEmitOptions {
-                vectorize: VectorMode::Off,
-                ..CEmitOptions::default()
-            },
-        );
-        assert!(!c.contains("explicit simd batch"));
-        assert!(!c.contains("restrict"));
-    }
-
-    #[test]
     fn vectorize_hints_adds_restrict_alignment_and_pragmas() {
         let p = generate(&figure1(), GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
         let c = emit_c_with(
@@ -1427,7 +1406,7 @@ mod tests {
     #[test]
     fn vector_mode_parse_covers_the_cli_grammar() {
         assert_eq!(VectorMode::parse("auto", 8), Ok(VectorMode::Auto));
-        assert_eq!(VectorMode::parse("off", 8), Ok(VectorMode::Off));
+        assert!(VectorMode::parse("off", 8).is_err());
         assert_eq!(VectorMode::parse("hints", 8), Ok(VectorMode::Hints));
         assert_eq!(VectorMode::parse("batch", 8), Ok(VectorMode::Batch(8)));
         assert_eq!(VectorMode::parse("batch:2", 8), Ok(VectorMode::Batch(2)));

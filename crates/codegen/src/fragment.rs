@@ -26,43 +26,11 @@
 use crate::lir::{Program, Stmt};
 use crate::lower::Lowerer;
 use crate::{GeneratorStyle, LowerOptions};
-use frodo_core::incremental::RegionInfo;
+use frodo_core::incremental::{Fnv128, RegionInfo};
 use frodo_core::{full_ranges, Analysis, Ranges};
 use frodo_model::{BlockId, InPort, OutPort};
 use std::collections::{BTreeMap, HashMap};
-
-/// 128-bit FNV-1a (private copy; the other lives in `frodo-core`'s
-/// incremental module — both digest into independent key spaces).
-#[derive(Debug, Clone, Copy)]
-struct Fnv128(u128);
-
-impl Fnv128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013B;
-
-    fn new() -> Self {
-        Fnv128(Self::OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write(&(v as u64).to_le_bytes());
-    }
-
-    fn write_u128(&mut self, v: u128) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn finish(self) -> u128 {
-        self.0
-    }
-}
+use std::hash::Hasher;
 
 /// A caller-owned cache of lowered region fragments. Owned by a compile
 /// session alongside the region range cache; never shared between
@@ -88,11 +56,6 @@ impl FragmentCache {
     /// Whether nothing is cached yet.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Drops every cached fragment.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -122,7 +85,7 @@ fn fragment_key(
     info: &RegionInfo,
 ) -> u128 {
     let dfg = analysis.dfg();
-    let mut h = Fnv128::new();
+    let mut h = Fnv128::default();
     h.write_u128(info.content);
     h.write(style.label().as_bytes());
     h.write_usize(opts.coalesce_gap);
@@ -130,18 +93,10 @@ fn fragment_key(
         Some(id) => h.write_usize(id.0 + 1),
         None => h.write_usize(0),
     };
-    let range = |h: &mut Fnv128, block: BlockId, port: usize| {
-        let set = ranges.out(block, port);
-        h.write_usize(set.intervals().len());
-        for iv in set.intervals() {
-            h.write_usize(iv.start);
-            h.write_usize(iv.end);
-        }
-    };
     for &b in &info.blocks {
         let kind = &dfg.model().block(b).kind;
         for o in 0..kind.num_outputs() {
-            range(&mut h, b, o);
+            h.write_ranges(ranges.out(b, o));
             buf(&mut h, lw.out_buf_of(OutPort::new(b, o)));
         }
         // Outports stash their buffer under a sentinel port
@@ -150,7 +105,7 @@ fn fragment_key(
         buf(&mut h, lw.fir_coeffs_of(b));
         for p in 0..kind.num_inputs() {
             let src = dfg.source_of(InPort::new(b, p));
-            range(&mut h, src.block, src.port);
+            h.write_ranges(ranges.out(src.block, src.port));
             buf(&mut h, Some(lw.input_buf(InPort::new(b, p))));
         }
     }

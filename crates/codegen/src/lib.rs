@@ -62,7 +62,7 @@ pub use emit_c::{
     VectorMode,
 };
 pub use fragment::{generate_from_fragments, FragmentCache, FragmentStats};
-pub use lower::{generate, generate_with, LowerOptions};
+pub use lower::{generate, generate_with, LowerOptions, DEFAULT_COALESCE_GAP};
 pub use style::GeneratorStyle;
 
 /// Revision of the C the emitter writes. The artifact cache digests it

@@ -13,6 +13,11 @@ use frodo_model::{BlockId, BlockKind, InPort, LogicOp, OutPort, RelOp, RoundMode
 use frodo_ranges::IndexSet;
 use std::collections::BTreeMap;
 
+/// The default [`LowerOptions::coalesce_gap`]. The `analyze` stage's
+/// residual-redundancy detector forgives gaps of the same size, so the
+/// elements a default lowering bridges on purpose are not reported.
+pub const DEFAULT_COALESCE_GAP: usize = 16;
+
 /// Tuning knobs for lowering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LowerOptions {
@@ -26,7 +31,9 @@ pub struct LowerOptions {
 
 impl Default for LowerOptions {
     fn default() -> Self {
-        LowerOptions { coalesce_gap: 16 }
+        LowerOptions {
+            coalesce_gap: DEFAULT_COALESCE_GAP,
+        }
     }
 }
 

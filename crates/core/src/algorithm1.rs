@@ -487,7 +487,6 @@ mod tests {
             m,
             RangeOptions {
                 eliminate_dead_ends: true,
-                ..Default::default()
             },
         );
         let gid = dfg.model().find("g").unwrap();

@@ -35,19 +35,17 @@ use frodo_ranges::IndexSet;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 
-/// 128-bit FNV-1a, used for every region digest. Wide enough that a
-/// silent collision (which would replay wrong ranges) is not a practical
-/// concern, cheap enough to run over every block of every submission.
+/// 128-bit FNV-1a, used for every region digest here and for the
+/// lowered-fragment keys in `frodo-codegen`. Wide enough that a silent
+/// collision (which would replay wrong ranges or statements) is not a
+/// practical concern, cheap enough to run over every block of every
+/// submission.
 #[derive(Debug, Clone, Copy)]
-struct Fnv128(u128);
+pub struct Fnv128(u128);
 
 impl Fnv128 {
     const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
     const PRIME: u128 = 0x0000000001000000000000000000013B;
-
-    fn new() -> Self {
-        Fnv128(Self::OFFSET)
-    }
 
     fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
@@ -56,7 +54,9 @@ impl Fnv128 {
         }
     }
 
-    fn write_ranges(&mut self, set: &IndexSet) {
+    /// Folds in an index set: its interval count, then each interval's
+    /// start and end.
+    pub fn write_ranges(&mut self, set: &IndexSet) {
         self.write_usize(set.intervals().len());
         for iv in set.intervals() {
             self.write_usize(iv.start);
@@ -64,14 +64,22 @@ impl Fnv128 {
         }
     }
 
-    fn finish(self) -> u128 {
+    /// The full 128-bit digest.
+    pub fn finish(self) -> u128 {
         self.0
     }
 }
 
+/// A digest of no bytes yet.
+impl Default for Fnv128 {
+    fn default() -> Self {
+        Fnv128(Self::OFFSET)
+    }
+}
+
 /// Takes the model's value walk ([`frodo_model::Block::digest_into`]) and
-/// derived `Hash` impls (shapes, port maps): `write` is
-/// [`Fnv128::update`], and integers go in at a fixed little-endian width.
+/// derived `Hash` impls (shapes, port maps): `write` folds the bytes in,
+/// and integers go in at a fixed little-endian width.
 impl Hasher for Fnv128 {
     fn write(&mut self, bytes: &[u8]) {
         self.update(bytes);
@@ -113,11 +121,6 @@ impl RegionCache {
     /// Whether nothing is cached yet.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Drops every cached region.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -176,7 +179,7 @@ pub struct IncrementalAnalysis {
 /// apart), input wiring, and port shapes.
 fn block_digest(dfg: &Dfg, id: BlockId) -> u128 {
     let block = dfg.model().block(id);
-    let mut h = Fnv128::new();
+    let mut h = Fnv128::default();
     h.write_usize(id.index());
     block.digest_into(&mut h);
     for p in 0..block.kind.num_inputs() {
@@ -207,7 +210,7 @@ fn demand_digest(
     blocks: &[BlockId],
     ranges: &BTreeMap<OutPort, IndexSet>,
 ) -> u128 {
-    let mut h = Fnv128::new();
+    let mut h = Fnv128::default();
     for &b in blocks {
         for o in 0..dfg.model().block(b).kind.num_outputs() {
             let port = OutPort::new(b, o);
@@ -286,7 +289,7 @@ pub fn analyze_incremental(
     let partition = partition_regions(&dfg, region_max)?;
     // every option that shapes range results
     let options_digest = {
-        let mut h = Fnv128::new();
+        let mut h = Fnv128::default();
         h.update(b"regions-v1");
         h.update(if options.eliminate_dead_ends {
             b"1"
@@ -298,7 +301,7 @@ pub fn analyze_incremental(
 
     let mut regions = Vec::with_capacity(partition.len());
     for blocks in partition.regions() {
-        let mut h = Fnv128::new();
+        let mut h = Fnv128::default();
         h.write_usize(blocks.len());
         for &b in blocks {
             h.write_u128(block_digest(&dfg, b));
@@ -316,7 +319,7 @@ pub fn analyze_incremental(
     };
     for (idx, info) in regions.iter().enumerate() {
         let key = {
-            let mut h = Fnv128::new();
+            let mut h = Fnv128::default();
             h.write_u128(info.content);
             h.write_u128(demand_digest(
                 &dfg,
@@ -574,7 +577,6 @@ mod tests {
             m,
             RangeOptions {
                 eliminate_dead_ends: true,
-                ..RangeOptions::default()
             },
             0,
             &mut cache,

@@ -91,24 +91,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The options that determine the generated C, which the artifact cache
-/// key (and the incremental session's per-region keys) must cover. Two
-/// compiles whose model and `KeyedOptions` agree produce byte-identical
-/// code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KeyedOptions {
-    /// Range-determination options (dead-end elimination).
-    pub range: RangeOptions,
-    /// Lowering options (run coalescing).
-    pub lower: LowerOptions,
-    /// C emission options (shared convolution helper).
-    pub emit: CEmitOptions,
-}
-
 /// The options that only affect *how* a job executes, never *what* it
 /// produces. The type split (instead of the old per-field "excluded from
 /// the cache key" comments) makes the cache keys correct by construction:
-/// [`cache_key`] takes [`KeyedOptions`] and cannot see these.
+/// [`cache_key`] takes [`CEmitOptions`] and cannot see these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Runs the range-soundness checker (`frodo-verify`) on the lowered
@@ -122,10 +108,10 @@ pub struct ExecOptions {
     pub verify: bool,
     /// Runs the dataflow analyses (`frodo-verify`'s `analyze` stage) on
     /// the lowered program before emission: value-range numeric-safety
-    /// checks, the residual-redundancy detector, and the buffer-lifetime
-    /// report. Their findings are warnings, recorded as counters only; they
-    /// never fail the job. Like `verify`, this never changes the generated
-    /// C and is excluded from every cache key.
+    /// checks and the residual-redundancy detector. Their findings are
+    /// warnings, recorded as counters only; they never fail the job. Like
+    /// `verify`, this never changes the generated C and is excluded from
+    /// every cache key.
     pub analyze: bool,
     /// Wall-clock budget for the whole job in milliseconds; `0` means no
     /// limit. Enforced by batches ([`CompileService::compile_batch`]) and
@@ -138,12 +124,14 @@ pub struct ExecOptions {
 }
 
 /// Every compile knob, split into the half that shapes the generated C
-/// ([`KeyedOptions`], digested into cache keys) and the half that only
-/// shapes execution ([`ExecOptions`], invisible to every cache).
+/// (the emission options, digested into cache keys) and the half that
+/// only shapes execution ([`ExecOptions`], invisible to every cache).
+/// Range determination and lowering always run with their defaults
+/// ([`RangeOptions::default`], [`LowerOptions::default`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileOptions {
-    /// Options digested into the artifact (and region) cache keys.
-    pub keyed: KeyedOptions,
+    /// Emission options, digested into the artifact cache key.
+    pub keyed: CEmitOptions,
     /// Execution-only options, excluded from every cache key by type.
     pub exec: ExecOptions,
 }
@@ -165,13 +153,13 @@ pub struct CompileOptionsBuilder {
 impl CompileOptionsBuilder {
     /// Shared convolution helper emission (keyed).
     pub fn shared_conv_helper(mut self, on: bool) -> Self {
-        self.options.keyed.emit.shared_conv_helper = on;
+        self.options.keyed.shared_conv_helper = on;
         self
     }
 
     /// Vectorization mode of the emitted C (keyed).
     pub fn vectorize(mut self, mode: frodo_codegen::VectorMode) -> Self {
-        self.options.keyed.emit.vectorize = mode;
+        self.options.keyed.vectorize = mode;
         self
     }
 
@@ -179,7 +167,7 @@ impl CompileOptionsBuilder {
     /// hooks change the emitted bytes, so profiled and plain artifacts
     /// must never share a cache slot).
     pub fn profile(mut self, on: bool) -> Self {
-        self.options.keyed.emit.profile = on;
+        self.options.keyed.profile = on;
         self
     }
 
@@ -642,7 +630,7 @@ impl CompileService {
         // analysis: dfg + iomap + Algorithm 1 + classification. The
         // model is already flat, so the inner flatten span moves it
         // through without a copy, recorded alongside the real one above.
-        let analysis = Analysis::run_traced(flat, options.keyed.range, &jt).map_err(|e| {
+        let analysis = Analysis::run_traced(flat, RangeOptions::default(), &jt).map_err(|e| {
             JobError::Analysis {
                 job: name.clone(),
                 message: e.to_string(),
@@ -650,7 +638,7 @@ impl CompileService {
         })?;
 
         // lower (records its own span), then verify, analyze and emit
-        let program = generate_with(&analysis, style, options.keyed.lower, &jt);
+        let program = generate_with(&analysis, style, LowerOptions::default(), &jt);
         let (code, metrics) = finish_compile(&name, &analysis, &program, &options, &jt)?;
 
         if !self.config.no_cache {
@@ -721,21 +709,13 @@ fn finish_compile(
     // findings are warnings, recorded as counters
     if options.exec.analyze {
         let span = trace.span("analyze");
-        let report = frodo_verify::analyze_compile(
-            analysis,
-            program,
-            &frodo_verify::AnalyzeOptions::default(),
-        );
+        let report = frodo_verify::analyze_compile(analysis, program);
         span.count("analyze_stmts", report.stmts as u64);
         span.count("analyze_diagnostics", report.diagnostics.len() as u64);
         span.count("analyze_residual_elements", report.residual_elements as u64);
-        span.count(
-            "analyze_dead_store_elements",
-            report.lifetime.dead_store_elements as u64,
-        );
     }
 
-    let code = emit_c_traced(program, options.keyed.emit, trace);
+    let code = emit_c_traced(program, options.keyed, trace);
     Ok((code, JobMetrics::from_analysis(analysis)))
 }
 
@@ -764,7 +744,7 @@ pub fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
 
 /// The artifact-cache key: a content digest over the emitter revision
 /// ([`frodo_codegen::EMIT_REVISION`]), the flattened model, the
-/// generator style, and every keyed option. Taking [`KeyedOptions`]
+/// generator style, and every emission option. Taking [`CEmitOptions`]
 /// (not [`CompileOptions`]) makes it impossible for an execution-only
 /// knob to split the cache.
 ///
@@ -774,7 +754,7 @@ pub fn load_model(path: &Path, trace: &Trace) -> Result<Model, String> {
 /// destructured field by field, so a new keyed option does not compile
 /// until it is digested. Nothing is formatted, so the key does not
 /// depend on how a toolchain prints a value.
-pub fn cache_key(flat: &Model, style: GeneratorStyle, options: &KeyedOptions) -> ContentDigest {
+pub fn cache_key(flat: &Model, style: GeneratorStyle, options: &CEmitOptions) -> ContentDigest {
     cache_key_at(flat, style, options, frodo_codegen::EMIT_REVISION)
 }
 
@@ -782,38 +762,24 @@ pub fn cache_key(flat: &Model, style: GeneratorStyle, options: &KeyedOptions) ->
 fn cache_key_at(
     flat: &Model,
     style: GeneratorStyle,
-    options: &KeyedOptions,
+    options: &CEmitOptions,
     revision: u32,
 ) -> ContentDigest {
-    let KeyedOptions {
-        range: RangeOptions {
-            eliminate_dead_ends,
-        },
-        lower: LowerOptions { coalesce_gap },
-        emit:
-            CEmitOptions {
-                shared_conv_helper,
-                vectorize,
-                profile,
-            },
+    let CEmitOptions {
+        shared_conv_helper,
+        vectorize,
+        profile,
     } = *options;
     let (mode, width) = match vectorize {
         VectorMode::Auto => (0, 0),
-        VectorMode::Off => (1, 0),
-        VectorMode::Hints => (2, 0),
-        VectorMode::Batch(w) => (3, w),
+        VectorMode::Hints => (1, 0),
+        VectorMode::Batch(w) => (2, w),
     };
     let mut digest = DigestWriter::new();
     digest.update(&revision.to_le_bytes());
     flat.digest_into(&mut digest);
     digest.update(style.label().as_bytes());
-    digest.update(&[
-        eliminate_dead_ends as u8,
-        shared_conv_helper as u8,
-        profile as u8,
-        mode,
-    ]);
-    digest.update(&(coalesce_gap as u64).to_le_bytes());
+    digest.update(&[shared_conv_helper as u8, profile as u8, mode]);
     digest.update(&(width as u64).to_le_bytes());
     digest.finish()
 }
@@ -849,7 +815,7 @@ mod tests {
         let base = gain_model(2.0)
             .flattened(&frodo_obs::Trace::noop())
             .unwrap();
-        let opts = KeyedOptions::default();
+        let opts = CEmitOptions::default();
         let k0 = cache_key(&base, GeneratorStyle::Frodo, &opts);
         // same content, same key
         assert_eq!(k0, cache_key(&base, GeneratorStyle::Frodo, &opts));
@@ -860,21 +826,17 @@ mod tests {
         assert_ne!(k0, cache_key(&other, GeneratorStyle::Frodo, &opts));
         // different style
         assert_ne!(k0, cache_key(&base, GeneratorStyle::Hcg, &opts));
-        // different lowering option
-        let mut coalesce0 = opts;
-        coalesce0.lower.coalesce_gap = 0;
-        assert_ne!(k0, cache_key(&base, GeneratorStyle::Frodo, &coalesce0));
         // different emission option
         let mut shared = opts;
-        shared.emit.shared_conv_helper = true;
+        shared.shared_conv_helper = true;
         assert_ne!(k0, cache_key(&base, GeneratorStyle::Frodo, &shared));
         // different vectorization mode
         let mut vec = opts;
-        vec.emit.vectorize = frodo_codegen::VectorMode::Batch(8);
+        vec.vectorize = VectorMode::Batch(8);
         assert_ne!(k0, cache_key(&base, GeneratorStyle::Frodo, &vec));
         // profiled emission must not share a slot with plain emission
         let mut prof = opts;
-        prof.emit.profile = true;
+        prof.profile = true;
         assert_ne!(k0, cache_key(&base, GeneratorStyle::Frodo, &prof));
     }
 
@@ -883,7 +845,7 @@ mod tests {
         let flat = gain_model(2.0)
             .flattened(&frodo_obs::Trace::noop())
             .unwrap();
-        let opts = KeyedOptions::default();
+        let opts = CEmitOptions::default();
         let rev = frodo_codegen::EMIT_REVISION;
         let key = cache_key(&flat, GeneratorStyle::Frodo, &opts);
         assert_eq!(key, cache_key_at(&flat, GeneratorStyle::Frodo, &opts, rev));
@@ -1003,7 +965,7 @@ mod tests {
 
     #[test]
     fn cache_key_is_invariant_under_every_exec_option() {
-        // the key's signature only admits KeyedOptions, so any combination
+        // the key's signature only admits CEmitOptions, so any combination
         // of exec knobs maps to the same key by construction; assert it
         // end to end through the builder anyway
         let base = gain_model(2.0)

@@ -11,9 +11,10 @@
 //!
 //! A session is pinned to one generator style and one set of
 //! [`CompileOptions`] at construction: the per-region cache keys cover
-//! model content, boundary demand, and keyed options, so a session never
-//! needs the artifact cache's full-model digest to stay sound — but
-//! pinning keeps the handle's contract obvious and the caches warm.
+//! model content, boundary demand, and the range and lowering options,
+//! so a session never needs the artifact cache's full-model digest to
+//! stay sound — but pinning keeps the handle's contract obvious and the
+//! caches warm.
 //!
 //! ```
 //! use frodo_codegen::GeneratorStyle;
@@ -42,8 +43,9 @@
 
 use crate::report::{CompileReport, StageTimings};
 use crate::{cache_key, CacheStatus, CompileOptions, JobError, JobOutput};
-use frodo_codegen::{generate_from_fragments, FragmentCache, GeneratorStyle};
+use frodo_codegen::{generate_from_fragments, FragmentCache, GeneratorStyle, LowerOptions};
 use frodo_core::incremental::{analyze_incremental, RegionCache};
+use frodo_core::RangeOptions;
 use frodo_model::Model;
 use frodo_obs::Trace;
 
@@ -159,13 +161,6 @@ impl CompileSession {
         self.stats
     }
 
-    /// Drops all cached regions and fragments (the next submission is a
-    /// cold compile).
-    pub fn invalidate(&mut self) {
-        self.regions.clear();
-        self.fragments.clear();
-    }
-
     /// Compiles one submission, reusing every region the caches still
     /// cover. The generated C is byte-identical to a cold
     /// [`CompileService::compile`] of the same model with the same style
@@ -221,7 +216,7 @@ impl CompileSession {
 
         let inc = analyze_incremental(
             flat,
-            self.options.keyed.range,
+            RangeOptions::default(),
             self.region_max,
             &mut self.regions,
             &jt,
@@ -234,7 +229,7 @@ impl CompileSession {
         let (program, frag_stats) = generate_from_fragments(
             &inc.analysis,
             self.style,
-            self.options.keyed.lower,
+            LowerOptions::default(),
             &inc.regions,
             &mut self.fragments,
             &jt,
@@ -373,18 +368,5 @@ mod tests {
         session.compile("chain", chain(2.0), &trace).unwrap();
         assert!(trace.counter_total("analyze_stmts") > 0);
         assert!(trace.snapshot().spans.iter().any(|s| s.name == "analyze"));
-    }
-
-    #[test]
-    fn invalidate_forces_a_cold_recompile() {
-        let mut session = CompileSession::builder(GeneratorStyle::Frodo).build();
-        session
-            .compile("chain", chain(2.0), &Trace::noop())
-            .unwrap();
-        session.invalidate();
-        session
-            .compile("chain", chain(2.0), &Trace::noop())
-            .unwrap();
-        assert_eq!(session.stats().last_region_hits, 0);
     }
 }

@@ -221,11 +221,6 @@ impl Dfg {
             .count()
     }
 
-    /// Whether a block's outputs are consumed by anything.
-    pub fn is_dead_end(&self, id: BlockId) -> bool {
-        self.children[id.index()].is_empty() && self.model.block(id).kind.num_outputs() > 0
-    }
-
     /// Blocks in the graph, convenience passthrough.
     pub fn ids(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.model.ids()
@@ -417,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn sink_and_dead_end_classification() {
+    fn sink_classification() {
         let mut m = Model::new("cls");
         let i = m.add(Block::new(
             "i",
@@ -433,12 +428,8 @@ mod tests {
         m.connect(g, 0, o, 0).unwrap();
         m.connect(i, 0, dangling, 0).unwrap();
         let dfg = Dfg::new(m, &frodo_obs::Trace::noop()).unwrap();
-        // the outport is a sink but not a dead end (it has no outputs at all)
-        assert!(dfg.sinks().contains(&o));
-        assert!(!dfg.is_dead_end(o));
-        // the dangling Abs has an unconsumed output
-        assert!(dfg.is_dead_end(dangling));
-        assert!(!dfg.is_dead_end(g));
+        // the outport and the dangling Abs feed nothing; the gain does
+        assert_eq!(dfg.sinks(), [o, dangling]);
     }
 
     #[test]

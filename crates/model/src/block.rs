@@ -434,16 +434,6 @@ impl BlockKind {
     pub fn is_stateful(&self) -> bool {
         matches!(self, BlockKind::UnitDelay { .. })
     }
-
-    /// Whether the block is a source (no data inputs).
-    pub fn is_source(&self) -> bool {
-        self.num_inputs() == 0
-    }
-
-    /// Whether the block is a sink (no outputs).
-    pub fn is_sink(&self) -> bool {
-        self.num_outputs() == 0
-    }
 }
 
 impl fmt::Display for BlockKind {
@@ -537,19 +527,6 @@ mod tests {
         .is_truncation());
         assert!(!BlockKind::Convolution.is_truncation());
         assert!(!BlockKind::Add.is_truncation());
-    }
-
-    #[test]
-    fn source_and_sink_classification() {
-        assert!(BlockKind::Inport {
-            index: 0,
-            shape: Shape::Scalar
-        }
-        .is_source());
-        assert!(BlockKind::Outport { index: 0 }.is_sink());
-        assert!(BlockKind::Terminator.is_sink());
-        assert!(!BlockKind::Add.is_source());
-        assert!(!BlockKind::Add.is_sink());
     }
 
     #[test]

@@ -114,15 +114,6 @@ impl Tensor {
         self.data[self.shape.flatten(row, col)]
     }
 
-    /// The scalar value, if this is a scalar or single-element tensor.
-    pub fn as_scalar(&self) -> Option<f64> {
-        if self.data.len() == 1 {
-            Some(self.data[0])
-        } else {
-            None
-        }
-    }
-
     /// Reinterprets the data under a new shape with the same element count.
     ///
     /// # Panics
@@ -147,20 +138,6 @@ impl Tensor {
             }
         }
         Tensor::new(self.shape.transposed(), out)
-    }
-
-    /// Maximum absolute difference to another tensor of the same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn max_abs_diff(&self, other: &Tensor) -> f64 {
-        assert_eq!(self.shape, other.shape, "shape mismatch in comparison");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -215,13 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn as_scalar_only_for_single_element() {
-        assert_eq!(Tensor::scalar(3.0).as_scalar(), Some(3.0));
-        assert_eq!(Tensor::vector(vec![5.0]).as_scalar(), Some(5.0));
-        assert_eq!(Tensor::vector(vec![1.0, 2.0]).as_scalar(), None);
-    }
-
-    #[test]
     fn transpose_roundtrip() {
         let t = Tensor::matrix(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let tt = t.transposed();
@@ -241,12 +211,5 @@ mod tests {
     #[should_panic(expected = "cannot reshape")]
     fn reshape_rejects_numel_mismatch() {
         Tensor::vector(vec![1.0, 2.0]).reshaped(Shape::Matrix(2, 2));
-    }
-
-    #[test]
-    fn max_abs_diff_measures_distance() {
-        let a = Tensor::vector(vec![1.0, 2.0, 3.0]);
-        let b = Tensor::vector(vec![1.0, 2.5, 2.0]);
-        assert!((a.max_abs_diff(&b) - 1.0).abs() < 1e-12);
     }
 }

@@ -227,7 +227,7 @@ mod tests {
             sum_ns: 1_000_000,
             ..Default::default()
         };
-        a.stages.push(("vanished".to_string(), slow.clone()));
+        a.stages.push(("vanished".to_string(), slow));
         b.stages.push(("appeared".to_string(), slow));
         let d = diff_entries(&a, &b, 10.0);
         assert!(d.ok(), "{}", d.render());

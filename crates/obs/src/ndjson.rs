@@ -128,13 +128,6 @@ impl ObjWriter {
         self
     }
 
-    /// Appends a signed integer field.
-    pub fn field_int(&mut self, key: &str, value: i64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
     /// Appends a float field with two decimals (rates, percentages).
     pub fn field_pct(&mut self, key: &str, value: f64) -> &mut Self {
         self.key(key);
@@ -557,7 +550,7 @@ mod tests {
         w.field_str("type", "result")
             .field_str("job", "a \"b\"\nc")
             .field_num("code_bytes", 123)
-            .field_int("delta", -4)
+            .field_raw("delta", "-4")
             .field_pct("hit_rate", 66.666)
             .field_raw("diags", r#"[{"code":"F001"}]"#);
         let line = w.finish();

@@ -57,19 +57,9 @@ impl Interval {
         self.start <= idx && idx < self.end
     }
 
-    /// Whether `other` is fully contained in `self`.
-    pub fn contains_interval(&self, other: &Interval) -> bool {
-        other.is_empty() || (self.start <= other.start && other.end <= self.end)
-    }
-
     /// Intersection of two intervals (possibly empty).
     pub fn intersect(&self, other: &Interval) -> Interval {
         Interval::new(self.start.max(other.start), self.end.min(other.end))
-    }
-
-    /// Whether the two intervals share at least one index.
-    pub fn overlaps(&self, other: &Interval) -> bool {
-        !self.intersect(other).is_empty()
     }
 
     /// Whether the two intervals overlap or touch (so their union is one interval).
@@ -150,7 +140,6 @@ mod tests {
         let a = Interval::new(0, 3);
         let b = Interval::new(5, 9);
         assert!(a.intersect(&b).is_empty());
-        assert!(!a.overlaps(&b));
     }
 
     #[test]
@@ -158,7 +147,7 @@ mod tests {
         let a = Interval::new(0, 5);
         let b = Interval::new(5, 9);
         assert!(a.touches(&b));
-        assert!(!a.overlaps(&b));
+        assert!(a.intersect(&b).is_empty());
     }
 
     #[test]
@@ -180,14 +169,6 @@ mod tests {
         let iv = Interval::new(3, 20);
         assert_eq!(iv.clamp_to(10), Interval::new(3, 10));
         assert!(iv.clamp_to(2).is_empty());
-    }
-
-    #[test]
-    fn contains_interval_handles_empty() {
-        let big = Interval::new(0, 10);
-        assert!(big.contains_interval(&Interval::new(7, 7)));
-        assert!(big.contains_interval(&Interval::new(2, 9)));
-        assert!(!big.contains_interval(&Interval::new(5, 11)));
     }
 
     #[test]

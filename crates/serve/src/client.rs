@@ -290,9 +290,6 @@ fn write_options(w: &mut ndjson::ObjWriter, options: &proto::RequestOptions, cli
     }
     match options.vectorize {
         frodo_codegen::VectorMode::Auto => {}
-        frodo_codegen::VectorMode::Off => {
-            w.field_str("vectorize", "off");
-        }
         frodo_codegen::VectorMode::Hints => {
             w.field_str("vectorize", "hints");
         }

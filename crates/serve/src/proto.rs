@@ -20,6 +20,8 @@
 //!
 //! `model` is a `.slx`/`.mdl` path (resolved server-side), a bundled
 //! Table-1 benchmark name, or a `random:<seed>:<size>[:edit:<k>]` spec.
+//! `vectorize` is `auto` (the default), `hints`, `batch` or `batch:<W>`;
+//! any other label gets an `error` naming it.
 //! `client` names the fairness bucket submissions queue under;
 //! connections without one get a per-connection bucket. `recompile`
 //! compiles through a named server-side [`frodo_driver::CompileSession`]:
@@ -554,7 +556,7 @@ mod tests {
                 assert_eq!(options.vectorize, VectorMode::Batch(4));
                 let co = options.compile_options();
                 assert_eq!(co.exec.timeout_ms, 500);
-                assert_eq!(co.keyed.emit.vectorize, VectorMode::Batch(4));
+                assert_eq!(co.keyed.vectorize, VectorMode::Batch(4));
             }
             other => panic!("expected compile, got {other:?}"),
         }
@@ -612,6 +614,21 @@ mod tests {
             );
             assert_eq!(options(&format!("{{{head}}}")), RequestOptions::default());
         }
+    }
+
+    #[test]
+    fn vectorize_off_is_an_unknown_mode() {
+        // the daemon answers a line that fails to parse with an `error`
+        // carrying the parse message
+        let err =
+            parse_request(r#"{"type":"compile","model":"Kalman","vectorize":"off"}"#).unwrap_err();
+        let fields = ndjson::parse_line(&render_error(&err)).unwrap();
+        assert_eq!(ndjson::get_str(&fields, "type"), Some("error"));
+        let message = ndjson::get_str(&fields, "message").unwrap();
+        assert!(
+            message.contains("unknown vectorize mode 'off' (expected auto|hints|batch[:W]"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -217,13 +217,12 @@ impl CostModel {
     /// Estimated nanoseconds for one statement under an explicit emission
     /// vector mode.
     ///
-    /// `Auto` reproduces [`CostModel::stmt_ns`] exactly. `Off` strips HCG's
-    /// explicit batching, leaving clean scalar loops the compiler
-    /// auto-vectorizes at profile efficiency. `Hints` additionally models
-    /// the restrict/alignment annotations raising realized vectorizer
-    /// efficiency. `Batch(w)` models explicit `w`-wide batching on
-    /// vectorizable statements — effective even on reductions, but with
-    /// HCG-like per-loop setup overhead.
+    /// `Auto` reproduces [`CostModel::stmt_ns`] exactly. `Hints` strips
+    /// HCG's explicit batching, leaving clean scalar loops the compiler
+    /// auto-vectorizes, and models the restrict/alignment annotations
+    /// raising realized vectorizer efficiency. `Batch(w)` models explicit
+    /// `w`-wide batching on vectorizable statements — effective even on
+    /// reductions, but with HCG-like per-loop setup overhead.
     pub fn stmt_ns_with(&self, style: GeneratorStyle, stmt: &Stmt, mode: VectorMode) -> f64 {
         // HCG's hand-batched loops (and our explicit `batch` emission)
         // carry extra setup (lane accumulators, remainder loops) and block
@@ -247,7 +246,6 @@ impl CostModel {
                 };
                 (self.speedup(style, stmt), over)
             }
-            VectorMode::Off => (self.speedup(unbatched_style, stmt), plain),
             VectorMode::Hints => {
                 let base = self.speedup(unbatched_style, stmt);
                 let speed = if stmt.is_vectorizable() {
@@ -538,11 +536,11 @@ mod tests {
     #[test]
     fn batch_beats_scalar_frodo_by_1_5x() {
         // explicit 8-wide batching vs the scalar FRODO emission of the
-        // same program, under the x86/gcc model
+        // same program (the default), under the x86/gcc model
         let a = figure1();
         let p = generate(&a, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
         let cm = CostModel::x86_gcc();
-        let base = cm.program_ns_with(&p, VectorMode::Off);
+        let base = cm.program_ns_with(&p, VectorMode::Auto);
         let batched = cm.program_ns_with(&p, VectorMode::Batch(8));
         assert!(
             base / batched >= 1.5,

@@ -1,7 +1,7 @@
 //! The `analyze` pipeline stage: dataflow client analyses over the
 //! lowered statement IR.
 //!
-//! Three analyses run over one [`Program`], all built on the
+//! Two analyses run over one [`Program`], both built on the
 //! [`dataflow`](crate::dataflow) engine and the shared element-access
 //! footprints of [`frodo_codegen::access`]:
 //!
@@ -15,12 +15,9 @@
 //!    slop (`F204`). On FRODO-style output this should be empty: it is the
 //!    dataflow restatement of the paper's redundancy-elimination claim.
 //!    Baseline styles report exactly their over-computation.
-//! 3. **Buffer lifetimes** — first-write/last-read spans, dead stores,
-//!    and a greedy slot packing of `Temp` buffers estimating reclaimable
-//!    storage. Report-only (no diagnostics).
 //!
 //! Everything here is deterministic: diagnostics depend only on the
-//! program and the options, and are emitted in statement order.
+//! program and the output demands, and are emitted in statement order.
 
 use std::collections::BTreeSet;
 
@@ -29,37 +26,20 @@ use crate::diag::Diagnostic;
 use crate::soundness::{output_demands, OutputDemand};
 use frodo_codegen::access::{stmt_access, Malformed, StmtAccess};
 use frodo_codegen::lir::{BinOp, BufId, BufferRole, Program, ReduceOp, Src, Stmt, UnOp};
+use frodo_codegen::DEFAULT_COALESCE_GAP;
 use frodo_core::Analysis;
 use frodo_ranges::IndexSet;
 
-/// Tuning knobs for [`analyze_program`] / [`analyze_compile`].
-#[derive(Debug, Clone)]
-pub struct AnalyzeOptions {
-    /// Assumed magnitude bound on every model input element: inputs are
-    /// seeded with the interval `[-input_bound, input_bound]`.
-    pub input_bound: f64,
-    /// Widening bound: interval ends are clamped to ±`widen_bound`, and
-    /// non-converging state is widened to this after `max_passes`.
-    pub widen_bound: f64,
-    /// Fixpoint pass budget for the value-range analysis before widening.
-    pub max_passes: usize,
-    /// Demand coalescing slop for the residual detector, in elements.
-    /// Should match the lowering's `coalesce_gap` (default 16): the
-    /// generator deliberately bridges demand gaps up to this size, and
-    /// those bridge elements are not residual redundancy.
-    pub demand_slop: usize,
-}
+/// Assumed magnitude bound on every model input element: inputs are
+/// seeded with the interval `[-INPUT_BOUND, INPUT_BOUND]`.
+const INPUT_BOUND: f64 = 1.0e6;
 
-impl Default for AnalyzeOptions {
-    fn default() -> Self {
-        AnalyzeOptions {
-            input_bound: 1.0e6,
-            widen_bound: 1.0e12,
-            max_passes: 8,
-            demand_slop: 16,
-        }
-    }
-}
+/// Widening bound: interval ends are clamped to ±`WIDEN_BOUND`, and
+/// non-converging state is widened to this after [`MAX_PASSES`].
+const WIDEN_BOUND: f64 = 1.0e12;
+
+/// Fixpoint pass budget for the value-range analysis before widening.
+const MAX_PASSES: usize = 8;
 
 /// Everything the `analyze` stage found, plus the counters the trace
 /// stage records.
@@ -82,8 +62,6 @@ pub struct AnalyzeReport {
     pub residual_elements: usize,
     /// Statements with at least one residual element.
     pub residual_stmts: usize,
-    /// Buffer lifetime / storage-reuse report.
-    pub lifetime: LifetimeReport,
 }
 
 impl AnalyzeReport {
@@ -91,42 +69,6 @@ impl AnalyzeReport {
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
     }
-}
-
-/// First-write/last-read span of one buffer, in statement indices.
-#[derive(Debug, Clone)]
-pub struct BufferLifetime {
-    /// Buffer name.
-    pub name: String,
-    /// Buffer extent in elements.
-    pub len: usize,
-    /// Role label (`input` / `output` / `temp` / `const` / `state`).
-    pub role: &'static str,
-    /// First statement writing the buffer, if any.
-    pub first_write: Option<usize>,
-    /// Last statement reading the buffer, if any.
-    pub last_read: Option<usize>,
-}
-
-/// Dead stores and storage-reuse opportunities.
-#[derive(Debug, Clone, Default)]
-pub struct LifetimeReport {
-    /// Per-buffer lifetime spans, in buffer order.
-    pub buffers: Vec<BufferLifetime>,
-    /// Elements written whose value is never read afterwards (and is not
-    /// an output or carried state).
-    pub dead_store_elements: usize,
-    /// Statements with at least one dead-store element.
-    pub dead_store_stmts: usize,
-    /// `Temp` buffers with a complete lifetime span.
-    pub temp_buffers: usize,
-    /// Storage slots a greedy lifetime packing of those temps needs.
-    pub temp_slots: usize,
-    /// Elements reclaimable by that packing (temp total minus slot total).
-    pub reclaimable_elements: usize,
-    /// `(earlier, later)` buffer-name pairs whose lifetimes are disjoint
-    /// so the later could reuse the earlier's storage.
-    pub reuse_pairs: Vec<(String, String)>,
 }
 
 // ---------------------------------------------------------------------------
@@ -242,8 +184,7 @@ fn vsum_exact(n: usize, r: ValRange) -> ValRange {
     }
 }
 
-struct IntervalAnalysis<'a> {
-    opts: &'a AnalyzeOptions,
+struct IntervalAnalysis {
     /// When true, widen every store change straight to the widening
     /// bound — the post-budget convergence hammer.
     widen: bool,
@@ -258,18 +199,18 @@ struct IntervalAnalysis<'a> {
     diags: Vec<Diagnostic>,
 }
 
-impl IntervalAnalysis<'_> {
+impl IntervalAnalysis {
     fn unknown(&self) -> ValRange {
         ValRange {
-            lo: -self.opts.input_bound,
-            hi: self.opts.input_bound,
+            lo: -INPUT_BOUND,
+            hi: INPUT_BOUND,
         }
     }
 
     fn top(&self) -> ValRange {
         ValRange {
-            lo: -self.opts.widen_bound,
-            hi: self.opts.widen_bound,
+            lo: -WIDEN_BOUND,
+            hi: WIDEN_BOUND,
         }
     }
 
@@ -536,7 +477,7 @@ impl IntervalAnalysis<'_> {
     }
 }
 
-impl Transfer for IntervalAnalysis<'_> {
+impl Transfer for IntervalAnalysis {
     type State = Vec<Option<ValRange>>;
 
     fn direction(&self) -> Direction {
@@ -681,7 +622,6 @@ impl Transfer for IntervalAnalysis<'_> {
 // ---------------------------------------------------------------------------
 
 struct DemandAnalysis<'a> {
-    opts: &'a AnalyzeOptions,
     accs: &'a [Result<StmtAccess, Malformed>],
     /// Base demand re-imposed at every invocation boundary: output ranges
     /// from Algorithm 1 plus full state extents (read next step).
@@ -742,9 +682,9 @@ impl Transfer for DemandAnalysis<'_> {
                 demanded_dst = demanded_dst.union(&d);
             }
             if self.report {
-                // the lowering deliberately bridges demand gaps up to
-                // `coalesce_gap` elements; forgive the same slop here
-                let forgiven = state[w.buf.0].coalesce(self.opts.demand_slop);
+                // the lowering bridges demand gaps up to its default
+                // `coalesce_gap` on purpose; forgive the same slop here
+                let forgiven = state[w.buf.0].coalesce(DEFAULT_COALESCE_GAP);
                 let residual = w.set.difference(&forgiven);
                 if !residual.is_empty() {
                     let b = program.buffer(w.buf);
@@ -834,150 +774,18 @@ fn demand_src(state: &mut [IndexSet], s: &Src, demanded: &IndexSet, dst_off: usi
 }
 
 // ---------------------------------------------------------------------------
-// buffer-lifetime analysis (report only)
-// ---------------------------------------------------------------------------
-
-fn role_label(role: &BufferRole) -> &'static str {
-    match role {
-        BufferRole::Input(_) => "input",
-        BufferRole::Output(_) => "output",
-        BufferRole::Temp => "temp",
-        BufferRole::Const(_) => "const",
-        BufferRole::State(_) => "state",
-    }
-}
-
-/// Computes lifetime spans, dead stores and a greedy storage packing of
-/// `Temp` buffers.
-fn lifetime_report(
-    program: &Program,
-    demands: &[OutputDemand],
-    accs: &[Result<StmtAccess, Malformed>],
-    slop: usize,
-) -> LifetimeReport {
-    let nb = program.buffers.len();
-    let mut first_write = vec![None::<usize>; nb];
-    let mut last_read = vec![None::<usize>; nb];
-    for (i, acc) in accs.iter().enumerate() {
-        let Ok(acc) = acc else { continue };
-        for w in &acc.writes {
-            first_write[w.buf.0].get_or_insert(i);
-        }
-        for r in &acc.reads {
-            last_read[r.buf.0] = Some(i);
-        }
-    }
-    // backward liveness for dead stores: outputs and state are live at
-    // the end of the invocation
-    let mut live: Vec<IndexSet> = program
-        .buffers
-        .iter()
-        .enumerate()
-        .map(|(bi, b)| match &b.role {
-            BufferRole::Output(idx) => demands
-                .iter()
-                .find(|d| d.index == *idx)
-                .map(|d| d.range.clone())
-                .unwrap_or_else(|| IndexSet::full(b.len)),
-            BufferRole::State(_) => IndexSet::full(b.len),
-            _ => {
-                let _ = bi;
-                IndexSet::new()
-            }
-        })
-        .collect();
-    let mut dead_store_elements = 0usize;
-    let mut dead_store_stmts = 0usize;
-    for (i, acc) in accs.iter().enumerate().rev() {
-        let Ok(acc) = acc else { continue };
-        let mut stmt_dead = 0usize;
-        for w in &acc.writes {
-            // forgive writes inside slop-bridged gaps of live elements:
-            // coalesced lowering writes them on purpose (a contiguous run
-            // is cheaper than a strided one), mirroring the residual
-            // detector's demand_slop
-            stmt_dead += w.set.difference(&live[w.buf.0].coalesce(slop)).count();
-            live[w.buf.0] = live[w.buf.0].difference(&w.set);
-        }
-        for r in &acc.reads {
-            live[r.buf.0] = live[r.buf.0].union(&r.set);
-        }
-        if stmt_dead > 0 {
-            dead_store_elements += stmt_dead;
-            dead_store_stmts += 1;
-        }
-        let _ = i;
-    }
-    // greedy slot packing of temps by [first_write, last_read] span
-    let mut temps: Vec<usize> = (0..nb)
-        .filter(|&b| {
-            matches!(program.buffers[b].role, BufferRole::Temp)
-                && first_write[b].is_some()
-                && last_read[b].is_some()
-        })
-        .collect();
-    temps.sort_by_key(|&b| (first_write[b], last_read[b], b));
-    let mut slots: Vec<(usize, usize, usize)> = Vec::new(); // (last end, max len, last buf)
-    let mut reuse_pairs = Vec::new();
-    for &b in &temps {
-        let (fw, lr) = (first_write[b].unwrap(), last_read[b].unwrap());
-        if let Some(slot) = slots.iter_mut().find(|s| s.0 < fw) {
-            reuse_pairs.push((
-                program.buffers[slot.2].name.clone(),
-                program.buffers[b].name.clone(),
-            ));
-            slot.0 = lr;
-            slot.1 = slot.1.max(program.buffers[b].len);
-            slot.2 = b;
-        } else {
-            slots.push((lr, program.buffers[b].len, b));
-        }
-    }
-    let temp_total: usize = temps.iter().map(|&b| program.buffers[b].len).sum();
-    let slot_total: usize = slots.iter().map(|s| s.1).sum();
-    LifetimeReport {
-        buffers: program
-            .buffers
-            .iter()
-            .enumerate()
-            .map(|(bi, b)| BufferLifetime {
-                name: b.name.clone(),
-                len: b.len,
-                role: role_label(&b.role),
-                first_write: first_write[bi],
-                last_read: last_read[bi],
-            })
-            .collect(),
-        dead_store_elements,
-        dead_store_stmts,
-        temp_buffers: temps.len(),
-        temp_slots: slots.len(),
-        reclaimable_elements: temp_total.saturating_sub(slot_total),
-        reuse_pairs,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // orchestration
 // ---------------------------------------------------------------------------
 
-/// Runs all three analyses over a compiled model: output demands come
-/// from Algorithm 1's calculation ranges.
-pub fn analyze_compile(
-    analysis: &Analysis,
-    program: &Program,
-    opts: &AnalyzeOptions,
-) -> AnalyzeReport {
-    analyze_inner(program, &output_demands(analysis, program), opts)
+/// Runs both analyses over a compiled model: output demands come from
+/// Algorithm 1's calculation ranges.
+pub fn analyze_compile(analysis: &Analysis, program: &Program) -> AnalyzeReport {
+    analyze_inner(program, &output_demands(analysis, program))
 }
 
-/// Runs all three analyses over a bare program with explicit output
-/// demands (an empty slice demands every output's full extent).
-pub fn analyze_program(
-    program: &Program,
-    demands: &[OutputDemand],
-    opts: &AnalyzeOptions,
-) -> AnalyzeReport {
+/// Runs both analyses over a bare program with explicit output demands
+/// (an empty slice demands every output's full extent).
+pub fn analyze_program(program: &Program, demands: &[OutputDemand]) -> AnalyzeReport {
     let full: Vec<OutputDemand>;
     let demands = if demands.is_empty() {
         full = program
@@ -993,14 +801,10 @@ pub fn analyze_program(
     } else {
         demands
     };
-    analyze_inner(program, demands, opts)
+    analyze_inner(program, demands)
 }
 
-fn analyze_inner(
-    program: &Program,
-    demands: &[OutputDemand],
-    opts: &AnalyzeOptions,
-) -> AnalyzeReport {
+fn analyze_inner(program: &Program, demands: &[OutputDemand]) -> AnalyzeReport {
     let accs: Vec<Result<StmtAccess, Malformed>> = program
         .stmts
         .iter()
@@ -1009,14 +813,13 @@ fn analyze_inner(
 
     // 1. value ranges: fixpoint, widen if needed, then one reporting pass
     let mut ia = IntervalAnalysis {
-        opts,
         widen: false,
         report: false,
         taint: std::cell::Cell::new(false),
         flagged: BTreeSet::new(),
         diags: Vec::new(),
     };
-    let mut fix = run_to_fixpoint(program, &mut ia, opts.max_passes);
+    let mut fix = run_to_fixpoint(program, &mut ia, MAX_PASSES);
     let mut interval_passes = fix.passes;
     if !fix.converged {
         ia.widen = true;
@@ -1051,7 +854,6 @@ fn analyze_inner(
         })
         .collect();
     let mut da = DemandAnalysis {
-        opts,
         accs: &accs,
         base,
         report: false,
@@ -1059,7 +861,7 @@ fn analyze_inner(
         residual_stmts: 0,
         diags: Vec::new(),
     };
-    let dfix = run_to_fixpoint(program, &mut da, opts.max_passes.max(4));
+    let dfix = run_to_fixpoint(program, &mut da, MAX_PASSES);
     da.report = true;
     let mut demand_state = dfix.entry.clone();
     run_one_pass(program, &mut da, &mut demand_state);
@@ -1068,9 +870,6 @@ fn analyze_inner(
     let residual_elements = da.residual_elements;
     let residual_stmts = da.residual_stmts;
     diagnostics.extend(da.diags);
-
-    // 3. lifetimes
-    let lifetime = lifetime_report(program, demands, &accs, opts.demand_slop);
 
     AnalyzeReport {
         diagnostics,
@@ -1081,7 +880,6 @@ fn analyze_inner(
         value_ranges,
         residual_elements,
         residual_stmts,
-        lifetime,
     }
 }
 
@@ -1138,7 +936,7 @@ mod tests {
                 },
             ],
         );
-        let r = analyze_program(&p, &[], &AnalyzeOptions::default());
+        let r = analyze_program(&p, &[]);
         assert!(codes(&r).contains(&"F201"), "got {:?}", codes(&r));
     }
 
@@ -1156,7 +954,7 @@ mod tests {
                 len: 4,
             }],
         );
-        let r = analyze_program(&p, &[], &AnalyzeOptions::default());
+        let r = analyze_program(&p, &[]);
         assert_eq!(codes(&r), vec!["F202"]);
     }
 
@@ -1175,7 +973,7 @@ mod tests {
                 len: 2,
             }],
         );
-        let r = analyze_program(&p, &[], &AnalyzeOptions::default());
+        let r = analyze_program(&p, &[]);
         assert_eq!(codes(&r), vec!["F203"]);
     }
 
@@ -1212,7 +1010,7 @@ mod tests {
                 },
             ],
         );
-        let r = analyze_program(&p, &[], &AnalyzeOptions::default());
+        let r = analyze_program(&p, &[]);
         assert!(r.is_clean(), "unexpected findings: {:?}", r.diagnostics);
         assert!(r.interval_converged);
     }
@@ -1246,7 +1044,7 @@ mod tests {
                 },
             ],
         );
-        let r = analyze_program(&p, &[], &AnalyzeOptions::default());
+        let r = analyze_program(&p, &[]);
         assert_eq!(r.residual_elements, 10);
         assert_eq!(r.residual_stmts, 1);
         assert_eq!(codes(&r), vec!["F204"]);
@@ -1283,10 +1081,9 @@ mod tests {
         m.connect(c, 0, s, 0).unwrap();
         m.connect(s, 0, o, 0).unwrap();
         let analysis = Analysis::run(m).unwrap();
-        let opts = AnalyzeOptions::default();
 
         let frodo = generate(&analysis, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
-        let r = analyze_compile(&analysis, &frodo, &opts);
+        let r = analyze_compile(&analysis, &frodo);
         assert_eq!(
             r.residual_elements, 0,
             "frodo output over-computes: {:?}",
@@ -1299,7 +1096,7 @@ mod tests {
             GeneratorStyle::SimulinkCoder,
             &frodo_obs::Trace::noop(),
         );
-        let rb = analyze_compile(&analysis, &baseline, &opts);
+        let rb = analyze_compile(&analysis, &baseline);
         assert!(
             rb.residual_elements > 0,
             "baseline should over-compute the convolution tails"
@@ -1307,7 +1104,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_store_and_temp_reuse_are_reported() {
+    fn never_read_fill_is_residual_f204() {
         let p = program(
             vec![
                 buf("in0", 8, BufferRole::Input(0)),
@@ -1322,7 +1119,7 @@ mod tests {
                     src: Slice::new(BufId(0), 0),
                     len: 8,
                 },
-                // never read again: all 8 elements are dead stores
+                // never read: all 8 elements are residual
                 Stmt::Fill {
                     dst: Slice::new(BufId(3), 0),
                     value: 0.0,
@@ -1341,14 +1138,11 @@ mod tests {
                 },
             ],
         );
-        let r = analyze_program(&p, &[], &AnalyzeOptions::default());
-        assert!(r.lifetime.dead_store_elements >= 8);
-        assert_eq!(r.lifetime.temp_buffers, 2); // dead has no last_read
-                                                // t1 is first written at stmt 2, t0 last read at stmt 2: the
-                                                // spans overlap, so both need slots; no reclaim here
-        assert_eq!(r.lifetime.temp_slots, 2);
-        let lt = &r.lifetime.buffers[1];
-        assert_eq!((lt.first_write, lt.last_read), (Some(0), Some(2)));
+        let r = analyze_program(&p, &[]);
+        assert_eq!(r.residual_elements, 8);
+        assert_eq!(r.residual_stmts, 1);
+        assert_eq!(codes(&r), vec!["F204"]);
+        assert_eq!(r.diagnostics[0].block.as_deref(), Some("dead"));
     }
 
     #[test]
@@ -1374,8 +1168,8 @@ mod tests {
                 },
             ],
         );
-        let a = analyze_program(&p, &[], &AnalyzeOptions::default());
-        let b = analyze_program(&p, &[], &AnalyzeOptions::default());
+        let a = analyze_program(&p, &[]);
+        let b = analyze_program(&p, &[]);
         let fmt = |r: &AnalyzeReport| {
             r.diagnostics
                 .iter()
@@ -1421,7 +1215,7 @@ mod tests {
                 },
             ],
         );
-        let r = analyze_program(&p, &[], &AnalyzeOptions::default());
+        let r = analyze_program(&p, &[]);
         assert!(r.interval_converged, "widening must force convergence");
         let acc = r.value_ranges.iter().find(|v| v.0 == "acc").unwrap();
         assert!(acc.2 >= 1.0e6, "feedback should have widened: {acc:?}");

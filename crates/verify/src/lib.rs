@@ -17,10 +17,9 @@
 //!    redundancy elimination did not change observable outputs.
 //! 3. **Dataflow analyses** ([`analyze_compile`] / [`analyze_program`],
 //!    the opt-in `analyze` pipeline stage) — a generic forward/backward
-//!    [`dataflow`] engine with three clients: per-buffer value intervals
-//!    flagging numeric hazards (`F201`–`F203`), a backward-demand
-//!    residual-redundancy detector (`F204`), and a buffer-lifetime /
-//!    storage-reuse report.
+//!    [`dataflow`] engine with two clients: per-buffer value intervals
+//!    flagging numeric hazards (`F201`–`F203`) and a backward-demand
+//!    residual-redundancy detector (`F204`).
 //!
 //! # Example
 //!
@@ -57,9 +56,7 @@ mod diag;
 mod lint;
 mod soundness;
 
-pub use analyze::{
-    analyze_compile, analyze_program, AnalyzeOptions, AnalyzeReport, BufferLifetime, LifetimeReport,
-};
+pub use analyze::{analyze_compile, analyze_program, AnalyzeReport};
 pub use diag::{
     from_model_error, render_human, render_json, render_sarif, rule, Diagnostic, Rule, Severity,
     RULES,

@@ -89,7 +89,7 @@ fn print_usage() {
          \x20 frodo analyze  <model> [-s STYLE] [--format human|json|sarif] [-o out]\n\
          \x20                [--gate] [--trace] | analyze --selftest\n\
          \x20 frodo lint     <model> [--format human|json|sarif] [-o out] | lint --explain CODE\n\
-         \x20 frodo compile  <model> [-s simulink|dfsynth|hcg|frodo] [--vectorize auto|off|hints|batch[:W]]\n\
+         \x20 frodo compile  <model> [-s simulink|dfsynth|hcg|frodo] [--vectorize auto|hints|batch[:W]]\n\
          \x20                [--shared-helper] [--profile] [--harness ITERS]\n\
          \x20                [--verify] [--analyze] [--cache-dir DIR] [--cache-cap BYTES] [--no-cache]\n\
          \x20                [--trace out.ndjson] [--ledger | --ledger-out F] [-o out.c]\n\
@@ -128,8 +128,8 @@ fn print_usage() {
          lint --explain CODE prints any rule's registry entry and a minimal\n\
          trigger. frodo analyze adds the dataflow analyses over the lowered\n\
          IR: value-range numeric safety (F201-F203), residual-redundancy\n\
-         detection (F204), and buffer lifetimes; --gate exits nonzero on any\n\
-         finding, --selftest runs the injected-defect detector check.\n\
+         detection (F204); --gate exits nonzero on any finding, --selftest\n\
+         runs the injected-defect detector check.\n\
          compile, batch and client requests take --analyze to run the same\n\
          stage in the pipeline (its findings are warnings). Every model\n\
          compiles on one thread; batch --workers N compiles N models at once.\n\
@@ -138,8 +138,8 @@ fn print_usage() {
          needs the lowered program, which a disk-cache hit does not keep, so\n\
          with --cache-dir add --no-cache. --shared-helper emits one shared\n\
          convolution helper instead of a loop nest per convolution (paper §5).\n\
-         --vectorize shapes loops for SIMD (hints adds restrict/alignment,\n\
-         batch[:W] emits W-wide bodies).\n\
+         --vectorize shapes loops for SIMD (auto, the default, batches only\n\
+         HCG; hints adds restrict/alignment; batch[:W] emits W-wide bodies).\n\
          --profile emits self-profiling C: per-statement call counts, wall\n\
          nanoseconds, and FLOP tallies, dumped as obs-schema NDJSON by the\n\
          generated frodo_prof_dump() (the harness dumps to stderr on exit);\n\
@@ -223,11 +223,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     // dataflow analyses over the statement IR
     let style = style(args)?;
     let program = frodo::codegen::generate(&analysis, style, &frodo_obs::Trace::noop());
-    let report = frodo::verify::analyze_compile(
-        &analysis,
-        &program,
-        &frodo::verify::AnalyzeOptions::default(),
-    );
+    let report = frodo::verify::analyze_compile(&analysis, &program);
     println!(
         "\nstatic analysis ({style}, {} statements, {} buffers):",
         report.stmts, report.buffers
@@ -257,16 +253,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         },
         report.residual_stmts,
         if report.residual_stmts == 1 { "" } else { "s" }
-    );
-    println!(
-        "  lifetimes: {} dead-store element{}, {} temp buffer{} -> {} slot{} ({} elements reclaimable)",
-        report.lifetime.dead_store_elements,
-        if report.lifetime.dead_store_elements == 1 { "" } else { "s" },
-        report.lifetime.temp_buffers,
-        if report.lifetime.temp_buffers == 1 { "" } else { "s" },
-        report.lifetime.temp_slots,
-        if report.lifetime.temp_slots == 1 { "" } else { "s" },
-        report.lifetime.reclaimable_elements
     );
     let rendered = render_diagnostics("analyze", args, &report.diagnostics)?;
     match flag_value(args, &["-o", "--output"]) {
@@ -350,11 +336,11 @@ fn analyze_selftest() -> Result<(), String> {
             },
         ],
     };
-    let report =
-        frodo::verify::analyze_program(&fig1, &[], &frodo::verify::AnalyzeOptions::default());
+    let report = frodo::verify::analyze_program(&fig1, &[]);
     if report.residual_elements != 10 || !report.diagnostics.iter().any(|d| d.code == "F204") {
         return Err(format!(
-            "analyze selftest: residual detector missed the injected over-computation              (got {} residual elements)",
+            "analyze selftest: residual detector missed the injected over-computation \
+             (got {} residual elements)",
             report.residual_elements
         ));
     }
@@ -426,7 +412,7 @@ fn lint_explain(code: &str) -> Result<(), String> {
     }
 }
 
-/// Parses `--vectorize auto|off|hints|batch[:W]`; bare `batch` takes the
+/// Parses `--vectorize auto|hints|batch[:W]`; bare `batch` takes the
 /// x86 cost model's lane count.
 fn vector_mode(args: &[String]) -> Result<frodo::codegen::VectorMode, String> {
     match flag_value(args, &["--vectorize"]) {
@@ -502,7 +488,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
                 "compile: --harness needs the lowered program, which a disk-cache hit \
                  does not keep; add --no-cache",
             )?;
-            frodo::codegen::emit_c_harness_with(program, iters, options.keyed.emit)
+            frodo::codegen::emit_c_harness_with(program, iters, options.keyed)
         }
     };
     let r = &out.report;

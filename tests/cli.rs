@@ -773,11 +773,23 @@ fn bad_vectorize_mode_error_enumerates_accepted_forms() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains(
-            "unknown vectorize mode 'wide' (expected auto|off|hints|batch[:W], W in 2..=16)"
-        ),
+        err.contains("unknown vectorize mode 'wide' (expected auto|hints|batch[:W], W in 2..=16)"),
         "{err}"
     );
+
+    // `off` is no mode any more: it gets the same unknown-mode error
+    for verb in ["compile", "batch"] {
+        let out = frodo()
+            .args([verb, "HT", "--no-cache", "--vectorize", "off"])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{verb}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("unknown vectorize mode 'off' (expected auto|hints|batch[:W]"),
+            "{verb}: {err}"
+        );
+    }
 
     let out = frodo()
         .args(["compile", "HT", "--no-cache", "--vectorize", "batch:64"])

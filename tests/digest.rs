@@ -4,7 +4,8 @@
 //! and a few hundred random models never collide.
 
 use frodo::benchmodels::random::random_model;
-use frodo::driver::{cache_key, KeyedOptions};
+use frodo::codegen::CEmitOptions;
+use frodo::driver::cache_key;
 use frodo::model::LogicOp;
 use frodo::prelude::*;
 use frodo::slx::fnv::ContentDigest;
@@ -12,12 +13,12 @@ use frodo::slx::{read_mdl, read_slx, write_mdl, write_slx};
 use std::collections::HashSet;
 
 fn key(model: &Model) -> ContentDigest {
-    cache_key(model, GeneratorStyle::Frodo, &KeyedOptions::default())
+    cache_key(model, GeneratorStyle::Frodo, &CEmitOptions::default())
 }
 
 fn flat_key(model: &Model, style: GeneratorStyle) -> ContentDigest {
     let flat = model.flattened(&Trace::noop()).expect("model flattens");
-    cache_key(&flat, style, &KeyedOptions::default())
+    cache_key(&flat, style, &CEmitOptions::default())
 }
 
 /// A one-block model named `m` whose block is `b`.

@@ -60,7 +60,7 @@ fn native_gcc_matches_vm_on_manufacture() {
 
 /// The vectorization modes reshape loops but may not change what the
 /// program computes: every mode's native checksum must agree with the
-/// scalar FRODO emission on the same workload.
+/// default (scalar) FRODO emission on the same workload.
 #[test]
 fn native_gcc_vector_modes_and_window_reuse_match_scalar() {
     use frodo::codegen::{CEmitOptions, VectorMode};
@@ -70,16 +70,8 @@ fn native_gcc_vector_modes_and_window_reuse_match_scalar() {
     }
     let analysis = Analysis::run(frodo::benchmodels::manufacture()).expect("analyze");
     let program = generate(&analysis, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
-    let scalar = native::compile_and_run_with(
-        &program,
-        GeneratorStyle::Frodo,
-        3,
-        CEmitOptions {
-            vectorize: VectorMode::Off,
-            ..Default::default()
-        },
-    )
-    .expect("scalar emission runs");
+    let scalar =
+        native::compile_and_run(&program, GeneratorStyle::Frodo, 3).expect("scalar emission runs");
     let close = |checksum: f64, what: &str| {
         let scale = scalar.checksum.abs().max(1.0);
         assert!(
