@@ -11,7 +11,8 @@
 //!
 //! Measured native step times come from `perfbench/` (interleaved rounds in
 //! thread CPU time), not from here. The cost-model calibration behind
-//! `frodo calibrate` lives in [`calibrate`].
+//! `frodo calibrate`, which joins the model against self-profiling native
+//! binaries (never the LIR interpreter), lives in [`calibrate`].
 //!
 //! The library surface exposes the measurement primitives the binaries
 //! share, plus [`programs_via_service`] which routes suite compilation

@@ -9,7 +9,7 @@
 //! extent) are rejected with a [`Malformed`] reason instead of a set.
 //!
 //! The sets are **emission-invariant**: every [`VectorMode`]
-//! (`auto`/`off`/`hints`/`batch:W`) changes only the loop *shape* of the
+//! (`auto`/`hints`/`batch:W`) changes only the loop *shape* of the
 //! emitted C, never the set of elements a statement touches, so one
 //! accessor serves all vector modes. State crosses invocations only
 //! through the unit-delay statements (`StateLoad` reads the state buffer,

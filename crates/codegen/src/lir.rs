@@ -476,8 +476,8 @@ impl Stmt {
     }
 
     /// A stable lowercase label for the statement kind, shared by the
-    /// self-profiling C emission, the VM statement profiler, and the
-    /// calibration report so the three views key their data identically.
+    /// self-profiling C emission and the calibration report so the two
+    /// views key their data identically.
     pub fn kind_label(&self) -> &'static str {
         match self {
             Stmt::Unary { .. } => "unary",

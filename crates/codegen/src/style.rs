@@ -47,11 +47,6 @@ impl GeneratorStyle {
         }
     }
 
-    /// Whether vectorizable loops carry explicit SIMD batching (HCG).
-    pub fn explicit_simd(&self) -> bool {
-        matches!(self, GeneratorStyle::Hcg)
-    }
-
     /// Display label used in regenerated tables (matches the paper).
     pub fn label(&self) -> &'static str {
         match self {
@@ -82,8 +77,6 @@ mod tests {
             ConvStyle::Branchy
         );
         assert_eq!(GeneratorStyle::Frodo.conv_style(), ConvStyle::Tight);
-        assert!(GeneratorStyle::Hcg.explicit_simd());
-        assert!(!GeneratorStyle::DfSynth.explicit_simd());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The content-addressed artifact cache.
 //!
 //! Keys are [`ContentDigest`](frodo_slx::fnv::ContentDigest)s of the
-//! flattened model plus every option that affects the generated C (style,
-//! dead-end elimination, coalescing gap, emission options).
+//! emitter revision, the flattened model, the generator style and every
+//! [`CEmitOptions`](frodo_codegen::CEmitOptions) field (see
+//! [`cache_key`](crate::cache_key)).
 //! Two layers:
 //!
 //! - an **in-memory** map, always on, which also retains the lowered
@@ -24,7 +25,6 @@
 
 use crate::report::JobMetrics;
 use frodo_codegen::lir::Program;
-use frodo_codegen::GeneratorStyle;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -331,12 +331,6 @@ fn load_disk(dir: &Path, digest: &str) -> Option<CachedArtifact> {
     })
 }
 
-/// Parses a generator-style label written by the disk layer.
-#[allow(dead_code)]
-pub(crate) fn style_from_label(label: &str) -> Option<GeneratorStyle> {
-    GeneratorStyle::ALL.into_iter().find(|s| s.label() == label)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,13 +449,5 @@ mod tests {
         assert!(fresh.lookup("d1").is_none());
         assert!(fresh.lookup("d3").is_some());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn style_labels_roundtrip() {
-        for style in GeneratorStyle::ALL {
-            assert_eq!(style_from_label(style.label()), Some(style));
-        }
-        assert_eq!(style_from_label("nope"), None);
     }
 }

@@ -1,10 +1,10 @@
 //! The analyzed dataflow graph.
 
-use crate::{analysis_levels, topo_levels, toposort};
+use crate::{analysis_levels, toposort};
 use frodo_model::{BlockId, BlockKind, InPort, Model, ModelError, OutPort, PortTable, ShapeTable};
 
-/// A flattened model together with its inferred shapes and adjacency
-/// structure — the artifact FRODO's *model analysis* stage hands to
+/// A flattened model together with its inferred shapes and port tables
+/// — the artifact FRODO's *model analysis* stage hands to
 /// redundancy elimination and code synthesis.
 ///
 /// Construction flattens subsystems, validates connectivity, and runs shape
@@ -14,8 +14,6 @@ use frodo_model::{BlockId, BlockKind, InPort, Model, ModelError, OutPort, PortTa
 pub struct Dfg {
     model: Model,
     shapes: ShapeTable,
-    children: Vec<Vec<BlockId>>,
-    parents: Vec<Vec<BlockId>>,
     /// The driver of every input port and the dense numbering of the
     /// output ports ([`Dfg::out_port_index`]).
     ports: PortTable,
@@ -58,18 +56,6 @@ impl Dfg {
             let _s = inner.span("shape_infer");
             flat.infer_shapes_with(&ports)?
         };
-        let n = flat.len();
-        let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        let mut parents: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for c in flat.connections() {
-            let (s, d) = (c.from.block, c.to.block);
-            if !children[s.index()].contains(&d) {
-                children[s.index()].push(d);
-            }
-            if !parents[d.index()].contains(&s) {
-                parents[d.index()].push(s);
-            }
-        }
         // counting sort of the connections by source port
         let out_index = |c: &frodo_model::Connection| {
             ports
@@ -90,13 +76,11 @@ impl Dfg {
             consumers[*slot] = c.to;
             *slot += 1;
         }
-        span.count("blocks", n as u64);
+        span.count("blocks", flat.len() as u64);
         span.count("connections", flat.connections().len() as u64);
         Ok(Dfg {
             model: flat,
             shapes,
-            children,
-            parents,
             ports,
             consumer_starts,
             consumers,
@@ -113,30 +97,27 @@ impl Dfg {
         &self.shapes
     }
 
-    /// Blocks consuming any output of `id` (deduplicated).
-    pub fn children(&self, id: BlockId) -> &[BlockId] {
-        &self.children[id.index()]
-    }
-
-    /// Blocks producing any input of `id` (deduplicated).
-    pub fn parents(&self, id: BlockId) -> &[BlockId] {
-        &self.parents[id.index()]
-    }
-
     /// The 0-in-degree *root blocks* of the paper's Algorithm 1 — the blocks
-    /// that "provide the source data for all calculations".
+    /// that "provide the source data for all calculations" — in id order.
+    /// Validation connects every input port, so these are exactly the
+    /// blocks whose kind takes no input.
     pub fn roots(&self) -> Vec<BlockId> {
         self.model
-            .ids()
-            .filter(|id| self.parents[id.index()].is_empty())
+            .iter()
+            .filter(|(_, b)| b.kind.num_inputs() == 0)
+            .map(|(id, _)| id)
             .collect()
     }
 
-    /// The 0-out-degree blocks (sinks).
+    /// The 0-out-degree blocks (sinks): no output port has a consumer.
     pub fn sinks(&self) -> Vec<BlockId> {
         self.model
-            .ids()
-            .filter(|id| self.children[id.index()].is_empty())
+            .iter()
+            .filter(|(id, b)| {
+                (0..b.kind.num_outputs())
+                    .all(|o| self.consumers_of(OutPort::new(*id, o)).is_empty())
+            })
+            .map(|(id, _)| id)
             .collect()
     }
 
@@ -186,17 +167,6 @@ impl Dfg {
     /// Total number of output ports in the graph.
     pub fn num_out_ports(&self) -> usize {
         self.ports.num_outputs()
-    }
-
-    /// The blocks grouped into topological levels (see
-    /// [`topo_levels`]): blocks within a level have no scheduling path
-    /// between them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::AlgebraicLoop`] if a delay-free cycle remains.
-    pub fn levels(&self) -> Result<Vec<Vec<BlockId>>, ModelError> {
-        topo_levels(&self.model)
     }
 
     /// The blocks grouped into the reverse levels of Algorithm 1's
@@ -262,12 +232,9 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_of_diamond() {
-        let (m, [i, g1, g2, add, o]) = diamond();
+    fn roots_and_sinks_of_diamond() {
+        let (m, [i, _, _, _, o]) = diamond();
         let dfg = Dfg::new(m, &frodo_obs::Trace::noop()).unwrap();
-        assert_eq!(dfg.children(i), &[g1, g2]);
-        assert_eq!(dfg.parents(add), &[g1, g2]);
-        assert_eq!(dfg.children(add), &[o]);
         assert_eq!(dfg.roots(), vec![i]);
         assert_eq!(dfg.sinks(), vec![o]);
     }
@@ -304,18 +271,16 @@ mod tests {
     }
 
     #[test]
-    fn dfg_levels_partition_the_blocks() {
+    fn dfg_analysis_levels_partition_the_blocks() {
         let (m, _) = diamond();
         let dfg = Dfg::new(m, &frodo_obs::Trace::noop()).unwrap();
-        let n = dfg.model().len();
-        assert_eq!(dfg.levels().unwrap().iter().map(Vec::len).sum::<usize>(), n);
         assert_eq!(
             dfg.analysis_levels()
                 .unwrap()
                 .iter()
                 .map(Vec::len)
                 .sum::<usize>(),
-            n
+            dfg.model().len()
         );
     }
 
@@ -329,26 +294,6 @@ mod tests {
         assert!(pos(ids[1]) < pos(ids[3]));
         assert!(pos(ids[2]) < pos(ids[3]));
         assert!(pos(ids[3]) < pos(ids[4]));
-    }
-
-    #[test]
-    fn fan_out_children_are_deduplicated() {
-        // one block feeding two ports of the same consumer
-        let mut m = Model::new("dup");
-        let c = m.add(Block::new(
-            "c",
-            BlockKind::Constant {
-                value: Tensor::vector(vec![1.0; 3]),
-            },
-        ));
-        let add = m.add(Block::new("add", BlockKind::Add));
-        let o = m.add(Block::new("o", BlockKind::Outport { index: 0 }));
-        m.connect(c, 0, add, 0).unwrap();
-        m.connect(c, 0, add, 1).unwrap();
-        m.connect(add, 0, o, 0).unwrap();
-        let dfg = Dfg::new(m, &frodo_obs::Trace::noop()).unwrap();
-        assert_eq!(dfg.children(c).len(), 1);
-        assert_eq!(dfg.parents(add).len(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The second and third steps of code generation (paper §2): *dataflow
 //! analysis* derives the connectivity between blocks, and *scheduling* infers
 //! the translation sequence. [`Dfg`] bundles a flattened model, its inferred
-//! shapes, and the adjacency structure; [`Dfg::schedule`] produces the
+//! shapes, and its port tables; [`Dfg::schedule`] produces the
 //! topological translation order used by code synthesis, treating stateful
 //! blocks (`UnitDelay`) as sequence points so feedback loops remain valid.
 //!
@@ -38,4 +38,4 @@ mod topo;
 
 pub use dfg::Dfg;
 pub use region::{partition_regions, RegionPartition};
-pub use topo::{analysis_levels, topo_levels, toposort};
+pub use topo::{analysis_levels, toposort};

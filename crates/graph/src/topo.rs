@@ -57,36 +57,6 @@ pub fn toposort(model: &Model) -> Result<Vec<BlockId>, ModelError> {
     Ok(order)
 }
 
-/// Groups the blocks of a valid model into *topological levels*: level 0
-/// holds the blocks with no scheduling predecessors, and every block sits
-/// one past its deepest predecessor. Blocks within a level are mutually
-/// data-independent (no scheduling path connects them), so they may be
-/// translated — or analyzed — concurrently. Edges leaving a `UnitDelay`
-/// are ignored exactly as in [`toposort`]; levels are sorted by block id.
-///
-/// # Errors
-///
-/// Returns [`ModelError::AlgebraicLoop`] if a delay-free cycle remains.
-pub fn topo_levels(model: &Model) -> Result<Vec<Vec<BlockId>>, ModelError> {
-    let order = toposort(model)?;
-    let n = model.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for c in model.connections() {
-        if matches!(model.block(c.from.block).kind, BlockKind::UnitDelay { .. }) {
-            continue; // state read: no ordering constraint
-        }
-        succs[c.from.block.index()].push(c.to.block.index());
-    }
-    let mut level = vec![0usize; n];
-    for &id in &order {
-        let i = id.index();
-        for &d in &succs[i] {
-            level[d] = level[d].max(level[i] + 1);
-        }
-    }
-    Ok(group_by_level(&level, n))
-}
-
 /// Groups the blocks into the *reverse* levels of Algorithm 1's dependency
 /// structure: a block's calculation range reads the ranges of its consumer
 /// blocks, **except** consumers whose input requirement is constant — model
@@ -251,7 +221,6 @@ mod tests {
     fn empty_model_is_trivially_sorted() {
         let m = Model::new("empty");
         assert!(toposort(&m).unwrap().is_empty());
-        assert!(topo_levels(&m).unwrap().is_empty());
         assert!(analysis_levels(&m).unwrap().is_empty());
     }
 
@@ -275,15 +244,6 @@ mod tests {
         m.connect(g2, 0, add, 1).unwrap();
         m.connect(add, 0, o, 0).unwrap();
         (m, [i, g1, g2, add, o])
-    }
-
-    #[test]
-    fn topo_levels_group_independent_blocks() {
-        let (m, [i, g1, g2, add, o]) = diamond();
-        let levels = topo_levels(&m).unwrap();
-        assert_eq!(levels, vec![vec![i], vec![g1, g2], vec![add], vec![o]],);
-        // levels partition the model and refine the topological order
-        assert_eq!(levels.iter().map(Vec::len).sum::<usize>(), m.len());
     }
 
     #[test]
@@ -344,10 +304,6 @@ mod tests {
         m.connect(b, 0, a, 0).unwrap();
         assert!(matches!(
             analysis_levels(&m),
-            Err(ModelError::AlgebraicLoop { .. })
-        ));
-        assert!(matches!(
-            topo_levels(&m),
             Err(ModelError::AlgebraicLoop { .. })
         ));
     }

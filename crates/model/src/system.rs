@@ -323,11 +323,6 @@ impl Model {
             .any(|b| matches!(b.kind, BlockKind::Subsystem(_)))
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     pub(crate) fn push_connection(&mut self, c: Connection) {
         self.connections.push(c);
     }

@@ -46,9 +46,9 @@ pub struct StageTimings {
     /// Range-soundness verification of the lowered IR (opt-in; zero when
     /// the compile did not run with `--verify`).
     pub verify: Duration,
-    /// Dataflow analyses over the lowered IR — value ranges, residual
-    /// redundancy, schedule races, lifetimes (opt-in; zero when the
-    /// compile did not run with `--analyze`).
+    /// Dataflow analyses over the lowered IR — value ranges and residual
+    /// redundancy (opt-in; zero when the compile did not run with
+    /// `--analyze`).
     pub analyze: Duration,
     /// C emission.
     pub emit: Duration,

@@ -6,12 +6,15 @@
 //! - [`ReferenceSimulator`] — direct model-semantics evaluation (the
 //!   "model simulation" oracle the paper validates generated code against).
 //! - [`Vm`] — an interpreter for the loop IR, bit-equivalent to the emitted
-//!   C, used to check every generator style against the oracle.
+//!   C, used to check every generator style against the oracle. It is not
+//!   a timer: interpretation costs say nothing about the C's.
 //! - [`CostModel`] — deterministic per-statement cost estimation
 //!   parameterized by architecture (512-bit vs 128-bit SIMD) and compiler
 //!   profile (GCC-like vs Clang-like vectorizers), replacing wall clocks for
 //!   the configurations this host cannot run (Clang columns, ARM rows).
-//! - [`native`] — real `gcc -O3` compile-and-run for the x86/GCC column.
+//! - [`native`] — real `gcc -O3` compile-and-run for the x86/GCC column,
+//!   and the self-profiling runs `frodo calibrate` joins against the cost
+//!   model.
 //! - [`MemoryReport`] — static memory accounting for the paper's §5 study.
 //! - [`workload`] — deterministic random input generation.
 //! - [`rng`] — the vendored SplitMix64 generator behind every random
@@ -61,4 +64,4 @@ pub mod workload;
 pub use cost::{program_flops, stmt_flops, Arch, CompilerProfile, CostModel};
 pub use memory::MemoryReport;
 pub use reference::{ReferenceSimulator, SimError};
-pub use vm::{Profile, StmtProfile, Vm};
+pub use vm::Vm;

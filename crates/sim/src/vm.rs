@@ -6,116 +6,6 @@
 //! lowering and, transitively, the C emitter that prints the same IR.
 
 use frodo_codegen::lir::{BinOp, BufferRole, ConvStyle, Program, ReduceOp, Slice, Src, Stmt, UnOp};
-use frodo_obs::{CounterRecord, Histogram, SpanRecord, TraceSnapshot, NO_PARENT};
-use std::time::Instant;
-
-/// Per-statement accumulation of one profiled VM run: execution count,
-/// wall-nanosecond latency distribution, and cumulative FLOPs.
-#[derive(Debug, Clone)]
-pub struct StmtProfile {
-    /// Stable statement-kind label ([`Stmt::kind_label`]).
-    pub kind: &'static str,
-    /// FLOPs one execution performs ([`Stmt::flops`]).
-    pub flops_per_call: u64,
-    /// Executions recorded.
-    pub calls: u64,
-    /// Per-execution wall nanoseconds.
-    pub ns: Histogram,
-}
-
-/// A per-statement execution profile of [`Vm::step_profiled`] runs.
-///
-/// Keys match the self-profiling C emission exactly — statement `i` of
-/// kind `conv` profiles as span `stmt_i_conv`, counters
-/// `stmt_i_conv_calls` / `stmt_i_conv_flops`, and latency histogram
-/// `stmt_i_conv_ns` under a `prof:<model>` root — so a VM profile and a
-/// native profile of the same program are diffable with `obs::diff` after
-/// aggregation.
-#[derive(Debug, Clone)]
-pub struct Profile {
-    name: String,
-    stmts: Vec<StmtProfile>,
-}
-
-impl Profile {
-    /// An empty profile sized to `program`'s statement sequence.
-    pub fn new(program: &Program) -> Self {
-        Profile {
-            name: program.name.clone(),
-            stmts: program
-                .stmts
-                .iter()
-                .map(|s| StmtProfile {
-                    kind: s.kind_label(),
-                    flops_per_call: s.flops(),
-                    calls: 0,
-                    ns: Histogram::new(),
-                })
-                .collect(),
-        }
-    }
-
-    /// The per-statement records, in program order.
-    pub fn stmts(&self) -> &[StmtProfile] {
-        &self.stmts
-    }
-
-    fn record(&mut self, idx: usize, ns: f64) {
-        let s = &mut self.stmts[idx];
-        s.calls += 1;
-        s.ns.record(ns);
-    }
-
-    /// The profile as a [`TraceSnapshot`] in the same shape the generated
-    /// C's `frodo_prof_dump` prints: a `prof:<model>` root span, one span
-    /// per statement (duration = total nanoseconds), `_calls`/`_flops`
-    /// counters, and a `_ns` latency histogram per executed statement.
-    pub fn to_snapshot(&self) -> TraceSnapshot {
-        let mut snap = TraceSnapshot::default();
-        let total: u64 = self.stmts.iter().map(|s| s.ns.sum() as u64).sum();
-        snap.spans.push(SpanRecord {
-            id: 1,
-            parent: NO_PARENT,
-            name: format!("prof:{}", self.name),
-            start_ns: 0,
-            dur_ns: total,
-        });
-        for (i, s) in self.stmts.iter().enumerate() {
-            snap.spans.push(SpanRecord {
-                id: (i + 2) as u32,
-                parent: 1,
-                name: format!("stmt_{i}_{}", s.kind),
-                start_ns: 0,
-                dur_ns: s.ns.sum() as u64,
-            });
-        }
-        for (i, s) in self.stmts.iter().enumerate() {
-            snap.counters.push(CounterRecord {
-                span: (i + 2) as u32,
-                name: format!("stmt_{i}_{}_calls", s.kind),
-                value: s.calls,
-            });
-            snap.counters.push(CounterRecord {
-                span: (i + 2) as u32,
-                name: format!("stmt_{i}_{}_flops", s.kind),
-                value: s.flops_per_call * s.calls,
-            });
-        }
-        for (i, s) in self.stmts.iter().enumerate() {
-            if s.calls > 0 {
-                snap.histograms
-                    .push((format!("stmt_{i}_{}_ns", s.kind), s.ns.clone()));
-            }
-        }
-        snap
-    }
-
-    /// The profile in the `frodo-obs` NDJSON export schema
-    /// (`frodo_obs::ndjson::snapshot` parses it back).
-    pub fn to_ndjson(&self) -> String {
-        frodo_obs::ndjson_export(&self.to_snapshot())
-    }
-}
 
 /// Interpreter state: one flat `f64` store per program buffer.
 ///
@@ -168,44 +58,6 @@ impl Vm {
         for stmt in &program.stmts {
             self.exec(stmt);
         }
-        self.collect_outputs(program)
-    }
-
-    /// [`Vm::step`] with per-statement profiling: each statement's
-    /// execution is timed on the monotonic clock and recorded into
-    /// `profile` (which must have been built from the same program via
-    /// [`Profile::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same input mismatches as [`Vm::step`], and if
-    /// `profile` was sized to a different statement sequence.
-    pub fn step_profiled(
-        &mut self,
-        program: &Program,
-        inputs: &[Vec<f64>],
-        profile: &mut Profile,
-    ) -> Vec<Vec<f64>> {
-        assert_eq!(
-            profile.stmts.len(),
-            program.stmts.len(),
-            "profile/program statement count mismatch"
-        );
-        let ins = program.inputs();
-        assert_eq!(ins.len(), inputs.len(), "input count mismatch");
-        for ((_, id), data) in ins.iter().zip(inputs) {
-            assert_eq!(self.bufs[id.0].len(), data.len(), "input length mismatch");
-            self.bufs[id.0].copy_from_slice(data);
-        }
-        for (i, stmt) in program.stmts.iter().enumerate() {
-            let t0 = Instant::now();
-            self.exec(stmt);
-            profile.record(i, t0.elapsed().as_nanos() as f64);
-        }
-        self.collect_outputs(program)
-    }
-
-    fn collect_outputs(&self, program: &Program) -> Vec<Vec<f64>> {
         program
             .outputs()
             .into_iter()
@@ -746,60 +598,6 @@ mod tests {
         assert_eq!(vm.step(&p, &[vec![3.0]])[0], vec![6.0]);
         vm.reset(&p);
         assert_eq!(vm.step(&p, &[vec![5.0]])[0], vec![5.0]);
-    }
-
-    #[test]
-    fn profiled_step_matches_plain_step_and_records_every_statement() {
-        let a = figure1();
-        let input: Vec<f64> = (0..50).map(|i| (i as f64 * 0.7).sin()).collect();
-        let p = generate(&a, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
-        let plain = Vm::new(&p).step(&p, std::slice::from_ref(&input));
-        let mut prof = Profile::new(&p);
-        let mut vm = Vm::new(&p);
-        for _ in 0..3 {
-            let profiled = vm.step_profiled(&p, std::slice::from_ref(&input), &mut prof);
-            assert_eq!(profiled, plain, "profiling must not perturb results");
-        }
-        assert_eq!(prof.stmts().len(), p.stmts.len());
-        for (s, stmt) in prof.stmts().iter().zip(&p.stmts) {
-            assert_eq!(s.calls, 3);
-            assert_eq!(s.ns.count(), 3);
-            assert_eq!(s.kind, stmt.kind_label());
-            assert_eq!(s.flops_per_call, stmt.flops());
-        }
-    }
-
-    #[test]
-    fn profile_ndjson_round_trips_through_the_obs_parser() {
-        let a = figure1();
-        let input: Vec<f64> = (0..50).map(|i| i as f64 * 0.1).collect();
-        let p = generate(&a, GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
-        let mut prof = Profile::new(&p);
-        let mut vm = Vm::new(&p);
-        vm.step_profiled(&p, std::slice::from_ref(&input), &mut prof);
-        let text = prof.to_ndjson();
-        let snap = frodo_obs::ndjson::snapshot(&text).expect("profile NDJSON parses");
-        assert_eq!(snap.spans.len(), p.stmts.len() + 1);
-        assert!(snap.spans.iter().any(|s| s.name == "prof:conv"));
-        assert_eq!(snap.counters.len(), 2 * p.stmts.len());
-        // every statement ran once, so every statement has a histogram
-        assert_eq!(snap.histograms.len(), p.stmts.len());
-        for (name, h) in &snap.histograms {
-            assert!(name.starts_with("stmt_") && name.ends_with("_ns"), "{name}");
-            assert_eq!(h.count(), 1);
-        }
-        // the conv statement's flops counter carries the static tally
-        let ci = p
-            .stmts
-            .iter()
-            .position(|s| s.kind_label() == "conv")
-            .expect("conv statement");
-        let flops = snap
-            .counters
-            .iter()
-            .find(|c| c.name == format!("stmt_{ci}_conv_flops"))
-            .expect("conv flops counter");
-        assert_eq!(flops.value, p.stmts[ci].flops());
     }
 
     #[test]

@@ -254,7 +254,7 @@ fn unknown_flags_fail_and_every_read_flag_is_accepted() {
         (&["client"], &["--socket", socket, "status"]),
         (&["simulate"], &["HT"]),
         (&["bench"], &["HT"]),
-        (&["calibrate"], &["--steps", "1"]),
+        (&["calibrate"], &["--iters", "1"]),
         (&["verify"], &["HT"]),
         (&["convert"], &["HT", written]),
         (&["obs"], &["report", "ledger.ndjson"]),
@@ -348,6 +348,10 @@ fn unknown_flags_fail_and_every_read_flag_is_accepted() {
             ],
             "--bogus",
         ),
+        // calibrate reads only --iters, --sanitize and the ledger flags
+        (&["calibrate", "--steps", "1"], "--steps"),
+        (&["calibrate", "--check", "F"], "--check"),
+        (&["calibrate", "--native"], "--native"),
     ] {
         let out = frodo().args(args).output().expect("runs");
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -374,6 +378,51 @@ fn unknown_flags_fail_and_every_read_flag_is_accepted() {
         .unwrap()
         .contains("Kalman_step"));
     let _ = std::fs::remove_file(c_out);
+}
+
+#[test]
+fn calibrate_needs_gcc_and_writes_a_native_ledger_entry() {
+    // the interpreter is no stand-in for native code: without gcc there
+    // is nothing to time, and the error names what is missing
+    let out = frodo()
+        .args(["calibrate", "--iters", "1"])
+        .env("PATH", "/nonexistent")
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("gcc is unavailable"), "{err}");
+
+    if !frodo::sim::native::gcc_available() {
+        eprintln!("skipping: gcc not available");
+        return;
+    }
+    let ledger = temp_path("calibrate-ledger.ndjson");
+    let _ = std::fs::remove_file(&ledger);
+    let out = frodo()
+        .args(["calibrate", "--iters", "5", "--ledger-out"])
+        .arg(&ledger)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        table.starts_with("cost-model calibration (native, 10 models, "),
+        "{table}"
+    );
+    let text = std::fs::read_to_string(&ledger).expect("ledger written");
+    let entries = frodo::obs::read_ledger(&text).expect("ledger parses");
+    assert_eq!(entries.len(), 1);
+    assert_eq!(entries[0].label, "calibrate:native");
+    assert!(
+        entries[0].counter("calib_fir_ratio_p50_x1000") > 0,
+        "{text}"
+    );
+    let _ = std::fs::remove_file(&ledger);
 }
 
 #[test]
