@@ -92,6 +92,29 @@ fi
 ./target/release/frodo analyze HT -s simulink --format json 2>/dev/null \
     | grep -q '"code":"F204"'
 
+# ISO C gate: every Table-1 model's C, in every style and vector mode,
+# and FRODO's profiled harness must compile as ISO C99 without a warning
+# (an unread inport, clock_gettime without _POSIX_C_SOURCE)
+if command -v gcc >/dev/null 2>&1; then
+    c99_dir="$(mktemp -d)"
+    for model in AudioProcess Decryption HighPass HT Kalman Back \
+        Maintenance Maunfacture RunningDiff Simpson; do
+        for style in simulink dfsynth hcg frodo; do
+            for mode in auto hints batch:8; do
+                ./target/release/frodo compile --no-cache "$model" -s "$style" \
+                    --vectorize "$mode" -o "$c99_dir/step.c" 2>/dev/null
+                gcc -std=c99 -Wall -Wextra -Werror -fsyntax-only "$c99_dir/step.c"
+            done
+        done
+        ./target/release/frodo compile --no-cache "$model" --profile \
+            --harness 5 -o "$c99_dir/harness.c" 2>/dev/null
+        gcc -std=c99 -Wall -Wextra -Werror -fsyntax-only "$c99_dir/harness.c"
+    done
+    rm -rf "$c99_dir"
+else
+    echo "NOTICE: no gcc on PATH; skipping the ISO C gate"
+fi
+
 # sanitizer lane: the self-profiling native harness must run clean under
 # AddressSanitizer and UndefinedBehaviorSanitizer (buffer sizing, state
 # copies, and the profiling hooks are all exercised); probed first since

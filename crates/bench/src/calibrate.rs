@@ -11,7 +11,7 @@
 
 use crate::build_suite;
 use frodo_codegen::VectorMode;
-use frodo_obs::{Histogram, LedgerEntry, Trace};
+use frodo_obs::{LedgerEntry, Trace};
 use frodo_sim::native::{self, NativeError};
 use frodo_sim::CostModel;
 
@@ -24,22 +24,37 @@ pub const RATIO_SCALE: f64 = 1000.0;
 pub struct KindCalibration {
     /// Statement kind label ([`frodo_codegen::lir::Stmt::kind_label`]).
     pub kind: &'static str,
-    /// Statements of this kind that executed across the suite.
-    pub samples: u64,
-    /// Per-statement `measured_mean_ns / predicted_ns` ratios, scaled by
-    /// [`RATIO_SCALE`].
-    pub ratio_x1000: Histogram,
+    /// Per-statement `measured_mean_ns / predicted_ns` ratios, one per
+    /// statement of this kind that executed across the suite.
+    pub ratios: Vec<f64>,
 }
 
 impl KindCalibration {
+    /// Statements of this kind that executed across the suite.
+    pub fn samples(&self) -> u64 {
+        self.ratios.len() as u64
+    }
+
     /// Median ratio, scaled by [`RATIO_SCALE`].
     pub fn p50_x1000(&self) -> u64 {
-        self.ratio_x1000.percentile(50.0) as u64
+        self.percentile_x1000(50.0)
     }
 
     /// 95th-percentile ratio, scaled by [`RATIO_SCALE`].
     pub fn p95_x1000(&self) -> u64 {
-        self.ratio_x1000.percentile(95.0) as u64
+        self.percentile_x1000(95.0)
+    }
+
+    /// The nearest-rank `p`-th percentile of the ratios (the smallest
+    /// ratio at or above `p`% of them), scaled by [`RATIO_SCALE`] and
+    /// rounded; 0 without ratios.
+    fn percentile_x1000(&self, p: f64) -> u64 {
+        let mut sorted = self.ratios.clone();
+        sorted.sort_by(f64::total_cmp);
+        let rank = (p / 100.0 * sorted.len() as f64).ceil().max(1.0) as usize;
+        sorted
+            .get(rank - 1)
+            .map_or(0, |r| (r * RATIO_SCALE).round() as u64)
     }
 }
 
@@ -82,7 +97,7 @@ impl CalibrationReport {
                 out,
                 "{:<14} {:>8} {:>11.2}x {:>11.2}x",
                 k.kind,
-                k.samples,
+                k.samples(),
                 k.p50_x1000() as f64 / RATIO_SCALE,
                 k.p95_x1000() as f64 / RATIO_SCALE
             );
@@ -103,7 +118,7 @@ impl CalibrationReport {
             for k in &self.kinds {
                 job.count(&format!("calib_{}_ratio_p50_x1000", k.kind), k.p50_x1000());
                 job.count(&format!("calib_{}_ratio_p95_x1000", k.kind), k.p95_x1000());
-                job.count(&format!("calib_{}_samples", k.kind), k.samples);
+                job.count(&format!("calib_{}_samples", k.kind), k.samples());
             }
         }
         let agg = frodo_obs::aggregate(&trace.snapshot());
@@ -111,7 +126,7 @@ impl CalibrationReport {
     }
 }
 
-/// Accumulates per-kind ratio histograms as statements are joined.
+/// Accumulates per-kind ratios as statements are joined.
 #[derive(Default)]
 struct Accum {
     kinds: Vec<KindCalibration>,
@@ -126,14 +141,12 @@ impl Accum {
             None => {
                 self.kinds.push(KindCalibration {
                     kind,
-                    samples: 0,
-                    ratio_x1000: Histogram::new(),
+                    ratios: Vec::new(),
                 });
                 self.kinds.last_mut().expect("just pushed")
             }
         };
-        slot.samples += 1;
-        slot.ratio_x1000.record(ratio * RATIO_SCALE);
+        slot.ratios.push(ratio);
         self.statements += 1;
     }
 
@@ -232,16 +245,9 @@ mod tests {
 
     #[test]
     fn ledger_entry_round_trips_with_calib_counters() {
-        let kind = |kind, ratios: &[f64]| {
-            let mut ratio_x1000 = Histogram::new();
-            for r in ratios {
-                ratio_x1000.record(r * RATIO_SCALE);
-            }
-            KindCalibration {
-                kind,
-                samples: ratios.len() as u64,
-                ratio_x1000,
-            }
+        let kind = |kind, ratios: &[f64]| KindCalibration {
+            kind,
+            ratios: ratios.to_vec(),
         };
         let report = CalibrationReport {
             source: "native",
@@ -264,9 +270,30 @@ mod tests {
             );
             assert_eq!(
                 back.counter(&format!("calib_{}_samples", k.kind)),
-                k.samples as i64
+                k.samples() as i64
             );
         }
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank_samples() {
+        let kind = |ratios: &[f64]| KindCalibration {
+            kind: "fill",
+            ratios: ratios.to_vec(),
+        };
+        // one sample is both percentiles, exactly (a log2 bucket would
+        // read 2.048 and 16.384)
+        for r in [2.0, 16.0] {
+            assert_eq!(kind(&[r]).p50_x1000(), (r * RATIO_SCALE) as u64);
+            assert_eq!(kind(&[r]).p95_x1000(), (r * RATIO_SCALE) as u64);
+        }
+        // ranks ceil(n/2) and ceil(0.95 n), whatever the join order
+        let k = kind(&[24.0, 6.5, 7.0, 0.4125]);
+        assert_eq!((k.p50_x1000(), k.p95_x1000()), (6500, 24000));
+        let twenty: Vec<f64> = (1..=20).rev().map(f64::from).collect();
+        assert_eq!(kind(&twenty).p50_x1000(), 10_000);
+        assert_eq!(kind(&twenty).p95_x1000(), 19_000);
+        assert_eq!(kind(&[]).p50_x1000(), 0);
     }
 
     #[test]
@@ -281,7 +308,7 @@ mod tests {
         assert!(!report.kinds.is_empty());
         assert!(report.statements > 0);
         for k in &report.kinds {
-            assert!(k.samples > 0, "{}", k.kind);
+            assert!(k.samples() > 0, "{}", k.kind);
             assert!(k.p50_x1000() > 0, "{}: zero p50 ratio", k.kind);
             assert!(k.p50_x1000() <= k.p95_x1000(), "{}", k.kind);
         }

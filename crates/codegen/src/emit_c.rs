@@ -6,9 +6,9 @@
 //! matches the paper's measurement protocol (repeat the step function and
 //! average).
 
-use crate::library;
 use crate::lir::{BinOp, BufId, BufferRole, ConvStyle, Program, ReduceOp, Slice, Src, Stmt, UnOp};
 use crate::GeneratorStyle;
+use crate::{access, library};
 use std::fmt::Write;
 
 /// How aggressively the emitter shapes loops for SIMD execution
@@ -132,6 +132,11 @@ pub fn emit_c_harness(program: &Program, iters: usize) -> String {
 /// [`emit_c_harness`] with explicit [`CEmitOptions`].
 pub fn emit_c_harness_with(program: &Program, iters: usize, opts: CEmitOptions) -> String {
     let mut out = Emitter::new_with(program, opts).emit();
+    if !opts.profile {
+        // the `main` below calls clock_gettime; the define must precede
+        // every include
+        out.insert_str(0, POSIX_DEFINE);
+    }
     let name = &program.name;
     let mut main = String::new();
     let _ = writeln!(main, "\n#include <stdio.h>\n#include <time.h>\n");
@@ -225,6 +230,19 @@ static void frodo_conv_range(const double *u, int ulen, const double *v,\n\
     }\n\
 }\n";
 
+/// C's NaN-ignoring `fmax`/`fmin` as compare-selects gcc can inline and
+/// vectorize (it keeps the libm calls out of line). Each returns what
+/// glibc's `fmax`/`fmin` return on every pair of NaN, ±inf, ±1 and ±0,
+/// signs of zero included: `b` on a tie, the other operand when one is
+/// NaN. With a constant non-NaN `b`, each is one `maxpd`/`minpd`.
+const MINMAX_HELPERS: &str = "\
+static inline double frodo_max(double a, double b) { return (a > b || b != b) ? a : b; }\n\
+static inline double frodo_min(double a, double b) { return (a < b || b != b) ? a : b; }\n";
+
+/// Lets the profile runtime and the harness `main` use `clock_gettime`
+/// under ISO C.
+const POSIX_DEFINE: &str = "#define _POSIX_C_SOURCE 199309L\n";
+
 impl<'a> Emitter<'a> {
     fn new_with(p: &'a Program, opts: CEmitOptions) -> Self {
         Emitter {
@@ -233,6 +251,18 @@ impl<'a> Emitter<'a> {
             out: String::new(),
             indent: 1,
         }
+    }
+
+    /// Whether a statement computes a saturation or an elementwise min or
+    /// max, through [`MINMAX_HELPERS`].
+    fn uses_minmax_helpers(&self) -> bool {
+        let helped = |op: &UnOp| matches!(op, UnOp::Sat(..));
+        self.p.stmts.iter().any(|s| match s {
+            Stmt::Unary { op, .. } => helped(op),
+            Stmt::FusedUnary { ops, .. } => ops.iter().any(helped),
+            Stmt::Binary { op, .. } => matches!(op, BinOp::Min | BinOp::Max),
+            _ => false,
+        })
     }
 
     fn uses_conv_helper(&self) -> bool {
@@ -286,6 +316,9 @@ impl<'a> Emitter<'a> {
     fn header(&self) -> String {
         let p = self.p;
         let mut head = String::new();
+        if self.opts.profile {
+            head.push_str(POSIX_DEFINE);
+        }
         let _ = writeln!(
             head,
             "/* Generated by frodo-codegen (style: {}) for model '{}'. */",
@@ -333,6 +366,9 @@ impl<'a> Emitter<'a> {
         if self.uses_conv_helper() {
             let _ = writeln!(head, "\n{CONV_HELPER}");
         }
+        if self.uses_minmax_helpers() {
+            let _ = write!(head, "\n{MINMAX_HELPERS}");
+        }
 
         if self.opts.profile {
             head.push_str(&self.profile_runtime());
@@ -373,7 +409,21 @@ impl<'a> Emitter<'a> {
             }
             let _ = writeln!(head, "#endif");
         }
+        // an input no statement reads (Algorithm 1 demanded none of its
+        // elements) keeps its parameter, named once so it counts as used
+        for (idx, id) in p.inputs() {
+            if !self.reads(id) {
+                let _ = writeln!(head, "    (void)in{idx};");
+            }
+        }
         head
+    }
+
+    /// Whether any statement reads the buffer (a malformed one counts).
+    fn reads(&self, buf: BufId) -> bool {
+        self.p.stmts.iter().any(|s| {
+            access::stmt_access(self.p, s).map_or(true, |a| a.reads.iter().any(|r| r.buf == buf))
+        })
     }
 
     fn src_expr(&self, src: Src, iv: &str) -> String {
@@ -749,38 +799,44 @@ impl<'a> Emitter<'a> {
                     )
                 });
             }
+            &Stmt::Reduce {
+                op: op @ (ReduceOp::Min | ReduceOp::Max),
+                dst,
+                src,
+                len,
+            } => {
+                let (cmp, init, fold) = if op == ReduceOp::Max {
+                    (">", "-INFINITY", "fmax")
+                } else {
+                    ("<", "INFINITY", "fmin")
+                };
+                let code = library::REDUCE_EXTREMUM
+                    .render(&[
+                        ("Cmp", cmp.to_string()),
+                        ("Init", init.to_string()),
+                        ("Fold", fold.to_string()),
+                        ("Blocked", (len / 8 * 8).to_string()),
+                        ("Len", len.to_string()),
+                        ("Off", src.off.to_string()),
+                        ("Input", self.buf_expr(src.buf)),
+                        ("Output", self.dst_expr(dst, "0").replace(" + 0", "")),
+                    ])
+                    .expect("extremum template complete");
+                self.block_text(&code);
+            }
             &Stmt::Reduce { op, dst, src, len } => {
+                // a sum or mean stays serial: reassociating it changes bits
                 let d = self.dst_expr(dst, "0").replace(" + 0", ""); // cosmetic
                 let sb = self.buf_expr(src.buf);
                 let off = src.off;
-                let (init, step, fin) = match op {
-                    ReduceOp::Sum => (
-                        "0.0".into(),
-                        format!("acc += {sb}[{off} + i];"),
-                        String::new(),
-                    ),
-                    ReduceOp::Mean => (
-                        "0.0".into(),
-                        format!("acc += {sb}[{off} + i];"),
-                        format!("acc /= (double){len};"),
-                    ),
-                    ReduceOp::Min => (
-                        format!("{sb}[{off}]"),
-                        format!("acc = fmin(acc, {sb}[{off} + i]);"),
-                        String::new(),
-                    ),
-                    ReduceOp::Max => (
-                        format!("{sb}[{off}]"),
-                        format!("acc = fmax(acc, {sb}[{off} + i]);"),
-                        String::new(),
-                    ),
-                };
                 self.line("{");
                 self.indent += 1;
-                self.line(&format!("double acc = {init};"));
-                self.line(&format!("for (int i = 0; i < {len}; ++i) {{ {step} }}"));
-                if !fin.is_empty() {
-                    self.line(&fin);
+                self.line("double acc = 0.0;");
+                self.line(&format!(
+                    "for (int i = 0; i < {len}; ++i) {{ acc += {sb}[{off} + i]; }}"
+                ));
+                if op == ReduceOp::Mean {
+                    self.line(&format!("acc /= (double){len};"));
                 }
                 self.line(&format!("{d} = acc;"));
                 self.indent -= 1;
@@ -1062,7 +1118,7 @@ fn unop_expr(op: UnOp, x: &str) -> String {
         UnOp::Tanh => format!("tanh({x})"),
         UnOp::Neg => format!("-({x})"),
         UnOp::Recip => format!("1.0 / ({x})"),
-        UnOp::Sat(lo, hi) => format!("fmin(fmax({x}, {lo:?}), {hi:?})"),
+        UnOp::Sat(lo, hi) => format!("frodo_min(frodo_max({x}, {lo:?}), {hi:?})"),
         UnOp::Floor => format!("floor({x})"),
         UnOp::Ceil => format!("ceil({x})"),
         UnOp::Round => format!("round({x})"),
@@ -1078,8 +1134,8 @@ fn binop_expr(op: BinOp, a: &str, b: &str) -> String {
         BinOp::Sub => format!("{a} - {b}"),
         BinOp::Mul => format!("{a} * {b}"),
         BinOp::Div => format!("{a} / {b}"),
-        BinOp::Min => format!("fmin({a}, {b})"),
-        BinOp::Max => format!("fmax({a}, {b})"),
+        BinOp::Min => format!("frodo_min({a}, {b})"),
+        BinOp::Max => format!("frodo_max({a}, {b})"),
         BinOp::Mod => format!("fmod({a}, {b})"),
         BinOp::Lt => format!("({a} < {b}) ? 1.0 : 0.0"),
         BinOp::Le => format!("({a} <= {b}) ? 1.0 : 0.0"),
@@ -1508,6 +1564,156 @@ mod tests {
         assert!(c.contains("double acc = 0.0;"));
         assert!(c.contains("acc /= (double)8;"));
         assert!(c.contains("out0[0] = acc;"));
+    }
+
+    /// One inport of 20 elements through each of saturation, elementwise
+    /// min and max (against a gain of the same inport), and the min and
+    /// max of its elements, each to an outport.
+    fn minmax_model() -> Analysis {
+        let mut m = Model::new("minmax");
+        let i = m.add(Block::new(
+            "in",
+            BlockKind::Inport {
+                index: 0,
+                shape: Shape::Vector(20),
+            },
+        ));
+        let g = m.add(Block::new("g", BlockKind::Gain { gain: -2.0 }));
+        m.connect(i, 0, g, 0).unwrap();
+        let kinds = [
+            BlockKind::Saturation {
+                lower: -0.25,
+                upper: 0.25,
+            },
+            BlockKind::Min,
+            BlockKind::Max,
+            BlockKind::MinOfElements,
+            BlockKind::MaxOfElements,
+        ];
+        for (k, kind) in kinds.into_iter().enumerate() {
+            let binary = matches!(kind, BlockKind::Min | BlockKind::Max);
+            let b = m.add(Block::new(format!("b{k}"), kind));
+            m.connect(i, 0, b, 0).unwrap();
+            if binary {
+                m.connect(g, 0, b, 1).unwrap();
+            }
+            let o = m.add(Block::new(format!("o{k}"), BlockKind::Outport { index: k }));
+            m.connect(b, 0, o, 0).unwrap();
+        }
+        Analysis::run(m).unwrap()
+    }
+
+    #[test]
+    fn min_max_and_saturation_call_no_libm_outside_the_all_nan_fallback() {
+        let a = minmax_model();
+        for style in GeneratorStyle::ALL {
+            let c = emit_c(&generate(&a, style, &frodo_obs::Trace::noop()));
+            let libm: Vec<&str> = c
+                .lines()
+                .map(str::trim)
+                .filter(|l| l.contains("fmax(") || l.contains("fmin("))
+                .collect();
+            assert_eq!(libm.len(), 2, "{style}: {libm:?}");
+            assert!(
+                libm[0].starts_with("if (acc == INFINITY) { acc = "),
+                "{style}"
+            );
+            assert!(
+                libm[1].starts_with("if (acc == -INFINITY) { acc = "),
+                "{style}"
+            );
+            for helper in ["frodo_max", "frodo_min"] {
+                let def = format!("static inline double {helper}(double a, double b)");
+                assert_eq!(c.matches(&def).count(), 1, "{style}: {helper}");
+            }
+            assert!(c.contains("= frodo_min(frodo_max(in0[0 + "), "{style}");
+            assert!(c.contains("m[j] = x > m[j] ? x : m[j];"));
+            assert!(c.contains("m[0] = x < m[0] ? x : m[0];"));
+        }
+        // no helpers without a statement that calls them
+        let c = emit_c(&generate(
+            &figure1(),
+            GeneratorStyle::Frodo,
+            &frodo_obs::Trace::noop(),
+        ));
+        assert!(!c.contains("frodo_max") && !c.contains("frodo_min"));
+    }
+
+    #[test]
+    fn extremum_reductions_run_eight_lanes_and_a_tail() {
+        use crate::lir::{BufId, Slice};
+        let reduce = |op, len| {
+            emit_single(Stmt::Reduce {
+                op,
+                dst: Slice::new(BufId(1), 0),
+                src: Slice::new(BufId(0), 0),
+                len,
+            })
+        };
+        let c = reduce(ReduceOp::Max, 8);
+        assert!(c.contains("double m[8] = {-INFINITY, -INFINITY,"));
+        assert!(c.contains("for (int i = 0; i < 8; i += 8) {"));
+        assert!(c.contains("for (int i = 8; i < 8; ++i) {"));
+        let c = reduce(ReduceOp::Min, 7);
+        assert!(c.contains("double m[8] = {INFINITY, INFINITY,"));
+        assert!(c.contains("for (int i = 0; i < 0; i += 8) {"));
+        assert!(c.contains("for (int i = 0; i < 7; ++i) {"));
+        assert!(c.contains(
+            "if (acc == INFINITY) { acc = in0[0]; \
+             for (int i = 0; i < 7; ++i) { acc = fmin(acc, in0[0 + i]); } }"
+        ));
+        assert!(c.contains("out0[0] = acc;"));
+    }
+
+    #[test]
+    fn steps_name_every_input_they_never_read() {
+        use crate::lir::{Buffer, BufferRole};
+        let p = Program {
+            name: "unread".into(),
+            style: GeneratorStyle::Frodo,
+            buffers: vec![
+                Buffer {
+                    name: "a".into(),
+                    len: 4,
+                    role: BufferRole::Input(0),
+                },
+                Buffer {
+                    name: "b".into(),
+                    len: 4,
+                    role: BufferRole::Input(1),
+                },
+                Buffer {
+                    name: "y".into(),
+                    len: 4,
+                    role: BufferRole::Output(0),
+                },
+            ],
+            stmts: vec![Stmt::Copy {
+                dst: Slice::new(BufId(2), 0),
+                src: Slice::new(BufId(1), 0),
+                len: 4,
+            }],
+        };
+        let c = emit_c(&p);
+        assert!(c.contains("void unread_step(const double *in0, const double *in1, double *out0)"));
+        assert!(c.contains("    (void)in0;\n"));
+        assert!(!c.contains("(void)in1;"));
+    }
+
+    #[test]
+    fn profiled_and_harness_c_define_posix_first() {
+        let p = generate(&figure1(), GeneratorStyle::Frodo, &frodo_obs::Trace::noop());
+        let posix = "#define _POSIX_C_SOURCE 199309L\n/* Generated by";
+        for profile in [false, true] {
+            let opts = CEmitOptions {
+                profile,
+                ..CEmitOptions::default()
+            };
+            let harness = emit_c_harness_with(&p, 5, opts);
+            assert!(harness.starts_with(posix), "profile {profile}");
+            assert_eq!(harness.matches("_POSIX_C_SOURCE").count(), 1);
+            assert_eq!(emit_c_with(&p, opts).starts_with(posix), profile);
+        }
     }
 
     #[test]

@@ -72,5 +72,11 @@ pub use style::GeneratorStyle;
 /// the revision next to its digests and refuses to re-bless changed
 /// digests at the same revision.
 ///
-/// Revision 2 peels the window loops at their boundaries.
-pub const EMIT_REVISION: u32 = 2;
+/// Revision 2 peels the window loops at their boundaries. Revision 3
+/// emits max and min reductions as eight lanes of compare-selects, with a
+/// serial `fmax`/`fmin` fallback for inputs of only NaN and `-INFINITY`
+/// (`INFINITY` for min), saturation and elementwise min and max through
+/// inline `frodo_max`/`frodo_min` helpers instead of libm calls,
+/// `(void)inN;` for every input the step never reads, and
+/// `_POSIX_C_SOURCE` atop profiled and harness C.
+pub const EMIT_REVISION: u32 = 3;

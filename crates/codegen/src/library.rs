@@ -17,7 +17,8 @@
 //! per-element boundary judgment (paper §4.1), or through
 //! [`WINDOW_BLOCKED`] when the window is longer than
 //! [`UNROLLED_WINDOW_MAX`]. Every output sums the same terms in the same
-//! order under all three shapes.
+//! order under all three shapes. Max and min reductions go through
+//! [`REDUCE_EXTREMUM`].
 
 use std::fmt;
 
@@ -306,6 +307,36 @@ pub const WINDOW_BLOCKED: CodeTemplate = CodeTemplate::new(
      \x20   for (int l = 0; l < $Lanes$; ++l) {\n\
      \x20       $Output$[kb + l] = acc[l]$Scale$;\n\
      \x20   }\n\
+     }",
+);
+
+/// Max (`$Cmp$` `>`, `$Init$` `-INFINITY`, `$Fold$` `fmax`) or min (`<`,
+/// `INFINITY`, `fmin`) of the `$Len$` elements from `$Input$[$Off$]`, in
+/// eight lanes of compare-selects that gcc chains in parallel and
+/// vectorizes: the blocks of eight (`$Blocked$` elements) go lane by lane,
+/// the rest into lane 0. A select against a NaN element keeps the lane, so
+/// the merged lanes hold the extremum of the non-NaN elements, which is
+/// what the serial `fmax`/`fmin` fold gives whenever it is not `$Init$`.
+/// At `$Init$` (every element NaN or `$Init$`) that fold decides.
+pub const REDUCE_EXTREMUM: CodeTemplate = CodeTemplate::new(
+    "{\n\
+     \x20   double m[8] = {$Init$, $Init$, $Init$, $Init$, $Init$, $Init$, $Init$, $Init$};\n\
+     \x20   for (int i = 0; i < $Blocked$; i += 8) {\n\
+     \x20       for (int j = 0; j < 8; ++j) {\n\
+     \x20           double x = $Input$[$Off$ + i + j];\n\
+     \x20           m[j] = x $Cmp$ m[j] ? x : m[j];\n\
+     \x20       }\n\
+     \x20   }\n\
+     \x20   for (int i = $Blocked$; i < $Len$; ++i) {\n\
+     \x20       double x = $Input$[$Off$ + i];\n\
+     \x20       m[0] = x $Cmp$ m[0] ? x : m[0];\n\
+     \x20   }\n\
+     \x20   double acc = m[0];\n\
+     \x20   for (int j = 1; j < 8; ++j) {\n\
+     \x20       acc = m[j] $Cmp$ acc ? m[j] : acc;\n\
+     \x20   }\n\
+     \x20   if (acc == $Init$) { acc = $Input$[$Off$]; for (int i = 0; i < $Len$; ++i) { acc = $Fold$(acc, $Input$[$Off$ + i]); } }\n\
+     \x20   $Output$ = acc;\n\
      }",
 );
 

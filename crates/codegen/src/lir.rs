@@ -152,9 +152,9 @@ pub enum BinOp {
     Mul,
     /// `a / b`
     Div,
-    /// `fmin(a, b)`
+    /// `fmin(a, b)`, NaN-ignoring (emitted as the inline `frodo_min`)
     Min,
-    /// `fmax(a, b)`
+    /// `fmax(a, b)`, NaN-ignoring (emitted as the inline `frodo_max`)
     Max,
     /// `fmod(a, b)`
     Mod,

@@ -10,6 +10,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Result of one native measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,13 +59,16 @@ impl From<std::io::Error> for NativeError {
     }
 }
 
-/// Whether `gcc` can be invoked on this host.
+/// Whether `gcc` can be invoked on this host. Probed once per process.
 pub fn gcc_available() -> bool {
-    Command::new("gcc")
-        .arg("--version")
-        .output()
-        .map(|o| o.status.success())
-        .unwrap_or(false)
+    static GCC: OnceLock<bool> = OnceLock::new();
+    *GCC.get_or_init(|| {
+        Command::new("gcc")
+            .arg("--version")
+            .output()
+            .map(|o| o.status.success())
+            .unwrap_or(false)
+    })
 }
 
 /// Compiler flags for a sanitized harness build: AddressSanitizer +
@@ -79,11 +83,14 @@ pub const SANITIZE_FLAGS: [&str; 4] = [
 
 /// Whether the host `gcc` can link an ASan/UBSan binary (the runtime
 /// libraries are a separate package and may be missing even when `gcc`
-/// itself works).
+/// itself works). Probed once per process.
 pub fn sanitizer_available() -> bool {
-    if !gcc_available() {
-        return false;
-    }
+    static SANITIZER: OnceLock<bool> = OnceLock::new();
+    *SANITIZER.get_or_init(|| gcc_available() && probe_sanitizer())
+}
+
+/// Compiles and links an empty program with [`SANITIZE_FLAGS`].
+fn probe_sanitizer() -> bool {
     let dir = stage_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         return false;

@@ -224,7 +224,7 @@ pub(crate) fn eval_block(block: &Block, ins: &[Tensor], dfg: &Dfg, id: BlockId) 
         BlockKind::Negate => vec![map(&ins[0], |x| -x)],
         BlockKind::Reciprocal => vec![map(&ins[0], |x| 1.0 / x)],
         BlockKind::Saturation { lower, upper } => {
-            // C: fmin(fmax(x, lo), hi)
+            // C: frodo_min(frodo_max(x, lo), hi), an inline fmin(fmax(..))
             let (lo, hi) = (*lower, *upper);
             vec![map(&ins[0], move |x| x.max(lo).min(hi))]
         }
@@ -285,7 +285,9 @@ pub(crate) fn eval_block(block: &Block, ins: &[Tensor], dfg: &Dfg, id: BlockId) 
             vec![Tensor::scalar(ins[0].data().iter().sum::<f64>() / n)]
         }
         BlockKind::MinOfElements => {
-            // C accumulates with fmin starting from the first element
+            // the NaN-ignoring fold from the first element; the C's eight
+            // lanes give the same value up to the sign of a zero, and run
+            // this fold when every element is NaN or +inf (-inf for max)
             let first = ins[0].get(0);
             vec![Tensor::scalar(
                 ins[0].data().iter().skip(1).fold(first, |a, &b| a.min(b)),

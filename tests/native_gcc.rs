@@ -340,3 +340,156 @@ fn native_gcc_window_loops_match_the_vm_element_by_element() {
         }
     }
 }
+
+/// Whether a native output element equals the reference simulator's:
+/// within 1e-9 relative, infinities exactly, and NaN exactly where the
+/// reference is NaN.
+fn matches_reference(got: f64, want: f64) -> bool {
+    if got.is_nan() || want.is_nan() {
+        return got.is_nan() && want.is_nan();
+    }
+    got == want || (got - want).abs() <= 1e-9 * want.abs().max(1.0)
+}
+
+/// Block chains that turn an inport's values in [-0.5, 0.5) into what
+/// their name says.
+fn feeds() -> [(&'static str, Vec<BlockKind>); 7] {
+    let zero = || BlockKind::Gain { gain: 0.0 };
+    [
+        ("plain", vec![]),
+        ("half NaN", vec![BlockKind::Sqrt]),
+        (
+            "all NaN",
+            vec![BlockKind::Bias { bias: -1.0 }, BlockKind::Sqrt],
+        ),
+        ("all -inf", vec![zero(), BlockKind::Log]),
+        ("all +inf", vec![zero(), BlockKind::Log, BlockKind::Negate]),
+        ("NaN or -inf", vec![BlockKind::Sqrt, zero(), BlockKind::Log]),
+        (
+            "NaN or +inf",
+            vec![BlockKind::Sqrt, zero(), BlockKind::Log, BlockKind::Negate],
+        ),
+    ]
+}
+
+/// One case per outport: `kind` applied to one inport of `n` elements
+/// fed through a chain of [`feeds`] (two inports and chains when `kind`
+/// is binary, so the NaNs of its operands fall independently).
+fn case_model(name: &str, cases: &[(BlockKind, usize, Vec<Vec<BlockKind>>)]) -> Model {
+    let mut m = Model::new(name);
+    let mut inports = 0;
+    for (c, (kind, n, chains)) in cases.iter().enumerate() {
+        let block = m.add(Block::new(format!("b{c}"), kind.clone()));
+        for (port, chain) in chains.iter().enumerate() {
+            let mut last = m.add(Block::new(
+                format!("in{inports}"),
+                BlockKind::Inport {
+                    index: inports,
+                    shape: Shape::Vector(*n),
+                },
+            ));
+            inports += 1;
+            for (k, link) in chain.iter().enumerate() {
+                let b = m.add(Block::new(format!("f{c}_{port}_{k}"), link.clone()));
+                m.connect(last, 0, b, 0).unwrap();
+                last = b;
+            }
+            m.connect(last, 0, block, port).unwrap();
+        }
+        let out = m.add(Block::new(
+            format!("out{c}"),
+            BlockKind::Outport { index: c },
+        ));
+        m.connect(block, 0, out, 0).unwrap();
+    }
+    m
+}
+
+/// Every output element of every style's native step equals the
+/// reference simulator's on the harness's inputs ([`matches_reference`]).
+fn assert_native_matches_reference(model: Model, labels: &[String]) {
+    let name = model.name().to_string();
+    let analysis = Analysis::run(model).expect("analyze");
+    for style in GeneratorStyle::ALL {
+        let program = generate(&analysis, style, &frodo_obs::Trace::noop());
+        let inputs = lcg_inputs(&program);
+        let tensors: Vec<Tensor> = inputs.iter().cloned().map(Tensor::vector).collect();
+        let expected = ReferenceSimulator::new(analysis.dfg().clone())
+            .step(&tensors)
+            .expect("reference simulator");
+        let actual = native_outputs(&program, &inputs);
+        assert_eq!(actual.len(), expected.len(), "{name}/{style}");
+        for (o, (got, want)) in actual.iter().zip(&expected).enumerate() {
+            assert_eq!(got.len(), want.numel(), "{name}/{style} {}", labels[o]);
+            for (k, (&g, &w)) in got.iter().zip(want.data()).enumerate() {
+                assert!(
+                    matches_reference(g, w),
+                    "{name}/{style} {} element {k}: native {g} vs reference {w}",
+                    labels[o]
+                );
+            }
+        }
+    }
+}
+
+/// The eight-lane max and min reductions at the lane and tail edges, on
+/// plain and NaN-laced input, and on inputs of only NaN and infinities,
+/// which take the serial `fmax`/`fmin` fallback.
+#[test]
+fn native_gcc_extremum_reductions_match_the_reference_on_nan_and_inf() {
+    if !native::gcc_available() {
+        eprintln!("skipping: no gcc on host");
+        return;
+    }
+    for kind in [BlockKind::MaxOfElements, BlockKind::MinOfElements] {
+        let mut cases = Vec::new();
+        let mut labels = Vec::new();
+        for (feed, chain) in feeds() {
+            let lengths: &[usize] = if matches!(feed, "plain" | "half NaN") {
+                &[1, 7, 8, 9, 16, 17, 512]
+            } else {
+                &[1, 9, 512]
+            };
+            for &n in lengths {
+                cases.push((kind.clone(), n, vec![chain.clone()]));
+                labels.push(format!("{feed} x{n}"));
+            }
+        }
+        assert_native_matches_reference(case_model(kind.type_name(), &cases), &labels);
+    }
+}
+
+/// Saturation on NaN-laced input and with `lower > upper`, and
+/// elementwise min and max with NaN in either operand or both.
+#[test]
+fn native_gcc_saturation_and_elementwise_min_max_match_the_reference() {
+    if !native::gcc_available() {
+        eprintln!("skipping: no gcc on host");
+        return;
+    }
+    let [plain, half_nan, all_nan, ..] = feeds().map(|(_, chain)| chain);
+    let sat = |lower, upper| BlockKind::Saturation { lower, upper };
+    let mut cases = Vec::new();
+    let mut labels = Vec::new();
+    for (lower, upper) in [(-0.2, 0.3), (0.3, -0.2)] {
+        for (feed, chain) in [
+            ("plain", &plain),
+            ("half NaN", &half_nan),
+            ("all NaN", &all_nan),
+        ] {
+            cases.push((sat(lower, upper), 37, vec![chain.clone()]));
+            labels.push(format!("saturation [{lower}, {upper}] of {feed}"));
+        }
+    }
+    for kind in [BlockKind::Min, BlockKind::Max] {
+        for (feeds, a, b) in [
+            ("half NaN, plain", &half_nan, &plain),
+            ("plain, half NaN", &plain, &half_nan),
+            ("half NaN, half NaN", &half_nan, &half_nan),
+        ] {
+            cases.push((kind.clone(), 37, vec![a.clone(), b.clone()]));
+            labels.push(format!("{} of {feeds}", kind.type_name()));
+        }
+    }
+    assert_native_matches_reference(case_model("clamp", &cases), &labels);
+}
